@@ -136,18 +136,25 @@ def build_parser() -> _Parser:
 
 
 def _sphere_params(args) -> SphereParams:
-    if args.radius is not None:
-        return SphereParams(radius_mode="absolute", radius=args.radius,
+    try:
+        if args.radius is not None:
+            return SphereParams(radius_mode="absolute", radius=args.radius,
+                                outlier_mode=args.outlier_mode)
+        return SphereParams(radius_mode="percentile",
+                            percentile=args.percentile,
                             outlier_mode=args.outlier_mode)
-    return SphereParams(radius_mode="percentile", percentile=args.percentile,
-                        outlier_mode=args.outlier_mode)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _remap_params(args) -> RemapParams:
     if args.target is None:
         raise _UsageError("--mode remap requires --target R0 G0 B0 R1 G1 B1")
     t = args.target
-    return RemapParams(target=RgbAabb(min=tuple(t[:3]), max=tuple(t[3:])))
+    try:
+        return RemapParams(target=RgbAabb(min=tuple(t[:3]), max=tuple(t[3:])))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _edit_steps(args, command: str):
@@ -304,9 +311,6 @@ def run(argv=None) -> int:
             return _cmd_info(args)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except CloudError as exc:

@@ -12,6 +12,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -24,6 +25,7 @@ from .errors import EmptySelection
 __all__ = [
     "PointCloud",
     "OrientedBox",
+    "GridIndex",
     "ColorSphere",
     "RgbAabb",
     "PaletteEntry",
@@ -101,10 +103,6 @@ class PointCloud:
             has_color=has_color,
         )
 
-    def with_colors(self, colors: np.ndarray) -> "PointCloud":
-        """New cloud sharing positions/normals with a replaced color buffer."""
-        return PointCloud(self.positions, colors, self.normals, has_color=True)
-
     def take(self, selector) -> "PointCloud":
         """Sub-cloud for an index array or boolean mask, input order kept."""
         return PointCloud(
@@ -157,10 +155,23 @@ class OrientedBox:
 
         def block(lo: int, hi: int) -> np.ndarray:
             local = (pts[lo:hi] - centroid) @ rot  # row-vector form of R^T (p - c)
-            return np.all(np.abs(local) <= half, axis=1)
+            inside = np.abs(local[:, 0]) <= half[0]
+            inside &= np.abs(local[:, 1]) <= half[1]
+            inside &= np.abs(local[:, 2]) <= half[2]
+            return inside
 
         mask = parallel.blockwise(block, len(pts))
         return bool(mask[0]) if squeeze else mask
+
+    def world_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """World AABB ``c ± |R|·half`` holding every point ``contains``
+        accepts.  Rounding in ``(p - c) @ R`` accepts points a few ulps
+        outside it, so the half-extent is padded by 1e-9 of the box size."""
+        half = np.asarray(self.dimensions) / 2.0
+        centroid = np.asarray(self.centroid)
+        with np.errstate(invalid="ignore", over="ignore"):
+            reach = np.abs(self.rotation_matrix()) @ half + 1e-9 * half.sum()
+            return centroid - reach, centroid + reach
 
 
 def points_in_box(positions: np.ndarray, box: OrientedBox) -> np.ndarray:
@@ -171,6 +182,125 @@ def points_in_box(positions: np.ndarray, box: OrientedBox) -> np.ndarray:
 def point_in_box(point, box: OrientedBox) -> bool:
     """Scalar containment test; total function, boundary-inclusive."""
     return bool(box.contains(np.asarray(point, dtype=np.float64)))
+
+
+class GridIndex:
+    """Uniform-grid index over the finite rows of an (n,3) position array.
+
+    Points are sorted by a 16-bit cell key (numpy sorts such keys with a
+    radix sort); about 32 points share a cell.  ``rows(box)`` gathers the
+    cells under ``box.world_bounds()`` and runs the exact predicate,
+    ``OrientedBox.contains``, on those candidates only, so it returns
+    exactly ``np.flatnonzero(box.contains(positions))``.  Rows with a NaN
+    or infinite coordinate are never inside a box with finite bounds and
+    are left out of the index.
+    """
+
+    MAX_CELLS = (1 << 16) - 1
+    POINTS_PER_CELL = 32
+
+    def __init__(self, positions: np.ndarray):
+        self.positions = positions = _as_points(positions, "positions")
+        self._finite_rows = None
+        if not np.isfinite(positions).all():
+            self._finite_rows = np.flatnonzero(
+                np.isfinite(positions).all(axis=1))
+        m = len(positions) if self._finite_rows is None \
+            else self._finite_rows.size
+
+        self._lo = np.zeros(3)
+        self._hi = np.zeros(3)
+        if m:
+            for k in range(3):
+                column = self._column(k)
+                self._lo[k], self._hi[k] = column.min(), column.max()
+        self._counts, self._scale = self._cell_grid(m)
+
+        key = np.zeros(m, dtype=np.uint16)
+        stride = 1
+        for k in range(3):
+            if self._counts[k] > 1:
+                key += self._cells(self._column(k), k).astype(np.uint16) \
+                    * np.uint16(stride)
+            stride *= int(self._counts[k])
+        order = np.argsort(key, kind="stable")
+        if self._finite_rows is not None:
+            order = self._finite_rows[order]
+        self._order = order
+        self._starts = np.zeros(stride + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=stride), out=self._starts[1:])
+
+    def _column(self, k: int) -> np.ndarray:
+        if self._finite_rows is None:
+            return self.positions[:, k]
+        return self.positions[self._finite_rows, k]
+
+    def _cell_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cells per axis (product <= MAX_CELLS) and the world -> cell scale.
+
+        Cells are near-cubic with edge ``h``; an axis thinner than ``h``
+        gets one cell and the others share the cell budget.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = self._hi - self._lo
+        target = max(1, min(self.MAX_CELLS, m // self.POINTS_PER_CELL))
+        active = np.isfinite(extent) & (extent > 0)
+        h = math.inf
+        while active.any():
+            h = max(np.finfo(np.float64).tiny,
+                    math.exp((np.log(extent[active]).sum()
+                              - math.log(target)) / active.sum()))
+            thin = active & (extent < h)
+            if not thin.any():
+                break
+            active &= ~thin
+        counts = np.ones(3, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            while True:
+                counts[active] = np.minimum(self.MAX_CELLS,
+                                            np.ceil(extent[active] / h))
+                if counts.prod() <= self.MAX_CELLS:
+                    break
+                h *= 1.25
+            scale = counts / np.where(active, extent, 1.0)
+        counts[~np.isfinite(scale)] = 1
+        return counts, scale
+
+    def _cells(self, values: np.ndarray, k: int) -> np.ndarray:
+        """Cell coordinates along axis ``k``: one monotone formula for points
+        and query bounds, so a point between two bounds lies in a cell
+        between theirs."""
+        cells = values - self._lo[k]
+        cells *= self._scale[k]
+        np.floor(cells, out=cells)
+        return np.clip(cells, 0, self._counts[k] - 1, out=cells)
+
+    def _candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Rows of every cell meeting the world AABB [lo, hi]."""
+        if np.any(hi < self._lo) or np.any(lo > self._hi):
+            return np.empty(0, dtype=self._order.dtype)
+        (x0, x1), (y0, y1), (z0, z1) = (
+            self._cells(np.array([lo[k], hi[k]]), k).astype(np.int64)
+            for k in range(3))
+        nx, ny, _ = self._counts
+        # each (y, z) pair is one contiguous run of keys along x
+        yz = (np.arange(y0, y1 + 1)[:, None]
+              + ny * np.arange(z0, z1 + 1)[None, :]).ravel() * nx
+        begin = self._starts[yz + x0]
+        lengths = self._starts[yz + x1 + 1] - begin
+        total = int(lengths.sum())
+        run_offsets = np.cumsum(lengths) - lengths
+        slots = np.arange(total) + np.repeat(begin - run_offsets, lengths)
+        return self._order[slots]
+
+    def rows(self, box: OrientedBox) -> np.ndarray:
+        """Ascending rows of the indexed positions inside ``box``."""
+        lo, hi = box.world_bounds()
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return np.flatnonzero(box.contains(self.positions))
+        candidates = self._candidates(lo, hi)
+        inside = box.contains(np.take(self.positions, candidates, axis=0))
+        return np.sort(candidates[inside])
 
 
 @dataclass(frozen=True)
@@ -265,16 +395,10 @@ def mean_color(colors: Iterable) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def rgb_color_aabb(colors: Iterable, unique_only: bool = False) -> RgbAabb:
-    """Axis-aligned RGB bounds of a color set.
-
-    min/max are duplication-invariant, so ``unique_only`` cannot change the
-    result; it only switches the scan to the deduplicated color set.
-    """
+def rgb_color_aabb(colors: Iterable) -> RgbAabb:
+    """Axis-aligned RGB bounds of a color set."""
     arr = np.asarray(colors)
     if arr.size == 0:
         raise EmptySelection("rgb_color_aabb of an empty color set")
     arr = arr.reshape(-1, 3).astype(np.float64)
-    if unique_only:
-        arr = np.unique(arr, axis=0)
     return RgbAabb(min=tuple(arr.min(axis=0)), max=tuple(arr.max(axis=0)))

@@ -78,11 +78,8 @@ def _sniff_family(head: bytes) -> str | None:
 def detect_format(path) -> FormatDescriptor:
     """Resolve a file's descriptor: extension first, magic must agree."""
     kind = kind_of(path)
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4096)
-    except FileNotFoundError:
-        raise
+    with open(path, "rb") as fh:
+        head = fh.read(4096)
     sniffed = _sniff_family(head)
     expected = _MAGIC_FAMILY.get(kind)
     if expected is not None and sniffed != expected:

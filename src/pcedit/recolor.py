@@ -18,8 +18,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .boxfile import JoinedBox
-from .cloud import (ColorSphere, OrientedBox, PointCloud, RgbAabb,
-                    mean_color, quantize_colors, rgb_color_aabb)
+from .cloud import (ColorSphere, GridIndex, OrientedBox, PointCloud,
+                    RgbAabb, mean_color, quantize_colors, rgb_color_aabb)
 from .errors import (EmptySelection, NoEnabledBoxes, PipelineStepError)
 
 PROJECT_TO_SURFACE = "project_to_surface"
@@ -69,6 +69,20 @@ class RemapParams:
             raise ValueError(f"target box [{lo}, {hi}] exceeds [0, 255]^3")
 
 
+def nearest_rank(percentile: float, n: int) -> int:
+    """1-based nearest rank ``ceil(percentile/100 * n)``, in exact arithmetic.
+
+    The percentile is taken as the decimal it prints as, so 7 (or 7.0) of
+    100 is rank 7, where float math gives ``7/100*100 = 7.000000000000001``.
+    """
+    mantissa, _, exponent = repr(float(percentile)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = int(whole + fraction)  # percentile == digits * 10**power
+    power = int(exponent or 0) - len(fraction)
+    numerator = digits * n * 10 ** max(power, 0)
+    return -(-numerator // (100 * 10 ** max(-power, 0)))
+
+
 def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
     """Mean-color center; radius from the nearest-rank percentile of
     distances (or taken verbatim in absolute mode)."""
@@ -77,15 +91,50 @@ def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
         return ColorSphere(center=tuple(center), radius=params.radius)
     dists = np.sort(ColorSphere(center=tuple(center), radius=0.0)
                     .distances(colors))
-    rank = math.ceil(params.percentile / 100.0 * dists.size)
+    rank = nearest_rank(params.percentile, dists.size)
     return ColorSphere(center=tuple(center), radius=float(dists[rank - 1]))
 
 
-def _in_box_or_raise(cloud: PointCloud, box: OrientedBox) -> np.ndarray:
-    mask = box.contains(cloud.positions)
-    if not mask.any():
-        raise EmptySelection(f"box {box.label!r} contains no points")
-    return mask
+class _Edit:
+    """One edit command's state over its source cloud.
+
+    The cloud is indexed once; every step works on ascending source rows.
+    Deleted points are cleared from ``alive`` and recolors write into one
+    color buffer, copied from the source on the first write.  ``result``
+    materializes the survivors once, with the ``has_color`` flag the
+    step-by-step chain of clouds would carry.
+    """
+
+    def __init__(self, cloud: PointCloud):
+        self.source = cloud
+        self.index = GridIndex(cloud.positions)
+        self.alive = np.ones(cloud.count, dtype=bool)
+        self.colors = cloud.colors
+        self.has_color = cloud.has_color
+
+    def rows(self, box: OrientedBox) -> np.ndarray:
+        """Ascending source rows of the surviving points inside ``box``;
+        raises EmptySelection when there are none."""
+        rows = self.index.rows(box)
+        rows = rows[self.alive[rows]]
+        if not rows.size:
+            raise EmptySelection(f"box {box.label!r} contains no points")
+        return rows
+
+    def recolor(self, rows: np.ndarray, colors) -> None:
+        if self.colors is self.source.colors:
+            self.colors = self.colors.copy()
+        self.colors[rows] = colors
+        self.has_color = True
+
+    def result(self) -> PointCloud:
+        all_alive = bool(self.alive.all())
+        if (all_alive and self.colors is self.source.colors
+                and self.has_color == self.source.has_color):
+            return self.source
+        edited = PointCloud(self.source.positions, self.colors,
+                            self.source.normals, has_color=self.has_color)
+        return edited if all_alive else edited.take(self.alive)
 
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
@@ -118,23 +167,23 @@ def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
     return chosen
 
 
-def _apply_sphere(cloud: PointCloud, box: OrientedBox, params: SphereParams,
-                  delete: bool):
-    mask = _in_box_or_raise(cloud, box)
-    rows = np.flatnonzero(mask)
-    colors_in = cloud.colors[rows].astype(np.float64)
+def _apply_sphere(edit: _Edit, step) -> StepReport:
+    box, params = step.box, step.params
+    rows = edit.rows(box)
+    colors_in = np.take(edit.colors, rows, axis=0).astype(np.float64)
     sphere = fit_color_sphere(colors_in, params)
     dists = sphere.distances(colors_in)
     outlier = dists > sphere.radius
-
-    if delete:
-        keep = np.ones(cloud.count, dtype=bool)
-        keep[rows[outlier]] = False
-        return cloud.take(keep), sphere, rows.size, 0, int(outlier.sum())
-
     out_rows = rows[outlier]
-    if out_rows.size:
-        new_colors = cloud.colors.copy()
+    report = StepReport(op=step.op, box_label=box.label,
+                        points_examined=rows.size, points_recolored=0,
+                        points_deleted=0, sphere_center=sphere.center,
+                        sphere_radius=sphere.radius)
+
+    if step.delete:
+        edit.alive[out_rows] = False
+        report.points_deleted = out_rows.size
+    elif out_rows.size:
         if params.outlier_mode == PROJECT_TO_SURFACE:
             center = np.asarray(sphere.center)
             if sphere.radius == 0.0:
@@ -143,102 +192,98 @@ def _apply_sphere(cloud: PointCloud, box: OrientedBox, params: SphereParams,
                 delta = colors_in[outlier] - center
                 scale = sphere.radius / dists[outlier]
                 projected = center + delta * scale[:, None]
-            new_colors[out_rows] = quantize_colors(projected)
+            edit.recolor(out_rows, quantize_colors(projected))
         else:
-            inlier_rel = np.flatnonzero(~outlier)
-            if inlier_rel.size == 0:
-                new_colors[out_rows] = quantize_colors(
-                    np.broadcast_to(sphere.center, (out_rows.size, 3)))
+            in_rows = rows[~outlier]
+            if in_rows.size == 0:
+                edit.recolor(out_rows, quantize_colors(
+                    np.broadcast_to(sphere.center, (out_rows.size, 3))))
             else:
-                nearest = _nearest_inlier_rows(cloud.positions,
-                                               rows[inlier_rel],
-                                               out_rows)
-                new_colors[out_rows] = cloud.colors[rows[inlier_rel][nearest]]
-        result = cloud.with_colors(new_colors)
-    else:
-        result = cloud
-    return result, sphere, rows.size, int(outlier.sum()), 0
+                nearest = _nearest_inlier_rows(edit.source.positions,
+                                               in_rows, out_rows)
+                edit.recolor(out_rows, edit.colors[in_rows[nearest]])
+        report.points_recolored = out_rows.size
+    return report
 
 
 def recolor_spherical(cloud: PointCloud, box: OrientedBox,
                       params: SphereParams | None = None) -> PointCloud:
     """Recolor in-box color outliers; inliers and out-of-box points as-is."""
-    result, *_ = _apply_sphere(cloud, box, params or SphereParams(),
-                               delete=False)
-    return result
+    return _apply_one(cloud,
+                      SphericalRecolorStep(box, params or SphereParams()))
 
 
 def delete_spherical_outliers(cloud: PointCloud, box: OrientedBox,
                               params: SphereParams | None = None
                               ) -> PointCloud:
     """Drop in-box points whose color lies strictly outside the sphere."""
-    result, *_ = _apply_sphere(cloud, box, params or SphereParams(),
-                               delete=True)
-    return result
+    return _apply_one(cloud,
+                      SphericalDeleteStep(box, params or SphereParams()))
 
 
-def _apply_remap(cloud: PointCloud, box: OrientedBox, params: RemapParams,
-                 delete: bool):
-    mask = _in_box_or_raise(cloud, box)
-    rows = np.flatnonzero(mask)
-    colors_in = cloud.colors[rows].astype(np.float64)
+def _apply_remap(edit: _Edit, step) -> StepReport:
+    rows = edit.rows(step.box)
+    colors_in = np.take(edit.colors, rows, axis=0).astype(np.float64)
     source = rgb_color_aabb(colors_in)
+    report = StepReport(op=step.op, box_label=step.box.label,
+                        points_examined=rows.size, points_recolored=0,
+                        points_deleted=0, source_min=source.min,
+                        source_max=source.max)
 
-    if delete:
-        inside = params.target.contains(colors_in)
-        keep = np.ones(cloud.count, dtype=bool)
-        keep[rows[~inside]] = False
-        return cloud.take(keep), source, rows.size, 0, int((~inside).sum())
+    if step.delete:
+        outside = ~step.params.target.contains(colors_in)
+        edit.alive[rows[outside]] = False
+        report.points_deleted = int(outside.sum())
+        return report
 
     s_cent = np.asarray(source.centroid)
     s_ext = np.asarray(source.extent)
-    t_cent = np.asarray(params.target.centroid)
-    t_ext = np.asarray(params.target.extent)
+    t_cent = np.asarray(step.params.target.centroid)
+    t_ext = np.asarray(step.params.target.extent)
     gain = np.divide(t_ext, s_ext, out=np.zeros(3), where=s_ext > 0)
     mapped = t_cent + (colors_in - s_cent) * gain
-    new_colors = cloud.colors.copy()
-    new_colors[rows] = quantize_colors(mapped)
-    return (cloud.with_colors(new_colors), source, rows.size,
-            rows.size, 0)
+    edit.recolor(rows, quantize_colors(mapped))
+    report.points_recolored = rows.size
+    return report
 
 
 def recolor_rgb_box_remap(cloud: PointCloud, box: OrientedBox,
                           params: RemapParams) -> PointCloud:
     """Affinely map in-box colors from their fitted RGB box to the target."""
-    result, *_ = _apply_remap(cloud, box, params, delete=False)
-    return result
+    return _apply_one(cloud, RgbRemapStep(box, params))
 
 
 def delete_rgb_box_outliers(cloud: PointCloud, box: OrientedBox,
                             params: RemapParams) -> PointCloud:
     """Drop in-box points whose color falls outside the target RGB box."""
-    result, *_ = _apply_remap(cloud, box, params, delete=True)
-    return result
+    return _apply_one(cloud, RgbDeleteStep(box, params))
 
 
-def _apply_substitute(cloud: PointCloud, joined: Sequence[JoinedBox]):
-    active = [j for j in joined if j.enabled and j.color is not None]
+def _apply_substitute(edit: _Edit, step) -> StepReport:
+    active = [j for j in step.joined if j.enabled and j.color is not None]
     if not active:
         raise NoEnabledBoxes(
             "substitution needs at least one enabled box with a palette "
             "color")
-    assigned = np.zeros(cloud.count, dtype=bool)
-    new_colors = cloud.colors.copy()
+    examined = int(np.count_nonzero(edit.alive))
+    assigned = ~edit.alive
     for j in active:
-        mask = j.box.contains(cloud.positions) & ~assigned
-        new_colors[mask] = np.asarray(j.color, dtype=np.uint8)
-        assigned |= mask
-    survivors = cloud.with_colors(new_colors).take(assigned)
-    return survivors, cloud.count, int(assigned.sum()), \
-        int(cloud.count - assigned.sum())
+        rows = edit.index.rows(j.box)
+        rows = rows[~assigned[rows]]
+        edit.recolor(rows, np.asarray(j.color, dtype=np.uint8))
+        assigned[rows] = True
+    edit.alive &= assigned
+    survivors = int(np.count_nonzero(edit.alive))
+    return StepReport(op=step.op, box_label=None, points_examined=examined,
+                      points_recolored=survivors,
+                      points_deleted=examined - survivors)
 
 
 def recolor_substitute(cloud: PointCloud,
                        joined: Sequence[JoinedBox]) -> PointCloud:
     """Flat semantic coloring: each point keeps the color of the first
     enabled colored box containing it; everything else is removed."""
-    result, *_ = _apply_substitute(cloud, joined)
-    return result
+    return _apply_one(cloud, SubstituteStep(joined))
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -248,6 +293,7 @@ class SphericalRecolorStep:
     box: OrientedBox
     params: SphereParams = field(default_factory=SphereParams)
     op = "recolor_spherical"
+    delete = False
 
 
 @dataclass(frozen=True)
@@ -255,6 +301,7 @@ class SphericalDeleteStep:
     box: OrientedBox
     params: SphereParams = field(default_factory=SphereParams)
     op = "delete_spherical_outliers"
+    delete = True
 
 
 @dataclass(frozen=True)
@@ -262,6 +309,7 @@ class RgbRemapStep:
     box: OrientedBox
     params: RemapParams
     op = "recolor_rgb_box_remap"
+    delete = False
 
 
 @dataclass(frozen=True)
@@ -269,6 +317,7 @@ class RgbDeleteStep:
     box: OrientedBox
     params: RemapParams
     op = "delete_rgb_box_outliers"
+    delete = True
 
 
 @dataclass(frozen=True)
@@ -322,36 +371,20 @@ class EditReport:
         return "\n".join(lines)
 
 
-def _run_step(cloud: PointCloud, step):
+def _run_step(edit: _Edit, step) -> StepReport:
     if isinstance(step, (SphericalRecolorStep, SphericalDeleteStep)):
-        delete = isinstance(step, SphericalDeleteStep)
-        result, sphere, examined, recolored, deleted = _apply_sphere(
-            cloud, step.box, step.params, delete=delete)
-        report = StepReport(op=step.op, box_label=step.box.label,
-                            points_examined=examined,
-                            points_recolored=recolored,
-                            points_deleted=deleted,
-                            sphere_center=sphere.center,
-                            sphere_radius=sphere.radius)
-    elif isinstance(step, (RgbRemapStep, RgbDeleteStep)):
-        delete = isinstance(step, RgbDeleteStep)
-        result, source, examined, recolored, deleted = _apply_remap(
-            cloud, step.box, step.params, delete=delete)
-        report = StepReport(op=step.op, box_label=step.box.label,
-                            points_examined=examined,
-                            points_recolored=recolored,
-                            points_deleted=deleted,
-                            source_min=source.min, source_max=source.max)
-    elif isinstance(step, SubstituteStep):
-        result, examined, recolored, deleted = _apply_substitute(
-            cloud, step.joined)
-        report = StepReport(op=step.op, box_label=None,
-                            points_examined=examined,
-                            points_recolored=recolored,
-                            points_deleted=deleted)
-    else:
-        raise TypeError(f"unknown pipeline step {step!r}")
-    return result, report
+        return _apply_sphere(edit, step)
+    if isinstance(step, (RgbRemapStep, RgbDeleteStep)):
+        return _apply_remap(edit, step)
+    if isinstance(step, SubstituteStep):
+        return _apply_substitute(edit, step)
+    raise TypeError(f"unknown pipeline step {step!r}")
+
+
+def _apply_one(cloud: PointCloud, step) -> PointCloud:
+    edit = _Edit(cloud)
+    _run_step(edit, step)
+    return edit.result()
 
 
 def apply_pipeline(cloud: PointCloud, steps: Sequence
@@ -362,15 +395,15 @@ def apply_pipeline(cloud: PointCloud, steps: Sequence
     carrying the step index and the underlying error.
     """
     report = EditReport(input_count=cloud.count, output_count=cloud.count)
-    current = cloud
+    edit = _Edit(cloud)
     for i, step in enumerate(steps):
         try:
-            current, step_report = _run_step(current, step)
+            report.steps.append(_run_step(edit, step))
         except PipelineStepError:
             raise
         except Exception as exc:
             raise PipelineStepError(i, getattr(step, "op", str(step)),
                                     exc) from exc
-        report.steps.append(step_report)
-    report.output_count = current.count
-    return current, report
+    result = edit.result()
+    report.output_count = result.count
+    return result, report

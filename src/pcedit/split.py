@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import OrientedBox, PointCloud
+from .cloud import GridIndex, OrientedBox, PointCloud
 from .errors import NoBoxes
 from .formats import resolve_descriptor, write_cloud
 
@@ -50,21 +50,19 @@ def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
     """
     if not boxes:
         raise NoBoxes("split requires at least one box")
-    n = cloud.count
-    label_masks: dict[str, np.ndarray] = {}
-    assigned = np.zeros(n, dtype=bool)
+    index = GridIndex(cloud.positions)
+    label_rows: dict[str, list[np.ndarray]] = {}
+    assigned = np.zeros(cloud.count, dtype=bool)
     for box in boxes:
-        mask = box.contains(cloud.positions)
+        rows = index.rows(box)
         if not duplicates:
-            mask = mask & ~assigned
-        if box.label not in label_masks:
-            label_masks[box.label] = np.zeros(n, dtype=bool)
-        label_masks[box.label] |= mask
-        assigned |= mask
+            rows = rows[~assigned[rows]]
+        label_rows.setdefault(box.label, []).append(rows)
+        assigned[rows] = True
 
     result = SplitResult()
-    for label, mask in label_masks.items():
-        rows = np.flatnonzero(mask)
+    for label, parts in label_rows.items():
+        rows = np.unique(np.concatenate(parts))
         result.fragments.append(Fragment(label=label,
                                          cloud=cloud.take(rows),
                                          indices=rows))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pcedit import PointCloud, read_cloud, write_cloud
+from pcedit import PointCloud, cli, read_cloud, write_cloud
 from pcedit.cli import run
 
 
@@ -120,6 +120,31 @@ class TestUsageErrors:
         assert run(["segment", "--cloud", str(cloud_path),
                     "--boxes", str(boxes_path),
                     "--out", str(tmp_path / "o.ply")]) == 1
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--radius", "-1"],
+        ["--mode", "remap", "--target", "10", "0", "0", "5", "255", "255"],
+        ["--mode", "remap", "--target", "0", "0", "0", "300", "255", "255"]])
+    def test_bad_parameter_values(self, tmp_path, capsys, flags):
+        _, cloud_path, boxes_path, *_ = write_scene(tmp_path)
+        assert run(["recolor", "--cloud", str(cloud_path),
+                    "--boxes", str(boxes_path),
+                    "--out", str(tmp_path / "o.ply"), *flags]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path,
+                                                       monkeypatch):
+        _, cloud_path, boxes_path, *_ = write_scene(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise ValueError("shapes (5,3) and (4,3) not aligned")
+
+        monkeypatch.setattr(cli, "split_by_boxes", broken)
+        with pytest.raises(ValueError, match="not aligned"):
+            run(["split", "--cloud", str(cloud_path),
+                 "--boxes", str(boxes_path),
+                 "--out-dir", str(tmp_path / "frags")])
 
 
 class TestDataErrors:

@@ -1,0 +1,379 @@
+"""Grid index and the indexed edit engine against full-scan references.
+
+The references here rescan every point with the trig oracle for every box
+and copy the cloud after every step, which is how the engine behaved
+before it indexed the cloud once per command.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pcedit import (EmptySelection, OrientedBox, PipelineStepError,
+                    PointCloud, RemapParams, RgbAabb, RgbDeleteStep,
+                    RgbRemapStep, SphereParams, SphericalDeleteStep,
+                    SphericalRecolorStep, SubstituteStep, apply_pipeline,
+                    fit_color_sphere, quantize_colors, rgb_color_aabb,
+                    split_by_boxes)
+from pcedit.boxfile import JoinedBox
+from pcedit.cloud import GridIndex
+from pcedit.recolor import NEAREST_INLIER, PROJECT_TO_SURFACE
+
+from conftest import oracle_contains, oracle_rotation, random_box, random_cloud
+
+UTM = np.array([5e6, 5e6, 0.0])
+
+
+def _surface_points(box: OrientedBox, rng, per_face: int) -> np.ndarray:
+    """Points on the box's corners, edges and faces (local ±half), placed
+    with the oracle rotation; rounding leaves them within ulps of a face."""
+    half = np.asarray(box.dimensions) / 2.0
+    signs = np.array([(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1)
+                      for z in (-1, 0, 1) if (x, y, z) != (0, 0, 0)],
+                     dtype=np.float64)
+    free = rng.uniform(-1, 1, (per_face, 3))
+    free[np.arange(per_face), rng.integers(0, 3, per_face)] = \
+        rng.choice([-1.0, 1.0], per_face)
+    local = np.vstack([signs, free]) * half
+    rot = oracle_rotation(*box.rotations)
+    return local @ rot.T + np.asarray(box.centroid)
+
+
+@st.composite
+def scenes(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(
+        ["volume", "planar", "single", "empty", "nonfinite_only"]))
+    offset = UTM if draw(st.booleans()) else np.zeros(3)
+    rotated = draw(st.booleans())
+    boxes = []
+    for i in range(3):
+        rotations = tuple(rng.uniform(0, 360, 3)) if rotated else (0, 0, 0)
+        boxes.append(OrientedBox(
+            label=f"b{i}", centroid=tuple(rng.uniform(-6, 6, 3) + offset),
+            dimensions=tuple(rng.uniform(0.5, 8.0, 3)),
+            rotations=rotations))
+    # a box that misses the cloud entirely
+    boxes.append(OrientedBox(label="miss",
+                             centroid=tuple(np.array([90.0, -90, 90])
+                                            + offset),
+                             dimensions=(2, 2, 2),
+                             rotations=boxes[0].rotations))
+
+    parts = []
+    if layout == "volume":
+        parts.append(rng.uniform(-10, 10, (draw(st.integers(1, 400)), 3))
+                     + offset)
+    elif layout == "planar":
+        flat = rng.uniform(-10, 10, (draw(st.integers(1, 400)), 3))
+        flat[:, 2] = boxes[0].centroid[2]
+        parts.append(flat + offset * [1, 1, 0])
+    elif layout == "single":
+        parts.append(np.asarray([boxes[0].centroid]))
+    if layout in ("volume", "planar"):
+        for box in boxes[:3]:
+            parts.append(_surface_points(box, rng, per_face=20))
+        cloud = np.vstack(parts)
+        parts.append(cloud[rng.integers(0, len(cloud), 30)])  # duplicates
+    if layout in ("volume", "planar", "nonfinite_only"):
+        bad = np.array([[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf],
+                        [np.nan, np.nan, np.nan], [np.inf, -np.inf, 1]])
+        parts.append(bad + offset)
+    positions = np.vstack(parts) if parts else np.empty((0, 3))
+    return positions[rng.permutation(len(positions))], boxes
+
+
+def _near_surface(positions: np.ndarray, box: OrientedBox) -> np.ndarray:
+    """Points so close to a face plane that the trig oracle and scipy's
+    rotation matrix may round them to opposite sides."""
+    rot = oracle_rotation(*box.rotations)
+    half = np.asarray(box.dimensions) / 2.0
+    with np.errstate(invalid="ignore"):
+        local = (positions - np.asarray(box.centroid)) @ rot
+        tol = 1e-9 * (1.0 + np.abs(box.centroid).max() + half.max())
+        return np.any(np.abs(np.abs(local) - half) <= tol, axis=1)
+
+
+class TestGridIndex:
+    @given(scene=scenes())
+    def test_rows_match_full_scan_and_oracle(self, scene):
+        positions, boxes = scene
+        index = GridIndex(positions)
+        for box in boxes:
+            rows = index.rows(box)
+            with np.errstate(invalid="ignore"):
+                full = box.contains(positions)
+                want = oracle_contains(positions, box)
+            # the same predicate on every point: bit-identical rows
+            assert np.array_equal(rows, np.flatnonzero(full))
+            lo, hi = box.world_bounds()
+            assert np.all((positions[full] >= lo) & (positions[full] <= hi))
+            assert rows.dtype == np.intp
+            if box.rotations == (0.0, 0.0, 0.0):
+                # both rotations are the exact identity
+                assert np.array_equal(rows, np.flatnonzero(want))
+            else:
+                firm = ~_near_surface(positions, box)
+                got = np.zeros(len(positions), dtype=bool)
+                got[rows] = True
+                assert np.array_equal(got[firm], want[firm])
+
+    def test_many_cells_match_full_scan(self, rng):
+        positions = random_cloud(rng, 50_000, span=40.0).positions
+        positions[:, 2] *= 0.05
+        index = GridIndex(positions)
+        assert index._counts.prod() > 1000
+        for _ in range(40):
+            box = random_box(rng, span=40.0)
+            assert np.array_equal(index.rows(box),
+                                  np.flatnonzero(box.contains(positions)))
+
+    def test_candidates_stay_near_the_box(self, rng):
+        positions = rng.uniform(-100, 100, (100_000, 3))
+        index = GridIndex(positions)
+        box = OrientedBox(label="small", centroid=(0, 0, 0),
+                          dimensions=(4, 4, 4), rotations=(10, 20, 30))
+        candidates = index._candidates(*box.world_bounds())
+        assert len(candidates) < len(positions) // 50
+
+    def test_nonfinite_box_falls_back_to_full_scan(self, rng):
+        positions = rng.uniform(-1, 1, (100, 3))
+        huge = OrientedBox(label="huge", centroid=(0, 0, 0),
+                           dimensions=(np.inf, 1, 1))
+        index = GridIndex(positions)
+        assert np.array_equal(index.rows(huge),
+                              np.flatnonzero(huge.contains(positions)))
+
+
+# --- full-scan, copy-per-step reference engine -------------------------------
+
+def _reference_step(cloud: PointCloud, step):
+    """One step on a cloud: returns (new cloud, report dict)."""
+    if isinstance(step, SubstituteStep):
+        assigned = np.zeros(cloud.count, dtype=bool)
+        colors = cloud.colors.copy()
+        for j in step.joined:
+            if not (j.enabled and j.color is not None):
+                continue
+            mask = oracle_contains(cloud.positions, j.box) & ~assigned
+            colors[mask] = j.color
+            assigned |= mask
+        out = _copy(cloud, colors=colors, has_color=True, keep=assigned)
+        return out, {"op": step.op, "box_label": None,
+                     "points_examined": cloud.count,
+                     "points_recolored": int(assigned.sum()),
+                     "points_deleted": int((~assigned).sum()),
+                     "sphere_center": None, "sphere_radius": None,
+                     "source_min": None, "source_max": None}
+
+    rows = np.flatnonzero(oracle_contains(cloud.positions, step.box))
+    if rows.size == 0:
+        raise EmptySelection(step.box.label)
+    colors_in = cloud.colors[rows].astype(np.float64)
+    report = {"op": step.op, "box_label": step.box.label,
+              "points_examined": int(rows.size), "points_recolored": 0,
+              "points_deleted": 0, "sphere_center": None,
+              "sphere_radius": None, "source_min": None,
+              "source_max": None}
+    keep = np.ones(cloud.count, dtype=bool)
+    colors = cloud.colors.copy()
+    has_color = cloud.has_color
+
+    if isinstance(step, (SphericalRecolorStep, SphericalDeleteStep)):
+        sphere = fit_color_sphere(colors_in, step.params)
+        report["sphere_center"] = list(sphere.center)
+        report["sphere_radius"] = sphere.radius
+        dists = np.linalg.norm(colors_in - sphere.center, axis=1)
+        outlier = dists > sphere.radius
+        out_rows, in_rows = rows[outlier], rows[~outlier]
+        if isinstance(step, SphericalDeleteStep):
+            keep[out_rows] = False
+            report["points_deleted"] = int(out_rows.size)
+        elif out_rows.size:
+            center = np.asarray(sphere.center)
+            if step.params.outlier_mode == PROJECT_TO_SURFACE:
+                if sphere.radius == 0:
+                    colors[out_rows] = quantize_colors(
+                        np.tile(center, (out_rows.size, 1)))
+                else:
+                    colors[out_rows] = quantize_colors(
+                        center + (colors_in[outlier] - center)
+                        * (sphere.radius / dists[outlier])[:, None])
+            elif in_rows.size == 0:
+                colors[out_rows] = quantize_colors(
+                    np.tile(center, (out_rows.size, 1)))
+            else:
+                # exhaustive nearest inlier; argmin keeps the lowest row
+                gap = np.linalg.norm(cloud.positions[out_rows][:, None]
+                                     - cloud.positions[in_rows][None],
+                                     axis=2)
+                colors[out_rows] = cloud.colors[in_rows[gap.argmin(axis=1)]]
+            has_color = True
+            report["points_recolored"] = int(out_rows.size)
+    else:
+        source = rgb_color_aabb(colors_in)
+        report["source_min"], report["source_max"] = \
+            list(source.min), list(source.max)
+        target = step.params.target
+        if isinstance(step, RgbDeleteStep):
+            inside = np.all((colors_in >= target.min)
+                            & (colors_in <= target.max), axis=1)
+            keep[rows[~inside]] = False
+            report["points_deleted"] = int((~inside).sum())
+        else:
+            s_ext = np.asarray(source.extent)
+            gain = np.divide(np.asarray(target.extent), s_ext,
+                             out=np.zeros(3), where=s_ext > 0)
+            colors[rows] = quantize_colors(
+                np.asarray(target.centroid)
+                + (colors_in - source.centroid) * gain)
+            has_color = True
+            report["points_recolored"] = int(rows.size)
+    return _copy(cloud, colors=colors, has_color=has_color, keep=keep), report
+
+
+def _copy(cloud, *, colors, has_color, keep):
+    return PointCloud(cloud.positions[keep].copy(), colors[keep].copy(),
+                      None if cloud.normals is None
+                      else cloud.normals[keep].copy(),
+                      has_color=has_color)
+
+
+def _reference_pipeline(cloud, steps):
+    reports = []
+    for step in steps:
+        cloud, report = _reference_step(cloud, step)
+        reports.append(report)
+    return cloud, reports
+
+
+def _random_steps(rng, count: int):
+    sphere_modes = [SphereParams(percentile=80.0),
+                    SphereParams(percentile=55.0,
+                                 outlier_mode=NEAREST_INLIER),
+                    SphereParams(radius_mode="absolute", radius=60.0),
+                    SphereParams(radius_mode="absolute", radius=0.0,
+                                 outlier_mode=NEAREST_INLIER)]
+    target = RemapParams(target=RgbAabb(min=(20, 40, 10),
+                                        max=(200, 230, 120)))
+    steps = []
+    for i in range(count):
+        box = OrientedBox(label=f"box{i % 7}",
+                          centroid=tuple(rng.uniform(-6, 6, 3)),
+                          dimensions=tuple(rng.uniform(4.0, 10.0, 3)),
+                          rotations=tuple(rng.uniform(0, 360, 3)))
+        kind = i % 5
+        params = sphere_modes[int(rng.integers(len(sphere_modes)))]
+        if kind == 0:
+            steps.append(SphericalDeleteStep(box=box, params=params))
+        elif kind in (1, 2):
+            steps.append(SphericalRecolorStep(box=box, params=params))
+        elif kind == 3:
+            steps.append(RgbRemapStep(box=box, params=target))
+        else:
+            steps.append(RgbDeleteStep(box=box, params=target))
+    return steps
+
+
+def _assert_same_cloud(got: PointCloud, want: PointCloud):
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.colors, want.colors)
+    assert got.has_color == want.has_color
+    if want.normals is None:
+        assert got.normals is None
+    else:
+        assert np.array_equal(got.normals, want.normals)
+
+
+def _json(reports):
+    return json.loads(json.dumps(reports))
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("colored", [True, False])
+    def test_random_overlapping_boxes(self, seed, colored):
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(rng, 3000, normals=True)
+        if not colored:
+            cloud = PointCloud(cloud.positions, None, cloud.normals)
+        steps = _random_steps(rng, 24)
+        palette = [JoinedBox(box=s.box, color=tuple(rng.integers(0, 256, 3)),
+                             enabled=bool(i % 4)) for i, s in
+                   enumerate(steps[:10])]
+        steps.append(SubstituteStep(joined=palette))
+
+        got, report = apply_pipeline(cloud, steps)
+        want, want_reports = _reference_pipeline(cloud, steps)
+        _assert_same_cloud(got, want)
+        payload = json.loads(report.to_json())
+        assert payload["steps"] == _json(want_reports)
+        assert payload["input_count"] == cloud.count
+        assert payload["output_count"] == want.count
+
+    def test_recolor_without_outliers_keeps_colorless_source(self, rng):
+        cloud = PointCloud(rng.uniform(-1, 1, (50, 3)))
+        box = OrientedBox(label="all", centroid=(0, 0, 0),
+                          dimensions=(4, 4, 4))
+        got, _ = apply_pipeline(cloud, [SphericalRecolorStep(box=box)])
+        assert not got.has_color
+        remapped, _ = apply_pipeline(cloud, [RgbRemapStep(
+            box=box, params=RemapParams(target=RgbAabb(min=(0, 0, 0),
+                                                       max=(9, 9, 9))))])
+        assert remapped.has_color
+
+    def test_input_cloud_is_not_modified(self, rng):
+        cloud = random_cloud(rng, 2000, normals=True)
+        before = (cloud.positions.copy(), cloud.colors.copy(),
+                  cloud.normals.copy())
+        apply_pipeline(cloud, _random_steps(rng, 20))
+        assert np.array_equal(cloud.positions, before[0])
+        assert np.array_equal(cloud.colors, before[1])
+        assert np.array_equal(cloud.normals, before[2])
+
+    def test_box_emptied_by_an_earlier_delete_fails_that_step(self):
+        positions = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])
+        cloud = PointCloud(positions, [[0, 0, 0], [0, 0, 0], [255, 0, 0]])
+        everything = OrientedBox(label="all", centroid=(2.5, 0, 0),
+                                 dimensions=(6, 1, 1))
+        far = OrientedBox(label="far", centroid=(5, 0, 0),
+                          dimensions=(1, 1, 1))
+        steps = [SphericalDeleteStep(box=everything, params=SphereParams(
+                     radius_mode="absolute", radius=1.0)),
+                 SphericalRecolorStep(box=far)]
+        with pytest.raises(PipelineStepError) as err:
+            apply_pipeline(cloud, steps)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.cause, EmptySelection)
+
+
+class TestSplitMatchesReference:
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_overlapping_boxes(self, rng, duplicates):
+        cloud = random_cloud(rng, 5000, normals=True)
+        boxes = [OrientedBox(label=f"class{i % 6}",
+                             centroid=tuple(rng.uniform(-6, 6, 3)),
+                             dimensions=tuple(rng.uniform(3.0, 10.0, 3)),
+                             rotations=tuple(rng.uniform(0, 360, 3)))
+                 for i in range(24)]
+        result = split_by_boxes(cloud, boxes, duplicates=duplicates)
+
+        masks: dict[str, np.ndarray] = {}
+        assigned = np.zeros(cloud.count, dtype=bool)
+        for box in boxes:
+            mask = oracle_contains(cloud.positions, box)
+            if not duplicates:
+                mask &= ~assigned
+            masks[box.label] = masks.get(box.label, False) | mask
+            assigned |= mask
+        assert [f.label for f in result.fragments] == list(masks)
+        for fragment in result.fragments:
+            rows = np.flatnonzero(masks[fragment.label])
+            assert np.array_equal(fragment.indices, rows)
+            _assert_same_cloud(fragment.cloud, cloud.take(rows))
+        rest = np.flatnonzero(~assigned)
+        assert np.array_equal(result.remainder_indices, rest)
+        _assert_same_cloud(result.remainder, cloud.take(rest))

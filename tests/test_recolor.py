@@ -1,6 +1,7 @@
 """Recolor engine: sphere fit, projection, remap, substitution, deletion."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pcedit import (EmptySelection, NoEnabledBoxes, OrientedBox,
                     recolor_rgb_box_remap, recolor_spherical,
                     recolor_substitute)
 from pcedit.boxfile import JoinedBox
-from pcedit.recolor import NEAREST_INLIER, ROUNDING_SLACK
+from pcedit.recolor import NEAREST_INLIER, ROUNDING_SLACK, nearest_rank
 
 from conftest import oracle_contains, oracle_nearest_index, random_box
 
@@ -63,9 +64,26 @@ class TestFitColorSphere:
         sphere = fit_color_sphere(colors, SphereParams(percentile=q))
         center = [sum(int(c[k]) for c in colors) / n for k in range(3)]
         dists = sorted(math.dist(center, c) for c in colors.tolist())
-        expect = dists[math.ceil(q / 100 * n) - 1]
+        # exact decimal rank: float q / 100 * n is 7.000000000000001 for
+        # q=7, n=100
+        expect = dists[math.ceil(Decimal(repr(q)) * n / 100) - 1]
         assert math.isclose(sphere.radius, expect, rel_tol=1e-12,
                             abs_tol=1e-9)
+
+    def test_nearest_rank_matches_integer_oracle(self):
+        got = [nearest_rank(float(p), n)
+               for p in range(1, 101) for n in range(1, 1001)]
+        want = [-(-p * n // 100)
+                for p in range(1, 101) for n in range(1, 1001)]
+        assert got == want
+
+    def test_percentile_7_of_100_is_rank_7(self):
+        colors = np.zeros((100, 3))
+        colors[:, 0] = np.arange(100) ** 2 / 50.0
+        sphere = fit_color_sphere(colors, SphereParams(percentile=7.0))
+        dists = np.sort(np.abs(colors[:, 0] - colors[:, 0].mean()))
+        assert np.all(np.diff(dists) > 0)
+        assert sphere.radius == dists[6]
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
