@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,7 +73,14 @@ def _number(mapping, outer: str, key: str, index: int) -> float:
         raise SchemaError(
             f"object {index}: {outer}.{key} must be a number, "
             f"got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(
+            f"object {index}: {outer}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _triple(obj, index: int, outer: str, keys) -> tuple[float, float, float]:

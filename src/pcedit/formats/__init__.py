@@ -12,14 +12,19 @@ so the conversion pipeline never holds more than one batch in memory.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..cloud import PointCloud
-from ..errors import HeaderMismatch, UnknownFormat, UnsupportedPointRecord
+from ..errors import (HeaderMismatch, MissingAttribute, UnknownFormat,
+                      UnsupportedPointRecord)
 from . import las, laz, pcd, ply, pts, xyz
 from ._base import (ASCII, ASCII_DECIMALS, BINARY, CAPS, DEFAULT_CHUNK_POINTS,
                     DEFAULT_LAS_SCALE, Chunk, FormatDescriptor,
@@ -32,26 +37,23 @@ __all__ = [
     "position_precision", "read_cloud", "resolve_descriptor", "write_cloud",
 ]
 
-_EXTENSIONS = {
-    ".las": "las", ".laz": "laz", ".xyz": "xyz", ".xyzn": "xyzn",
-    ".xyzrgb": "xyzrgb", ".pts": "pts", ".ply": "ply", ".pcd": "pcd",
-}
-
-#: extension family -> magic family expected in the content
-_MAGIC_FAMILY = {"las": "las", "laz": "las", "ply": "ply", "pcd": "pcd"}
-
-_XYZ_FAMILY = ("xyz", "xyzn", "xyzrgb")
+#: kind -> the module that reads and writes it.  A kind is also its file
+#: extension.  Every module has FAMILY (what ``_sniff_family`` must find in
+#: the content; None for plain text tables), probe(path, kind),
+#: open_reader(path, kind) and
+#: open_writer(path, descriptor, count, *, las_scale, las_offset).
+_MODULES = {"las": las, "laz": laz, "xyz": xyz, "xyzn": xyz, "xyzrgb": xyz,
+            "pts": pts, "ply": ply, "pcd": pcd}
 
 
 def kind_of(path) -> str:
     """Format kind implied by the file extension."""
     suffix = Path(path).suffix.lower()
-    kind = _EXTENSIONS.get(suffix)
-    if kind is None:
+    if suffix[1:] not in _MODULES:
         raise UnknownFormat(
             f"unrecognized extension {suffix or '(none)'!r} for {path}; "
-            f"known: {', '.join(sorted(_EXTENSIONS))}")
-    return kind
+            f"known: {', '.join('.' + kind for kind in sorted(_MODULES))}")
+    return suffix[1:]
 
 
 def _sniff_family(head: bytes) -> str | None:
@@ -79,30 +81,18 @@ def detect_format(path) -> FormatDescriptor:
     """Resolve a file's descriptor: extension first, magic must agree."""
     kind = kind_of(path)
     with open(path, "rb") as fh:
-        head = fh.read(4096)
-    sniffed = _sniff_family(head)
-    expected = _MAGIC_FAMILY.get(kind)
-    if expected is not None and sniffed != expected:
+        sniffed = _sniff_family(fh.read(4096))
+    if sniffed != _MODULES[kind].FAMILY:
         raise HeaderMismatch(
             f"{path}: extension says {kind} but content looks like "
             f"{sniffed or 'a plain text table'}")
-    if expected is None and sniffed is not None:
-        raise HeaderMismatch(
-            f"{path}: extension says {kind} but content looks like {sniffed}")
-    if kind in _XYZ_FAMILY:
-        return xyz.probe(path, kind)
-    return {"las": las, "laz": laz, "ply": ply,
-            "pcd": pcd, "pts": pts}[kind].probe(path)
+    return _MODULES[kind].probe(path, kind)
 
 
 def open_reader(path):
     """Detect the format and return a chunked reader for it."""
-    descriptor = detect_format(path)
-    if descriptor.kind in _XYZ_FAMILY:
-        return xyz.open_reader(path, descriptor.kind)
-    module = {"las": las, "laz": laz, "ply": ply, "pcd": pcd,
-              "pts": pts}[descriptor.kind]
-    return module.open_reader(path)
+    kind = detect_format(path).kind
+    return _MODULES[kind].open_reader(path, kind)
 
 
 def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
@@ -113,17 +103,8 @@ def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
     ``count`` is required by formats whose header carries the point count
     (ply, pcd, pts).  LAS needs scale/offset fixed up front.
     """
-    kind = descriptor.kind
-    if kind in _XYZ_FAMILY:
-        return xyz.open_writer(path, descriptor, count)
-    if kind == "las":
-        return las.open_writer(path, descriptor, count,
-                               scale=las_scale, offset=las_offset)
-    if kind == "laz":
-        return laz.open_writer(path, descriptor, count,
-                               scale=las_scale, offset=las_offset)
-    module = {"ply": ply, "pcd": pcd, "pts": pts}[kind]
-    return module.open_writer(path, descriptor, count)
+    return _MODULES[descriptor.kind].open_writer(
+        path, descriptor, count, las_scale=las_scale, las_offset=las_offset)
 
 
 def resolve_descriptor(kind: str, *, has_color: bool, has_normals: bool,
@@ -161,7 +142,6 @@ def resolve_descriptor(kind: str, *, has_color: bool, has_normals: bool,
         normals = False
     elif caps.normals == "required":
         if not has_normals:
-            from ..errors import MissingAttribute
             raise MissingAttribute(
                 f"{kind} requires normals but the source has none")
         normals = True
@@ -182,7 +162,6 @@ def _check_expectation(found: FormatDescriptor, expected: FormatDescriptor,
         raise UnsupportedPointRecord(
             f"{path}: color expected but the file stores none")
     if expected.has_normals and not found.has_normals:
-        from ..errors import MissingAttribute
         raise MissingAttribute(
             f"{path}: normals expected but the file stores none")
 
@@ -242,15 +221,54 @@ def write_cloud(cloud: PointCloud, sink,
     if las_offset is None:
         las_offset = tuple(cloud.positions.min(axis=0)) if cloud.count \
             else (0.0, 0.0, 0.0)
-    writer = open_writer(sink, descriptor, cloud.count,
-                         las_scale=las_scale, las_offset=las_offset)
+    written, _ = _write_chunks(
+        sink, descriptor, cloud.count,
+        _cloud_chunks(cloud, descriptor, DEFAULT_CHUNK_POINTS),
+        las_scale=las_scale, las_offset=las_offset)
+    return written
+
+
+def _write_chunks(path, descriptor: FormatDescriptor, count: int, chunks, *,
+                  las_scale: float, las_offset) -> tuple[int, int]:
+    """Write ``chunks`` to ``path`` atomically; returns (bytes, points).
+
+    The data goes to a temporary file beside ``path``, which replaces
+    ``path`` only once the writer has closed.  On any failure the temporary
+    file is removed and an existing ``path`` is left as it was, so the
+    output may also be the input.
+    """
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    stem, suffix = os.path.splitext(name)
+    # the name keeps the target's extension, which some codecs read
+    temp = os.path.join(directory,
+                        f".{stem}.{secrets.token_hex(8)}.tmp{suffix}")
+    # created as open(target, "wb") would create it: mode 0o666 less umask
     try:
-        for chunk in _cloud_chunks(cloud, descriptor, DEFAULT_CHUNK_POINTS):
-            writer.write(chunk)
-    except Exception:
-        writer.close()
+        os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # report the path the caller gave
         raise
-    return writer.close()
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(target, temp)  # an existing target keeps its mode
+        writer = open_writer(temp, descriptor, count, las_scale=las_scale,
+                             las_offset=las_offset)
+        points = 0
+        try:
+            for chunk in chunks:
+                writer.write(chunk)
+                points += chunk.positions.shape[0]
+        except BaseException:
+            writer.close()
+            raise
+        written = writer.close()
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+    return written, points
 
 
 @dataclass
@@ -275,8 +293,7 @@ def _lossy_warnings(reader, in_desc: FormatDescriptor,
                     las_scale: float) -> list[str]:
     notes: list[str] = []
     if in_desc.has_color and out_desc.has_color:
-        if in_desc.kind in ("las", "laz") or getattr(reader, "narrows_colors",
-                                                     False):
+        if getattr(reader, "narrows_colors", False):
             notes.append("16-bit source colors narrowed to 8 bits (>> 8)")
     if out_desc.kind in ("las", "laz"):
         notes.append(f"positions quantized to the {las_scale:g} m LAS grid")
@@ -318,18 +335,10 @@ def convert(in_path, out_path, *, kind: str | None = None,
 
     if las_offset is None:
         las_offset = (0.0, 0.0, 0.0)
-    writer = open_writer(out_path, out_desc, count,
-                         las_scale=las_scale, las_offset=las_offset)
-    written = 0
-    try:
-        for chunk in reader.chunks(chunk_size):
-            writer.write(_adapt_chunk(chunk, out_desc))
-            written += chunk.positions.shape[0]
-    except Exception:
-        writer.close()
-        raise
-    report.bytes_written = writer.close()
-    report.points_written = written
+    report.bytes_written, report.points_written = _write_chunks(
+        out_path, out_desc, count,
+        (_adapt_chunk(chunk, out_desc) for chunk in reader.chunks(chunk_size)),
+        las_scale=las_scale, las_offset=las_offset)
     return report
 
 

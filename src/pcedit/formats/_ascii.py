@@ -33,16 +33,19 @@ class TableChunks:
     ``(k, n_columns)`` and ``lines`` holds the 1-based physical line number
     of each row.  Blank lines and ``#`` comments are skipped but still count
     toward line numbers.  After exhaustion ``rows_read`` and ``line_no`` hold
-    the totals.
+    the totals.  A file with fewer than ``max_rows`` rows fails with a
+    ParseError that starts with ``declared`` (what promised the rows).
     """
 
     def __init__(self, path, n_columns: int, *, skip_header_lines: int = 0,
-                 max_rows: int | None = None, forbid_extra_rows: bool = False,
+                 max_rows: int | None = None, declared: str = "",
+                 forbid_extra_rows: bool = False,
                  chunk_size: int = DEFAULT_CHUNK_POINTS):
         self.path = Path(path)
         self.n_columns = n_columns
         self.skip_header_lines = skip_header_lines
         self.max_rows = max_rows
+        self.declared = declared
         self.forbid_extra_rows = forbid_extra_rows
         self.chunk_size = chunk_size
         self.rows_read = 0
@@ -56,7 +59,7 @@ class TableChunks:
         with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
             for _ in range(self.skip_header_lines):
                 if not fh.readline():
-                    return
+                    break
                 self.line_no += 1
             for raw in fh:
                 self.line_no += 1
@@ -77,6 +80,10 @@ class TableChunks:
                     buffer, numbers = [], []
         if buffer:
             yield self._parse(buffer, numbers)
+        if self.max_rows is not None and self.rows_read < self.max_rows:
+            raise ParseError(f"{self.declared} but file ends after "
+                             f"{self.rows_read}", path=self.path,
+                             line=self.line_no + 1)
 
     def _parse(self, buffer: list[str], numbers: list[int]):
         try:
@@ -126,3 +133,13 @@ def rows_to_text(matrix: np.ndarray, fmt: str) -> bytes:
     buf = io.StringIO()
     np.savetxt(buf, matrix, fmt=fmt, newline="\n")
     return buf.getvalue().encode("ascii")
+
+
+def check_colors(values: np.ndarray, lines: np.ndarray, top: int, path):
+    """Fail at the first row whose color values are not all in 0..top."""
+    bad = ~((values >= 0) & (values <= top))
+    if bad.any():
+        row = int(np.argwhere(bad.any(axis=1))[0, 0])
+        raise ParseError(
+            f"color value {values[row][bad[row]][0]:g} outside 0..{top}",
+            path=path, line=int(lines[row]))

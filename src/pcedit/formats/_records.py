@@ -1,0 +1,169 @@
+"""Fixed-layout point records: the one writer and the one record reader.
+
+Every native writer is a header followed by one encoded block per chunk
+(``FileWriter``).  PLY, PCD, pts and the xyz family describe their rows as
+groups of fields (``Fields``), so one encoder turns a chunk into either
+packed little-endian records or ``%``-formatted text rows.  On the read
+side, the binary readers (PLY, PCD, LAS) pull records with one
+``np.fromfile`` loop that reports where a short file ends, and PLY/PCD read
+either encoding through ``record_columns``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
+
+from ..errors import ParseError
+from ._ascii import TableChunks, rows_to_text
+from ._base import ASCII, ASCII_DECIMALS, Chunk, FormatDescriptor
+
+_TRIPLE_FMT = " ".join([f"%.{ASCII_DECIMALS}f"] * 3)
+
+
+class Fields(NamedTuple):
+    """Record fields filled from one (k, len(names)) block of a chunk."""
+
+    names: tuple[str, ...]
+    dtype: str                            # numpy type of each binary field
+    fmt: str                              # printf format of the whole group
+    block: Callable[[Chunk], np.ndarray]
+
+
+POSITIONS = Fields(("x", "y", "z"), "<f8", _TRIPLE_FMT,
+                   lambda chunk: chunk.positions)
+NORMALS = Fields(("nx", "ny", "nz"), "<f8", _TRIPLE_FMT,
+                 lambda chunk: chunk.normals)
+COLORS = Fields(("red", "green", "blue"), "u1", "%d %d %d",
+                lambda chunk: chunk.colors)
+
+
+def record_fields(descriptor: FormatDescriptor, normals: Fields = NORMALS,
+                  colors: Fields = COLORS) -> list[Fields]:
+    """Positions, then normals and colors when the descriptor carries them."""
+    groups = [POSITIONS]
+    if descriptor.has_normals:
+        groups.append(normals)
+    if descriptor.has_color:
+        groups.append(colors)
+    return groups
+
+
+def record_encoder(encoding: str,
+                   groups: list[Fields]) -> Callable[[Chunk], bytes]:
+    """chunk -> bytes, as binary records or as one text row per point."""
+    if encoding == ASCII:
+        fmt = " ".join(group.fmt for group in groups)
+        return lambda chunk: rows_to_text(
+            np.hstack([group.block(chunk) for group in groups]), fmt)
+    dtype = np.dtype([(name, group.dtype) for group in groups
+                      for name in group.names])
+
+    def encode(chunk: Chunk) -> bytes:
+        records = np.empty(chunk.positions.shape[0], dtype=dtype)
+        for group in groups:
+            block = group.block(chunk)
+            for i, name in enumerate(group.names):
+                records[name] = block[:, i]
+        return records.tobytes()
+
+    return encode
+
+
+class FileWriter:
+    """Header bytes, then ``encode(chunk)`` per chunk; ``close`` returns the
+    number of bytes written."""
+
+    def __init__(self, path, descriptor: FormatDescriptor, header: bytes,
+                 encode: Callable[[Chunk], bytes]):
+        self.path = Path(path)
+        self.descriptor = descriptor
+        self._encode = encode
+        self._fh = open(self.path, "wb")
+        self._fh.write(header)
+        self._bytes = len(header)
+
+    def write(self, chunk: Chunk):
+        data = self._encode(chunk)
+        self._fh.write(data)
+        self._bytes += len(data)
+
+    def close(self) -> int:
+        self._fh.close()
+        return self._bytes
+
+
+def read_records(path, dtype: np.dtype, offset: int, count: int,
+                 chunk_size: int,
+                 noun: str = "points") -> Iterator[np.ndarray]:
+    """Structured arrays of at most ``chunk_size`` records from byte
+    ``offset``; a file that ends early fails at the byte where data stops."""
+    done = 0
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        while done < count:
+            want = min(count - done, chunk_size)
+            records = np.fromfile(fh, dtype=dtype, count=want)
+            done += records.shape[0]
+            if records.shape[0] < want:
+                raise ParseError(
+                    f"unexpected end of data: {done} of {count} {noun}",
+                    path=path, offset=offset + done * dtype.itemsize)
+            yield records
+
+
+@dataclass
+class RecordLayout:
+    """A PLY/PCD data section as its header declares it.
+
+    ``fields`` holds (name, numpy type code, values per record) in file
+    order.  A name may repeat; lookups use its first occurrence.
+    """
+
+    encoding: str
+    count: int
+    fields: list[tuple[str, str, int]]
+    header_bytes: int
+    header_lines: int
+
+    def first(self, name: str) -> int | None:
+        for i, (field, _, _) in enumerate(self.fields):
+            if field == name:
+                return i
+        return None
+
+    def code(self, name: str) -> str:
+        return self.fields[self.first(name)][1]
+
+    def column(self, name: str) -> int:
+        """The ASCII column where the first field called ``name`` starts."""
+        return sum(n for _, _, n in self.fields[:self.first(name)])
+
+
+def record_columns(path, layout: RecordLayout, chunk_size: int,
+                   declared: str, noun: str):
+    """Yield ``(block, lines)`` per chunk of a PLY/PCD data section.
+
+    ``block(names)`` stacks those fields into a (k, len(names)) array, read
+    from the parsed text columns or straight from the binary record fields
+    in their stored type; it is valid until the next chunk.  ``lines``
+    holds the text rows' line numbers; it is None for binary data.
+    """
+    if layout.encoding == ASCII:
+        table = TableChunks(path, sum(n for _, _, n in layout.fields),
+                            skip_header_lines=layout.header_lines,
+                            max_rows=layout.count, declared=declared,
+                            chunk_size=chunk_size)
+        for values, lines in table:
+            yield (lambda names: values[:, [layout.column(name)
+                                            for name in names]]), lines
+        return
+    dtype = np.dtype([(f"f{i}", f"<{code}", (n,) if n > 1 else ())
+                      for i, (_, code, n) in enumerate(layout.fields)])
+    for records in read_records(path, dtype, layout.header_bytes,
+                                layout.count, chunk_size, noun):
+        yield (lambda names: np.column_stack(
+            [records[f"f{layout.first(name)}"] for name in names])), None

@@ -20,6 +20,9 @@ import numpy as np
 from ..errors import HeaderMismatch, ParseError, RangeError, UnsupportedPointRecord
 from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE, Chunk,
                     FormatDescriptor, narrow_16bit, widen_8bit)
+from ._records import FileWriter, read_records
+
+FAMILY = "las"
 
 _MAGIC = b"LASF"
 _HEADER_FMT = "<4sHHIHH8sBB32s32sHHHIIBHI5I3d3d6d"
@@ -123,34 +126,30 @@ class LasReader:
             has_color=self.header.point_format in _COLOR_FORMATS,
             has_normals=False)
         self.count = self.header.count
+        self.narrows_colors = self.descriptor.has_color
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
         scales = np.asarray(self.header.scales, dtype=np.float64)
         offsets = np.asarray(self.header.offsets, dtype=np.float64)
-        remaining = self.count
-        offset = self.header.offset_to_points
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            while remaining > 0:
-                want = min(remaining, chunk_size)
-                records = np.fromfile(fh, dtype=self._dtype, count=want)
-                if records.shape[0] < want:
-                    done = self.count - remaining + records.shape[0]
-                    raise ParseError(
-                        f"unexpected end of data: {done} of {self.count} "
-                        f"points", path=self.path,
-                        offset=offset + records.shape[0] * self._dtype.itemsize)
-                offset += want * self._dtype.itemsize
-                remaining -= want
-                ints = np.column_stack([records["X"], records["Y"],
-                                        records["Z"]]).astype(np.float64)
-                positions = ints * scales + offsets
-                colors = None
-                if self.descriptor.has_color:
-                    colors = np.column_stack(
-                        [narrow_16bit(records[c]) for c in
-                         ("red", "green", "blue")])
-                yield Chunk(positions, colors, None)
+        for records in read_records(self.path, self._dtype,
+                                    self.header.offset_to_points, self.count,
+                                    chunk_size):
+            ints = np.column_stack([records["X"], records["Y"],
+                                    records["Z"]]).astype(np.float64)
+            positions = ints * scales + offsets
+            colors = None
+            if self.descriptor.has_color:
+                colors = np.column_stack(
+                    [narrow_16bit(records[c]) for c in
+                     ("red", "green", "blue")])
+            yield Chunk(positions, colors, None)
+
+
+def check_finite(values: np.ndarray) -> None:
+    """LAS stores positions as integers on a grid: NaN and infinity have no
+    place on it, so they fail instead of spreading through an axis."""
+    if not np.isfinite(values).all():
+        raise RangeError("LAS cannot store NaN or infinite coordinates")
 
 
 def _pack_header(count: int, point_format: int, record_length: int,
@@ -177,35 +176,34 @@ def _pack_header(count: int, point_format: int, record_length: int,
         maxs[0], mins[0], maxs[1], mins[1], maxs[2], mins[2])
 
 
-class LasWriter:
+class LasWriter(FileWriter):
     """Streaming LAS 1.2 writer; count and bounds are patched on close."""
 
     def __init__(self, path, descriptor: FormatDescriptor, *,
                  scale: float = DEFAULT_LAS_SCALE,
                  offset: tuple[float, float, float] = (0.0, 0.0, 0.0)):
-        self.path = Path(path)
-        self.descriptor = descriptor
         self.point_format = 2 if descriptor.has_color else 0
-        fields = _FORMAT_FIELDS[self.point_format]
-        self._dtype = np.dtype(fields)
+        self._dtype = np.dtype(_FORMAT_FIELDS[self.point_format])
         self._scale = float(scale)
         if self._scale <= 0:
             raise RangeError(f"LAS scale must be positive, got {scale}")
         self._offset = np.asarray(offset, dtype=np.float64)
+        check_finite(self._offset)
         self._count = 0
         self._int_min = np.full(3, np.iinfo(np.int64).max, dtype=np.int64)
         self._int_max = np.full(3, np.iinfo(np.int64).min, dtype=np.int64)
-        self._fh = open(self.path, "wb")
-        self._fh.write(_pack_header(0, self.point_format,
-                                    self._dtype.itemsize,
-                                    (self._scale,) * 3, self._offset,
-                                    (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        self._bytes = _HEADER_SIZE
+        super().__init__(path, descriptor,
+                         _pack_header(0, self.point_format,
+                                      self._dtype.itemsize,
+                                      (self._scale,) * 3, self._offset,
+                                      (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                         self._records)
 
-    def write(self, chunk: Chunk):
+    def _records(self, chunk: Chunk) -> bytes:
         n = chunk.positions.shape[0]
         if n == 0:
-            return
+            return b""
+        check_finite(chunk.positions)
         ints = np.rint((chunk.positions - self._offset) / self._scale)
         limit = np.iinfo(np.int32)
         if ints.min() < limit.min or ints.max() > limit.max:
@@ -220,15 +218,11 @@ class LasWriter:
         records["Y"] = ints[:, 1]
         records["Z"] = ints[:, 2]
         if self.descriptor.has_color:
-            if chunk.colors is None:
-                raise ValueError("color chunk missing for format 2 writer")
             records["red"] = widen_8bit(chunk.colors[:, 0])
             records["green"] = widen_8bit(chunk.colors[:, 1])
             records["blue"] = widen_8bit(chunk.colors[:, 2])
-        data = records.tobytes()
-        self._fh.write(data)
-        self._bytes += len(data)
         self._count += n
+        return records.tobytes()
 
     def close(self) -> int:
         if self._count:
@@ -242,26 +236,17 @@ class LasWriter:
         self._fh.seek(_MINMAX_OFFSET)
         self._fh.write(struct.pack("<6d", maxs[0], mins[0], maxs[1],
                                    mins[1], maxs[2], mins[2]))
-        self._fh.close()
-        return self._bytes
+        return super().close()
 
 
-def probe(path) -> FormatDescriptor:
-    header = read_header(path)
-    if header.compressed:
-        raise HeaderMismatch(
-            f"{path}: data is LAZ-compressed; use the .laz format")
-    _record_dtype(header.point_format, header.record_length, path)
-    return FormatDescriptor(kind="las", encoding=BINARY,
-                            has_color=header.point_format in _COLOR_FORMATS,
-                            has_normals=False)
+def probe(path, kind: str) -> FormatDescriptor:
+    return LasReader(path).descriptor
 
 
-def open_reader(path) -> LasReader:
+def open_reader(path, kind: str) -> LasReader:
     return LasReader(path)
 
 
-def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
-                *, scale: float = DEFAULT_LAS_SCALE,
-                offset=(0.0, 0.0, 0.0), **_opts) -> LasWriter:
-    return LasWriter(path, descriptor, scale=scale, offset=offset)
+def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
+                las_scale, las_offset) -> LasWriter:
+    return LasWriter(path, descriptor, scale=las_scale, offset=las_offset)

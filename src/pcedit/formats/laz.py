@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cloud import quantize_colors
 from ..errors import CodecUnavailable, HeaderMismatch, UnsupportedPointRecord
 from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE, Chunk,
-                    FormatDescriptor)
-from .las import _COLOR_FORMATS, read_header
+                    FormatDescriptor, narrow_16bit, widen_8bit)
+from .las import _COLOR_FORMATS, check_finite, read_header
+
+FAMILY = "las"
 
 _MISSING = ("LAZ compression requires the optional laspy codec; install "
             "the 'laz' extra (pip install pcedit[laz])")
@@ -35,7 +36,7 @@ def _require_laspy():
     return laspy
 
 
-def probe(path) -> FormatDescriptor:
+def probe(path, kind: str) -> FormatDescriptor:
     header = read_header(path)
     if not header.compressed:
         raise HeaderMismatch(
@@ -52,10 +53,11 @@ def probe(path) -> FormatDescriptor:
 class LazReader:
     def __init__(self, path):
         self.path = Path(path)
-        self.descriptor = probe(path)
+        self.descriptor = probe(path, "laz")
         self._laspy = _require_laspy()
         with self._laspy.open(str(path)) as fh:
             self.count = fh.header.point_count
+        self.narrows_colors = self.descriptor.has_color
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
         with self._laspy.open(str(self.path)) as fh:
@@ -66,8 +68,8 @@ class LazReader:
                 colors = None
                 if self.descriptor.has_color:
                     colors = np.column_stack(
-                        [(np.asarray(points[c], dtype=np.uint16) >> 8)
-                         for c in ("red", "green", "blue")]).astype(np.uint8)
+                        [narrow_16bit(np.asarray(points[c]))
+                         for c in ("red", "green", "blue")])
                 yield Chunk(positions.astype(np.float64), colors, None)
 
 
@@ -76,6 +78,7 @@ class LazWriter:
                  scale: float = DEFAULT_LAS_SCALE,
                  offset=(0.0, 0.0, 0.0)):
         laspy = _require_laspy()
+        check_finite(np.asarray(offset, dtype=np.float64))
         self.path = Path(path)
         self.descriptor = descriptor
         fmt = 2 if descriptor.has_color else 0
@@ -90,18 +93,16 @@ class LazWriter:
         n = chunk.positions.shape[0]
         if n == 0:
             return
+        check_finite(chunk.positions)
         record = self._laspy.ScaleAwarePointRecord.zeros(
             n, header=self._header)
         record.x = chunk.positions[:, 0]
         record.y = chunk.positions[:, 1]
         record.z = chunk.positions[:, 2]
         if self.descriptor.has_color:
-            colors = chunk.colors
-            if colors is None:
-                colors = quantize_colors(np.zeros((n, 3)))
-            record.red = colors[:, 0].astype(np.uint16) * 257
-            record.green = colors[:, 1].astype(np.uint16) * 257
-            record.blue = colors[:, 2].astype(np.uint16) * 257
+            record.red = widen_8bit(chunk.colors[:, 0])
+            record.green = widen_8bit(chunk.colors[:, 1])
+            record.blue = widen_8bit(chunk.colors[:, 2])
         self._writer.write_points(record)
 
     def close(self) -> int:
@@ -109,11 +110,10 @@ class LazWriter:
         return self.path.stat().st_size
 
 
-def open_reader(path) -> LazReader:
+def open_reader(path, kind: str) -> LazReader:
     return LazReader(path)
 
 
-def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
-                *, scale: float = DEFAULT_LAS_SCALE,
-                offset=(0.0, 0.0, 0.0), **_opts) -> LazWriter:
-    return LazWriter(path, descriptor, scale=scale, offset=offset)
+def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
+                las_scale, las_offset) -> LazWriter:
+    return LazWriter(path, descriptor, scale=las_scale, offset=las_offset)

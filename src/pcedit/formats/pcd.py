@@ -8,59 +8,28 @@ output never loses color bits to float packing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ParseError
-from ._ascii import TableChunks, rows_to_text
-from ._base import (ASCII, ASCII_DECIMALS, BINARY, DEFAULT_CHUNK_POINTS,
-                    Chunk, FormatDescriptor)
+from ._ascii import check_colors
+from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, Chunk,
+                    FormatDescriptor)
+from ._records import (NORMALS, FileWriter, Fields, RecordLayout,
+                       record_columns, record_encoder, record_fields)
 
-_POS_FMT = " ".join([f"%.{ASCII_DECIMALS}f"] * 3)
+FAMILY = "pcd"
 
 _TYPE_CODES = {("I", 1): "i1", ("I", 2): "i2", ("I", 4): "i4", ("I", 8): "i8",
                ("U", 1): "u1", ("U", 2): "u2", ("U", 4): "u4", ("U", 8): "u8",
                ("F", 4): "f4", ("F", 8): "f8"}
 
-
-@dataclass
-class _Field:
-    name: str
-    code: str      # numpy type code
-    count: int
-    type_char: str
+_XYZ = ("x", "y", "z")
+_NORMAL_NAMES = ("normal_x", "normal_y", "normal_z")
 
 
-@dataclass
-class _Header:
-    encoding: str
-    count: int
-    fields: list[_Field]
-    header_bytes: int
-    header_lines: int
-
-    def field(self, name: str) -> _Field | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
-    def column_of(self, name: str) -> int:
-        at = 0
-        for f in self.fields:
-            if f.name == name:
-                return at
-            at += f.count
-        raise KeyError(name)
-
-    @property
-    def total_columns(self) -> int:
-        return sum(f.count for f in self.fields)
-
-
-def _parse_header(path) -> _Header:
+def _parse_header(path) -> RecordLayout:
     entries: dict[str, list[str]] = {}
     header_bytes = 0
     header_lines = 0
@@ -82,31 +51,28 @@ def _parse_header(path) -> _Header:
             if header_lines > 100:
                 raise ParseError("header too large", path=path, line=100)
 
+    def fail(message):
+        return ParseError(message, path=path, line=header_lines)
+
     for key in ("FIELDS", "SIZE", "TYPE", "WIDTH", "HEIGHT", "DATA"):
         if key not in entries:
-            raise ParseError(f"missing {key} line", path=path,
-                             line=header_lines)
+            raise fail(f"missing {key} line")
     names = entries["FIELDS"]
     sizes = entries["SIZE"]
     types = entries["TYPE"]
     counts = entries.get("COUNT", ["1"] * len(names))
     if not (len(names) == len(sizes) == len(types) == len(counts)):
-        raise ParseError("FIELDS/SIZE/TYPE/COUNT lengths differ", path=path,
-                         line=header_lines)
+        raise fail("FIELDS/SIZE/TYPE/COUNT lengths differ")
 
     fields = []
-    pad = 0
     for name, size, type_char, count in zip(names, sizes, types, counts):
         try:
             code = _TYPE_CODES[(type_char, int(size))]
         except (KeyError, ValueError):
-            raise ParseError(f"unsupported field type {type_char}{size}",
-                             path=path, line=header_lines) from None
-        if name == "_":
-            name = f"_pad{pad}"
-            pad += 1
-        fields.append(_Field(name=name, code=code, count=int(count),
-                             type_char=type_char))
+            raise fail(f"unsupported field type {type_char}{size}") from None
+        if not count.isdigit() or int(count) < 1:
+            raise fail(f"bad COUNT {count!r} for field {name!r}")
+        fields.append((name, code, int(count)))
 
     mode = entries["DATA"][0] if entries["DATA"] else ""
     if mode == "ascii":
@@ -114,11 +80,9 @@ def _parse_header(path) -> _Header:
     elif mode == "binary":
         encoding = BINARY
     elif mode == "binary_compressed":
-        raise ParseError("binary_compressed PCD is not supported",
-                         path=path, line=header_lines)
+        raise fail("binary_compressed PCD is not supported")
     else:
-        raise ParseError(f"unknown DATA mode {mode!r}", path=path,
-                         line=header_lines)
+        raise fail(f"unknown DATA mode {mode!r}")
 
     try:
         width = int(entries["WIDTH"][0])
@@ -126,17 +90,22 @@ def _parse_header(path) -> _Header:
         count = int(entries["POINTS"][0]) if "POINTS" in entries \
             else width * height
     except (ValueError, IndexError):
-        raise ParseError("bad WIDTH/HEIGHT/POINTS value", path=path,
-                         line=header_lines) from None
+        raise fail("bad WIDTH/HEIGHT/POINTS value") from None
+    if min(width, height, count) < 0:
+        raise fail(f"negative WIDTH/HEIGHT/POINTS value "
+                   f"{min(width, height, count)}")
 
-    header = _Header(encoding=encoding, count=count, fields=fields,
-                     header_bytes=header_bytes, header_lines=header_lines)
-    for axis in ("x", "y", "z"):
-        f = header.field(axis)
-        if f is None or f.type_char != "F":
-            raise ParseError(f"missing float field {axis!r}", path=path,
-                             line=header_lines)
-    return header
+    layout = RecordLayout(encoding=encoding, count=count, fields=fields,
+                          header_bytes=header_bytes,
+                          header_lines=header_lines)
+    for axis in _XYZ:
+        if layout.first(axis) is None or layout.code(axis)[0] != "f":
+            raise fail(f"missing float field {axis!r}")
+    for name in _XYZ + _NORMAL_NAMES + ("rgb", "rgba"):
+        at = layout.first(name)
+        if at is not None and fields[at][2] != 1:
+            raise fail(f"field {name!r} must have COUNT 1")
+    return layout
 
 
 def _unpack_rgb(packed: np.ndarray) -> np.ndarray:
@@ -151,109 +120,56 @@ def _pack_rgb(colors: np.ndarray) -> np.ndarray:
     return (c[:, 0] << 16) | (c[:, 1] << 8) | c[:, 2]
 
 
+_NORMALS = NORMALS._replace(names=_NORMAL_NAMES)
+_RGB = Fields(("rgb",), "<u4", "%u",
+              lambda chunk: _pack_rgb(chunk.colors)[:, None])
+
+
 class PcdReader:
     def __init__(self, path):
         self.path = Path(path)
-        self._header = _parse_header(path)
-        self._rgb_field = (self._header.field("rgb")
-                           or self._header.field("rgba"))
-        has_normals = all(self._header.field(f"normal_{a}") is not None
-                          for a in ("x", "y", "z"))
+        self._layout = _parse_header(path)
+        present = self._layout.first
+        self._rgb = next((name for name in ("rgb", "rgba")
+                          if present(name) is not None), None)
         self.descriptor = FormatDescriptor(
-            kind="pcd", encoding=self._header.encoding,
-            has_color=self._rgb_field is not None, has_normals=has_normals)
-        self.count = self._header.count
+            kind="pcd", encoding=self._layout.encoding,
+            has_color=self._rgb is not None,
+            has_normals=all(present(n) is not None for n in _NORMAL_NAMES))
+        self.count = self._layout.count
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        if self._header.encoding == ASCII:
-            yield from self._ascii_chunks(chunk_size)
-        else:
-            yield from self._binary_chunks(chunk_size)
-
-    def _ascii_chunks(self, chunk_size):
-        h = self._header
-        pos_cols = [h.column_of(a) for a in ("x", "y", "z")]
-        nrm_cols = [h.column_of(f"normal_{a}") for a in ("x", "y", "z")] \
-            if self.descriptor.has_normals else None
-        rgb_col = h.column_of(self._rgb_field.name) if self._rgb_field else None
-        table = TableChunks(self.path, h.total_columns,
-                            skip_header_lines=h.header_lines,
-                            max_rows=self.count, chunk_size=chunk_size)
-        for values, _ in table:
-            positions = np.ascontiguousarray(values[:, pos_cols])
+        declared = f"POINTS declares {self.count} rows"
+        for block, lines in record_columns(self.path, self._layout,
+                                           chunk_size, declared, "points"):
+            positions = block(_XYZ).astype(np.float64, copy=False)
             colors = normals = None
-            if rgb_col is not None:
-                raw = values[:, rgb_col]
-                if self._rgb_field.type_char == "F":
-                    packed = raw.astype(np.float32).view(np.uint32)
-                else:
-                    packed = raw.astype(np.uint64).astype(np.uint32)
-                colors = _unpack_rgb(packed)
-            if nrm_cols is not None:
-                normals = np.ascontiguousarray(values[:, nrm_cols])
+            if self._rgb is not None:
+                colors = self._colors(block((self._rgb,)), lines)
+            if self.descriptor.has_normals:
+                normals = block(_NORMAL_NAMES).astype(np.float64, copy=False)
             yield Chunk(positions, colors, normals)
-        if table.rows_read < self.count:
-            raise ParseError(
-                f"POINTS declares {self.count} rows but file ends after "
-                f"{table.rows_read}", path=self.path, line=table.line_no + 1)
 
-    def _binary_chunks(self, chunk_size):
-        h = self._header
-        parts = []
-        for f in h.fields:
-            shape = (f.count,) if f.count > 1 else ()
-            parts.append((f.name, f"<{f.code}", shape))
-        dtype = np.dtype(parts)
-        remaining = self.count
-        offset = h.header_bytes
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            while remaining > 0:
-                want = min(remaining, chunk_size)
-                records = np.fromfile(fh, dtype=dtype, count=want)
-                if records.shape[0] < want:
-                    done = self.count - remaining + records.shape[0]
-                    raise ParseError(
-                        f"unexpected end of data: {done} of {self.count} "
-                        f"points", path=self.path,
-                        offset=offset + records.shape[0] * dtype.itemsize)
-                offset += want * dtype.itemsize
-                remaining -= want
-                positions = np.column_stack(
-                    [records[a].astype(np.float64) for a in ("x", "y", "z")])
-                colors = normals = None
-                if self._rgb_field is not None:
-                    raw = records[self._rgb_field.name]
-                    if self._rgb_field.type_char == "F":
-                        packed = np.ascontiguousarray(raw).view(np.uint32)
-                    else:
-                        packed = raw.astype(np.uint32)
-                    colors = _unpack_rgb(packed)
-                if self.descriptor.has_normals:
-                    normals = np.column_stack(
-                        [records[f"normal_{a}"].astype(np.float64)
-                         for a in ("x", "y", "z")])
-                yield Chunk(positions, colors, normals)
+    def _colors(self, raw: np.ndarray, lines) -> np.ndarray:
+        """Unpack one packed-rgb column: float bits or an unsigned value."""
+        code = self._layout.code(self._rgb)
+        if code[0] == "f":
+            return _unpack_rgb(np.ascontiguousarray(
+                raw[:, 0], dtype=np.float32).view(np.uint32))
+        if lines is not None and code[0] == "u":
+            check_colors(raw, lines, np.iinfo(code).max, self.path)
+        return _unpack_rgb(raw[:, 0].astype(np.uint64).astype(np.uint32))
 
 
-def _write_header(descriptor: FormatDescriptor, count: int) -> bytes:
-    names = ["x", "y", "z"]
-    sizes = ["8", "8", "8"]
-    types = ["F", "F", "F"]
-    if descriptor.has_normals:
-        names += ["normal_x", "normal_y", "normal_z"]
-        sizes += ["8", "8", "8"]
-        types += ["F", "F", "F"]
-    if descriptor.has_color:
-        names.append("rgb")
-        sizes.append("4")
-        types.append("U")
+def _header(descriptor: FormatDescriptor, count: int, groups) -> bytes:
+    names = [name for group in groups for name in group.names]
+    types = [np.dtype(group.dtype) for group in groups for _ in group.names]
     mode = "ascii" if descriptor.encoding == ASCII else "binary"
     lines = ["# .PCD v0.7 - Point Cloud Data file format",
              "VERSION 0.7",
              "FIELDS " + " ".join(names),
-             "SIZE " + " ".join(sizes),
-             "TYPE " + " ".join(types),
+             "SIZE " + " ".join(str(t.itemsize) for t in types),
+             "TYPE " + " ".join(t.kind.upper() for t in types),
              "COUNT " + " ".join(["1"] * len(names)),
              f"WIDTH {count}",
              "HEIGHT 1",
@@ -263,60 +179,18 @@ def _write_header(descriptor: FormatDescriptor, count: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-class PcdWriter:
-    def __init__(self, path, descriptor: FormatDescriptor, count: int):
-        self.path = Path(path)
-        self.descriptor = descriptor
-        self._fh = open(self.path, "wb")
-        header = _write_header(descriptor, count)
-        self._fh.write(header)
-        self._bytes = len(header)
-
-    def write(self, chunk: Chunk):
-        if self.descriptor.encoding == ASCII:
-            parts = [chunk.positions]
-            fmt = _POS_FMT
-            if self.descriptor.has_normals:
-                parts.append(chunk.normals)
-                fmt += f" {_POS_FMT}"
-            if self.descriptor.has_color:
-                parts.append(_pack_rgb(chunk.colors)[:, None].astype(np.float64))
-                fmt += " %u"
-            data = rows_to_text(np.hstack(parts), fmt)
-        else:
-            fields = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
-            if self.descriptor.has_normals:
-                fields += [("normal_x", "<f8"), ("normal_y", "<f8"),
-                           ("normal_z", "<f8")]
-            if self.descriptor.has_color:
-                fields.append(("rgb", "<u4"))
-            records = np.empty(chunk.positions.shape[0], dtype=np.dtype(fields))
-            for i, axis in enumerate(("x", "y", "z")):
-                records[axis] = chunk.positions[:, i]
-            if self.descriptor.has_normals:
-                for i, axis in enumerate(("x", "y", "z")):
-                    records[f"normal_{axis}"] = chunk.normals[:, i]
-            if self.descriptor.has_color:
-                records["rgb"] = _pack_rgb(chunk.colors)
-            data = records.tobytes()
-        self._fh.write(data)
-        self._bytes += len(data)
-
-    def close(self) -> int:
-        self._fh.close()
-        return self._bytes
-
-
-def probe(path) -> FormatDescriptor:
+def probe(path, kind: str) -> FormatDescriptor:
     return PcdReader(path).descriptor
 
 
-def open_reader(path) -> PcdReader:
+def open_reader(path, kind: str) -> PcdReader:
     return PcdReader(path)
 
 
-def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
-                **_opts) -> PcdWriter:
+def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
+                las_scale, las_offset) -> FileWriter:
     if count is None:
         raise ValueError("pcd writer requires the point count up front")
-    return PcdWriter(path, descriptor, count)
+    groups = record_fields(descriptor, _NORMALS, _RGB)
+    return FileWriter(path, descriptor, _header(descriptor, count, groups),
+                      record_encoder(descriptor.encoding, groups))

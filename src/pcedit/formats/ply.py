@@ -12,15 +12,18 @@ binary mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ParseError
-from ._ascii import TableChunks, rows_to_text
-from ._base import (ASCII, ASCII_DECIMALS, BINARY, DEFAULT_CHUNK_POINTS,
-                    Chunk, FormatDescriptor, narrow_16bit)
+from ._ascii import check_colors
+from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, Chunk,
+                    FormatDescriptor, narrow_16bit)
+from ._records import (FileWriter, RecordLayout, record_columns,
+                       record_encoder, record_fields)
+
+FAMILY = "ply"
 
 _TYPES = {
     "char": "i1", "int8": "i1",
@@ -33,25 +36,15 @@ _TYPES = {
     "double": "f8", "float64": "f8",
 }
 
-_POS_FMT = " ".join([f"%.{ASCII_DECIMALS}f"] * 3)
+#: the PLY type written for each field type this writer emits
+_TYPE_NAMES = {"<f8": "double", "u1": "uchar"}
+
+_XYZ = ("x", "y", "z")
+_NORMALS = ("nx", "ny", "nz")
+_RGB = ("red", "green", "blue")
 
 
-@dataclass
-class _Header:
-    encoding: str
-    count: int
-    props: list[tuple[str, str]]       # (name, numpy type code)
-    header_lines: int
-    header_bytes: int
-
-    def index(self, name: str) -> int | None:
-        for i, (prop, _) in enumerate(self.props):
-            if prop == name:
-                return i
-        return None
-
-
-def _parse_header(path) -> _Header:
+def _parse_header(path) -> RecordLayout:
     lines: list[str] = []
     header_bytes = 0
     with open(path, "rb") as fh:
@@ -74,7 +67,7 @@ def _parse_header(path) -> _Header:
 
     encoding = None
     elements: list[tuple[str, int]] = []
-    props: list[tuple[str, str]] = []
+    props: list[tuple[str, str, int]] = []
     for line_no, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if not tokens or tokens[0] in ("comment", "obj_info", "end_header"):
@@ -97,12 +90,14 @@ def _parse_header(path) -> _Header:
             if len(tokens) != 3:
                 raise ParseError("malformed element line", path=path,
                                  line=line_no)
-            try:
-                elements.append((tokens[1], int(tokens[2])))
-            except ValueError:
+            if not tokens[2].isdigit():
                 raise ParseError(f"bad element count {tokens[2]!r}",
-                                 path=path, line=line_no) from None
+                                 path=path, line=line_no)
+            elements.append((tokens[1], int(tokens[2])))
         elif tokens[0] == "property":
+            if len(tokens) < 3:
+                raise ParseError("malformed property line", path=path,
+                                 line=line_no)
             if not elements:
                 raise ParseError("property before any element", path=path,
                                  line=line_no)
@@ -114,7 +109,7 @@ def _parse_header(path) -> _Header:
             if len(tokens) != 3 or tokens[1] not in _TYPES:
                 raise ParseError(f"unsupported property type {tokens[1]!r}",
                                  path=path, line=line_no)
-            props.append((tokens[2], _TYPES[tokens[1]]))
+            props.append((tokens[2], _TYPES[tokens[1]], 1))
         else:
             raise ParseError(f"unknown header keyword {tokens[0]!r}",
                              path=path, line=line_no)
@@ -130,174 +125,76 @@ def _parse_header(path) -> _Header:
         if n > 0:
             raise ParseError(f"element {name!r} precedes vertex", path=path,
                              line=len(lines))
-    header = _Header(encoding=encoding, count=vertex[0][1], props=props,
-                     header_lines=len(lines), header_bytes=header_bytes)
-    for axis in ("x", "y", "z"):
-        i = header.index(axis)
-        if i is None:
+    layout = RecordLayout(encoding=encoding, count=vertex[0][1],
+                          fields=props, header_bytes=header_bytes,
+                          header_lines=len(lines))
+    for axis in _XYZ:
+        if layout.first(axis) is None:
             raise ParseError(f"vertex element lacks property {axis!r}",
                              path=path, line=len(lines))
-        if header.props[i][1] not in ("f4", "f8"):
+        if layout.code(axis) not in ("f4", "f8"):
             raise ParseError(f"property {axis!r} must be float or double",
                              path=path, line=len(lines))
-    color_types = {header.props[header.index(c)][1]
-                   for c in ("red", "green", "blue")
-                   if header.index(c) is not None}
+    color_types = {layout.code(c) for c in _RGB
+                   if layout.first(c) is not None}
     if color_types and color_types not in ({"u1"}, {"u2"}):
         raise ParseError("red/green/blue must all be uchar or all ushort",
                          path=path, line=len(lines))
-    return header
+    return layout
 
 
 class PlyReader:
     def __init__(self, path):
         self.path = Path(path)
-        self._header = _parse_header(path)
-        has_color = all(self._header.index(c) is not None
-                        for c in ("red", "green", "blue"))
-        has_normals = all(self._header.index(c) is not None
-                          for c in ("nx", "ny", "nz"))
+        self._layout = _parse_header(path)
+        present = self._layout.first
+        has_color = all(present(c) is not None for c in _RGB)
         self.descriptor = FormatDescriptor(
-            kind="ply", encoding=self._header.encoding,
-            has_color=has_color, has_normals=has_normals)
-        self.count = self._header.count
-        self.narrows_colors = has_color and \
-            self._header.props[self._header.index("red")][1] == "u2"
-
-    def _column_sets(self):
-        h = self._header
-        pos = [h.index(a) for a in ("x", "y", "z")]
-        col = [h.index(c) for c in ("red", "green", "blue")] \
-            if self.descriptor.has_color else None
-        nrm = [h.index(c) for c in ("nx", "ny", "nz")] \
-            if self.descriptor.has_normals else None
-        return pos, col, nrm
+            kind="ply", encoding=self._layout.encoding, has_color=has_color,
+            has_normals=all(present(c) is not None for c in _NORMALS))
+        self.count = self._layout.count
+        self.narrows_colors = has_color and self._layout.code("red") == "u2"
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        if self._header.encoding == ASCII:
-            yield from self._ascii_chunks(chunk_size)
-        else:
-            yield from self._binary_chunks(chunk_size)
-
-    def _ascii_chunks(self, chunk_size):
-        pos, col, nrm = self._column_sets()
-        table = TableChunks(self.path, len(self._header.props),
-                            skip_header_lines=self._header.header_lines,
-                            max_rows=self.count, chunk_size=chunk_size)
-        for values, _ in table:
-            yield self._assemble(values, pos, col, nrm)
-        if table.rows_read < self.count:
-            raise ParseError(
-                f"vertex element declares {self.count} rows but file ends "
-                f"after {table.rows_read}",
-                path=self.path, line=table.line_no + 1)
-
-    def _binary_chunks(self, chunk_size):
-        pos, col, nrm = self._column_sets()
-        dtype = np.dtype([(f"p{i}", f"<{code}")
-                          for i, (_, code) in enumerate(self._header.props)])
-        remaining = self.count
-        offset = self._header.header_bytes
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            while remaining > 0:
-                want = min(remaining, chunk_size)
-                records = np.fromfile(fh, dtype=dtype, count=want)
-                if records.shape[0] < want:
-                    offset += records.shape[0] * dtype.itemsize
-                    raise ParseError(
-                        f"unexpected end of data: {self.count - remaining + records.shape[0]}"
-                        f" of {self.count} vertices", path=self.path,
-                        offset=offset)
-                offset += want * dtype.itemsize
-                remaining -= want
-                columns = np.column_stack(
-                    [records[f"p{i}"].astype(np.float64)
-                     for i in range(len(self._header.props))])
-                yield self._assemble(columns, pos, col, nrm)
-
-    def _assemble(self, columns, pos, col, nrm) -> Chunk:
-        positions = np.ascontiguousarray(columns[:, pos])
-        colors = normals = None
-        if col is not None:
-            raw = columns[:, col]
-            if self.narrows_colors:
-                colors = narrow_16bit(raw.astype(np.uint16))
-            else:
-                colors = raw.astype(np.uint8)
-        if nrm is not None:
-            normals = np.ascontiguousarray(columns[:, nrm])
-        return Chunk(positions, colors, normals)
+        declared = f"vertex element declares {self.count} rows"
+        for block, lines in record_columns(self.path, self._layout,
+                                           chunk_size, declared, "vertices"):
+            positions = block(_XYZ).astype(np.float64, copy=False)
+            colors = normals = None
+            if self.descriptor.has_color:
+                raw = block(_RGB)
+                if lines is not None:
+                    check_colors(raw, lines,
+                                 65535 if self.narrows_colors else 255,
+                                 self.path)
+                colors = narrow_16bit(raw) if self.narrows_colors \
+                    else raw.astype(np.uint8)
+            if self.descriptor.has_normals:
+                normals = block(_NORMALS).astype(np.float64, copy=False)
+            yield Chunk(positions, colors, normals)
 
 
-def _write_header(descriptor: FormatDescriptor, count: int) -> bytes:
+def _header(descriptor: FormatDescriptor, count: int, groups) -> bytes:
     fmt = "ascii" if descriptor.encoding == ASCII else "binary_little_endian"
-    lines = ["ply", f"format {fmt} 1.0", f"element vertex {count}",
-             "property double x", "property double y", "property double z"]
-    if descriptor.has_normals:
-        lines += ["property double nx", "property double ny",
-                  "property double nz"]
-    if descriptor.has_color:
-        lines += ["property uchar red", "property uchar green",
-                  "property uchar blue"]
+    lines = ["ply", f"format {fmt} 1.0", f"element vertex {count}"]
+    lines += [f"property {_TYPE_NAMES[group.dtype]} {name}"
+              for group in groups for name in group.names]
     lines.append("end_header")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-class PlyWriter:
-    def __init__(self, path, descriptor: FormatDescriptor, count: int):
-        self.path = Path(path)
-        self.descriptor = descriptor
-        self._fh = open(self.path, "wb")
-        header = _write_header(descriptor, count)
-        self._fh.write(header)
-        self._bytes = len(header)
-
-    def write(self, chunk: Chunk):
-        if self.descriptor.encoding == ASCII:
-            parts = [chunk.positions]
-            fmt = _POS_FMT
-            if self.descriptor.has_normals:
-                parts.append(chunk.normals)
-                fmt += f" {_POS_FMT}"
-            if self.descriptor.has_color:
-                parts.append(chunk.colors.astype(np.float64))
-                fmt += " %d %d %d"
-            data = rows_to_text(np.hstack(parts), fmt)
-        else:
-            fields = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
-            if self.descriptor.has_normals:
-                fields += [("nx", "<f8"), ("ny", "<f8"), ("nz", "<f8")]
-            if self.descriptor.has_color:
-                fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-            records = np.empty(chunk.positions.shape[0], dtype=np.dtype(fields))
-            for i, axis in enumerate(("x", "y", "z")):
-                records[axis] = chunk.positions[:, i]
-            if self.descriptor.has_normals:
-                for i, axis in enumerate(("nx", "ny", "nz")):
-                    records[axis] = chunk.normals[:, i]
-            if self.descriptor.has_color:
-                for i, channel in enumerate(("red", "green", "blue")):
-                    records[channel] = chunk.colors[:, i]
-            data = records.tobytes()
-        self._fh.write(data)
-        self._bytes += len(data)
-
-    def close(self) -> int:
-        self._fh.close()
-        return self._bytes
-
-
-def probe(path) -> FormatDescriptor:
+def probe(path, kind: str) -> FormatDescriptor:
     return PlyReader(path).descriptor
 
 
-def open_reader(path) -> PlyReader:
+def open_reader(path, kind: str) -> PlyReader:
     return PlyReader(path)
 
 
-def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
-                **_opts) -> PlyWriter:
+def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
+                las_scale, las_offset) -> FileWriter:
     if count is None:
         raise ValueError("ply writer requires the point count up front")
-    return PlyWriter(path, descriptor, count)
+    groups = record_fields(descriptor)
+    return FileWriter(path, descriptor, _header(descriptor, count, groups),
+                      record_encoder(descriptor.encoding, groups))

@@ -14,18 +14,20 @@ import numpy as np
 
 from ..cloud import quantize_colors
 from ..errors import ParseError
-from ._ascii import TableChunks, rows_to_text
-from ._base import (ASCII, ASCII_DECIMALS, DEFAULT_CHUNK_POINTS, Chunk,
-                    FormatDescriptor)
+from ._ascii import TableChunks, check_colors
+from ._base import ASCII, DEFAULT_CHUNK_POINTS, Chunk, FormatDescriptor
+from ._records import COLORS, POSITIONS, FileWriter, record_encoder
+
+FAMILY = None
 
 _COLUMNS = 7  # x y z intensity r g b
 
-_ROW_FMT = " ".join([f"%.{ASCII_DECIMALS}f"] * 3) + " 0 %d %d %d"
+_DESCRIPTOR = FormatDescriptor(kind="pts", encoding=ASCII, has_color=True,
+                               has_normals=False)
 
-
-def _descriptor() -> FormatDescriptor:
-    return FormatDescriptor(kind="pts", encoding=ASCII,
-                            has_color=True, has_normals=False)
+#: intensity is not kept, so every row carries a literal 0 in its place
+_ENCODE = record_encoder(ASCII,
+                         [POSITIONS, COLORS._replace(fmt="0 %d %d %d")])
 
 
 def _read_count(path) -> int:
@@ -46,63 +48,31 @@ def _read_count(path) -> int:
 class PtsReader:
     def __init__(self, path):
         self.path = Path(path)
-        self.descriptor = _descriptor()
+        self.descriptor = _DESCRIPTOR
         self.count = _read_count(path)
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
         table = TableChunks(self.path, _COLUMNS, skip_header_lines=1,
                             max_rows=self.count, forbid_extra_rows=True,
+                            declared=f"header declares {self.count} points",
                             chunk_size=chunk_size)
         for values, lines in table:
             raw = values[:, 4:7]
-            bad = (raw < 0) | (raw > 255)
-            if bad.any():
-                row = int(np.argwhere(bad.any(axis=1))[0, 0])
-                raise ParseError(f"color value {raw[bad][0]:g} outside 0..255",
-                                 path=self.path, line=int(lines[row]))
+            check_colors(raw, lines, 255, self.path)
             yield Chunk(np.ascontiguousarray(values[:, :3]),
                         quantize_colors(raw), None)
-        if table.rows_read < self.count:
-            raise ParseError(
-                f"header declares {self.count} points but file ends "
-                f"after {table.rows_read}",
-                path=self.path, line=table.line_no + 1)
 
 
-class PtsWriter:
-    """Needs the total row count up front for the header line."""
-
-    def __init__(self, path, descriptor: FormatDescriptor, count: int):
-        self.path = Path(path)
-        self.descriptor = descriptor
-        self._fh = open(self.path, "wb")
-        header = f"{count}\n".encode("ascii")
-        self._fh.write(header)
-        self._bytes = len(header)
-
-    def write(self, chunk: Chunk):
-        matrix = np.hstack([chunk.positions,
-                            chunk.colors.astype(np.float64)])
-        data = rows_to_text(matrix, _ROW_FMT)
-        self._fh.write(data)
-        self._bytes += len(data)
-
-    def close(self) -> int:
-        self._fh.close()
-        return self._bytes
+def probe(path, kind: str) -> FormatDescriptor:
+    return PtsReader(path).descriptor
 
 
-def probe(path) -> FormatDescriptor:
-    _read_count(path)
-    return _descriptor()
-
-
-def open_reader(path) -> PtsReader:
+def open_reader(path, kind: str) -> PtsReader:
     return PtsReader(path)
 
 
-def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
-                **_opts) -> PtsWriter:
+def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
+                las_scale, las_offset) -> FileWriter:
     if count is None:
         raise ValueError("pts writer requires the point count up front")
-    return PtsWriter(path, descriptor, count)
+    return FileWriter(path, descriptor, f"{count}\n".encode("ascii"), _ENCODE)

@@ -14,16 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from ..cloud import quantize_colors
-from ..errors import ParseError
-from ._ascii import TableChunks, count_data_rows, rows_to_text
-from ._base import (ASCII, ASCII_DECIMALS, DEFAULT_CHUNK_POINTS, Chunk,
-                    FormatDescriptor)
+from ._ascii import TableChunks, check_colors, count_data_rows
+from ._base import ASCII, DEFAULT_CHUNK_POINTS, Chunk, FormatDescriptor
+from ._records import FileWriter, record_encoder, record_fields
+
+FAMILY = None
 
 _COLUMNS = {"xyz": 3, "xyzn": 6, "xyzrgb": 6}
-
-_POS_FMT = " ".join([f"%.{ASCII_DECIMALS}f"] * 3)
-_NRM_FMT = _POS_FMT
-_RGB_FMT = "%d %d %d"
 
 
 def _descriptor(kind: str) -> FormatDescriptor:
@@ -74,41 +71,10 @@ class XyzReader:
                 if scale_colors:
                     colors = quantize_colors(raw * 255.0)
                 else:
-                    bad = (raw < 0) | (raw > 255)
-                    if bad.any():
-                        row = int(np.argwhere(bad.any(axis=1))[0, 0])
-                        raise ParseError(
-                            f"color value {raw[bad][0]:g} outside 0..255",
-                            path=self.path, line=int(lines[row]))
+                    check_colors(raw, lines, 255, self.path)
                     colors = quantize_colors(raw)
             yield Chunk(positions, colors, normals)
         self._count = table.rows_read
-
-
-class XyzWriter:
-    def __init__(self, path, descriptor: FormatDescriptor):
-        self.path = Path(path)
-        self.descriptor = descriptor
-        self._fh = open(self.path, "wb")
-        self._bytes = 0
-
-    def write(self, chunk: Chunk):
-        kind = self.descriptor.kind
-        parts = [chunk.positions]
-        fmt = _POS_FMT
-        if kind == "xyzn":
-            parts.append(chunk.normals)
-            fmt = f"{_POS_FMT} {_NRM_FMT}"
-        elif kind == "xyzrgb":
-            parts.append(chunk.colors.astype(np.float64))
-            fmt = f"{_POS_FMT} {_RGB_FMT}"
-        data = rows_to_text(np.hstack(parts), fmt)
-        self._fh.write(data)
-        self._bytes += len(data)
-
-    def close(self) -> int:
-        self._fh.close()
-        return self._bytes
 
 
 def probe(path, kind: str) -> FormatDescriptor:
@@ -119,6 +85,7 @@ def open_reader(path, kind: str) -> XyzReader:
     return XyzReader(path, kind)
 
 
-def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
-                **_opts) -> XyzWriter:
-    return XyzWriter(path, descriptor)
+def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
+                las_scale, las_offset) -> FileWriter:
+    return FileWriter(path, descriptor, b"",
+                      record_encoder(ASCII, record_fields(descriptor)))

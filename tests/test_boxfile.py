@@ -64,6 +64,17 @@ class TestParseBoxFile:
         with pytest.raises(SchemaError, match="centroid.y"):
             parse_box_file(box_json(obj))
 
+    @pytest.mark.parametrize("outer, key, value", [
+        ("dimensions", "width", "NaN"), ("dimensions", "length", "Infinity"),
+        ("centroid", "x", "-Infinity"), ("rotations", "z", "NaN")])
+    def test_non_finite_number_names_object_and_field(self, outer, key,
+                                                      value):
+        obj = object_dict()
+        obj[outer][key] = "SENTINEL"
+        text = box_json(object_dict(), obj).replace('"SENTINEL"', value)
+        with pytest.raises(SchemaError, match=f"object 1: {outer}.{key}"):
+            parse_box_file(text)
+
     def test_missing_filename(self):
         with pytest.raises(SchemaError, match="filename"):
             parse_box_file(json.dumps({"objects": []}))

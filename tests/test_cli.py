@@ -58,6 +58,15 @@ class TestConvert:
         assert run(["convert", str(cloud_path), str(out)]) == 0
         assert "color dropped" in capsys.readouterr().err
 
+    def test_convert_onto_its_own_input(self, tmp_path, capsys):
+        _, cloud_path, *_ = write_scene(tmp_path)
+        fresh = tmp_path / "fresh.ply"
+        assert run(["convert", str(cloud_path), str(fresh),
+                    "--encoding", "ascii"]) == 0
+        assert run(["convert", str(cloud_path), str(cloud_path),
+                    "--encoding", "ascii"]) == 0
+        assert cloud_path.read_bytes() == fresh.read_bytes()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code = run(["convert", str(tmp_path / "nope.ply"),
                     str(tmp_path / "o.xyz")])

@@ -1,15 +1,21 @@
 """Format layer: detection, parsing, round trips, streaming conversion."""
 
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pcedit import (CodecUnavailable, HeaderMismatch, MissingAttribute,
-                    ParseError, PointCloud, UnknownFormat,
-                    UnsupportedPointRecord, convert, detect_format,
-                    position_precision, read_cloud, write_cloud)
+from pcedit import (CloudError, CodecUnavailable, HeaderMismatch,
+                    MissingAttribute, ParseError, PointCloud, RangeError,
+                    UnknownFormat, UnsupportedPointRecord, convert,
+                    detect_format, position_precision, read_cloud,
+                    write_cloud)
 from pcedit.formats import FormatDescriptor, open_reader
+from pcedit.split import Fragment, SplitResult, write_fragments
 
 from conftest import random_cloud
 
@@ -260,6 +266,27 @@ class TestLas:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("offset", [None, (0.0, 0.0, 0.0)])
+    def test_non_finite_position_is_range_error(self, tmp_path, bad,
+                                                offset):
+        positions = np.zeros((10, 3))
+        positions[3, 1] = bad
+        out = tmp_path / "n.las"
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            write_cloud(PointCloud(positions), out, las_offset=offset)
+        assert not out.exists()
+
+    def test_non_finite_position_in_convert(self, tmp_path, rng):
+        cloud = random_cloud(rng, 20)
+        cloud.positions[7, 0] = np.nan
+        src = tmp_path / "in.ply"
+        write_cloud(cloud, src)
+        with pytest.raises(RangeError, match="NaN or infinite"):
+            convert(src, tmp_path / "out.las")
+        assert not (tmp_path / "out.las").exists()
+
+
 class TestPly:
     def test_ascii_two_vertices_verbatim_colors(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 2\n"
@@ -327,6 +354,39 @@ class TestPly:
         assert np.allclose(cloud.positions, [[1, 2, 3], [4, 5, 6]])
 
 
+    def test_ascii_color_out_of_range_reports_line(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 2\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "property uchar red\nproperty uchar green\n"
+                "property uchar blue\nend_header\n"
+                "0 0 0 1 2 3\n0 0 0 300 -1 20\n")
+        with pytest.raises(ParseError,
+                           match=r"line 12: color value 300 outside 0\.\.255"):
+            read_cloud(write_tmp(tmp_path, "wrap.ply", text))
+
+    def test_ascii_ushort_color_out_of_range(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property double x\nproperty double y\nproperty double z\n"
+                "property ushort red\nproperty ushort green\n"
+                "property ushort blue\nend_header\n"
+                "0 0 0 65535 65536 0\n")
+        with pytest.raises(ParseError, match=r"line 11: .*0\.\.65535"):
+            read_cloud(write_tmp(tmp_path, "u.ply", text))
+
+    def test_bare_property_line(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property float x\nproperty\nend_header\n0\n")
+        with pytest.raises(ParseError, match="line 5"):
+            read_cloud(write_tmp(tmp_path, "bare.ply", text))
+
+    def test_negative_vertex_count(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex -5\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "end_header\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_cloud(write_tmp(tmp_path, "neg.ply", text))
+
+
 class TestPcd:
     def test_binary_compressed_rejected(self, tmp_path):
         text = ("VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
@@ -377,6 +437,55 @@ class TestPcd:
         cloud = read_cloud(write_tmp(tmp_path, "p.pcd",
                                      text.encode() + payload))
         assert np.allclose(cloud.positions, [[1, 2, 3]])
+
+
+    @pytest.mark.parametrize("value", [-1, 1 << 32])
+    def test_ascii_unsigned_rgb_out_of_range(self, tmp_path, value):
+        text = ("VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\n"
+                "TYPE F F F U\nCOUNT 1 1 1 1\nWIDTH 2\nHEIGHT 1\n"
+                "VIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
+                f"0 0 0 0\n0 0 0 {value}\n")
+        with pytest.raises(ParseError, match="line 12: color value"):
+            read_cloud(write_tmp(tmp_path, "r.pcd", text))
+
+    @pytest.mark.parametrize("line, value", [
+        ("COUNT 1 1 x", "x"), ("COUNT 1 1 0", "0"), ("WIDTH -3", "-3"),
+        ("POINTS -1", "-1")])
+    def test_bad_header_numbers(self, tmp_path, line, value):
+        lines = ["VERSION 0.7", "FIELDS x y z", "SIZE 4 4 4", "TYPE F F F",
+                 "COUNT 1 1 1", "WIDTH 1", "HEIGHT 1",
+                 "VIEWPOINT 0 0 0 1 0 0 0", "POINTS 1", "DATA binary"]
+        key = line.split()[0]
+        lines = [line if l.startswith(key) else l for l in lines]
+        data = ("\n".join(lines) + "\n").encode() + bytes(12)
+        with pytest.raises(ParseError, match=value):
+            read_cloud(write_tmp(tmp_path, "h.pcd", data))
+
+    def test_binary_repeated_field_uses_first(self, tmp_path):
+        text = ("VERSION 0.7\nFIELDS x y z x\nSIZE 4 4 4 4\nTYPE F F F F\n"
+                "COUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\nPOINTS 1\nDATA binary\n")
+        payload = np.array([1, 2, 3, 9], dtype="<f4").tobytes()
+        cloud = read_cloud(write_tmp(tmp_path, "d.pcd",
+                                     text.encode() + payload))
+        assert cloud.positions.tolist() == [[1, 2, 3]]
+
+    def test_binary_double_rgb_read_as_float_bits(self, tmp_path):
+        packed = np.array([(255 << 16) | (1 << 8) | 2], dtype=np.uint32)
+        text = ("VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 8\n"
+                "TYPE F F F F\nCOUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\n"
+                "POINTS 1\nDATA binary\n")
+        payload = (np.zeros(3, dtype="<f4").tobytes()
+                   + packed.view(np.float32).astype("<f8").tobytes())
+        cloud = read_cloud(write_tmp(tmp_path, "f8.pcd",
+                                     text.encode() + payload))
+        assert cloud.colors.tolist() == [[255, 1, 2]]
+
+    def test_multi_count_coordinate_rejected(self, tmp_path):
+        text = ("VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
+                "COUNT 2 1 1\nWIDTH 1\nHEIGHT 1\nPOINTS 1\nDATA binary\n")
+        with pytest.raises(ParseError, match="COUNT"):
+            read_cloud(write_tmp(tmp_path, "c.pcd",
+                                 text.encode() + bytes(16)))
 
 
 class TestAsciiFamily:
@@ -545,3 +654,131 @@ class TestLaz:
             pass
         with pytest.raises(CodecUnavailable):
             write_cloud(random_cloud(rng, 3), tmp_path / "o.laz")
+
+
+class TestAtomicOutput:
+    def _unwritable_las_cloud(self):
+        return PointCloud(np.array([[0.0, 0.0, 0.0], [1e9, 0.0, 0.0]]))
+
+    def test_convert_onto_its_own_input(self, tmp_path, rng):
+        src = tmp_path / "a.ply"
+        write_cloud(random_cloud(rng, 40, normals=True), src)
+        fresh = tmp_path / "fresh.ply"
+        convert(src, fresh, encoding="ascii")
+        report = convert(src, src, encoding="ascii")
+        assert report.points_written == 40
+        assert src.read_bytes() == fresh.read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RangeError):
+            write_cloud(self._unwritable_las_cloud(), tmp_path / "o.las")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_destination(self, tmp_path):
+        out = tmp_path / "o.las"
+        out.write_bytes(b"previous contents")
+        with pytest.raises(RangeError):
+            write_cloud(self._unwritable_las_cloud(), out)
+        assert out.read_bytes() == b"previous contents"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_convert_keeps_existing_destination(self, tmp_path):
+        src = tmp_path / "in.ply"
+        write_cloud(self._unwritable_las_cloud(), src)
+        out = tmp_path / "o.las"
+        out.write_bytes(b"previous contents")
+        with pytest.raises(RangeError):
+            convert(src, out)
+        assert out.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ply",
+                                                              "o.las"]
+
+    def test_failed_fragment_leaves_no_file(self, tmp_path):
+        cloud = self._unwritable_las_cloud()
+        result = SplitResult(fragments=[Fragment("far", cloud,
+                                                 np.arange(2))])
+        with pytest.raises(RangeError):
+            write_fragments(result, tmp_path / "frags", "las")
+        assert list((tmp_path / "frags").iterdir()) == []
+
+    def test_missing_directory_names_the_destination(self, tmp_path, rng):
+        out = tmp_path / "absent" / "o.ply"
+        with pytest.raises(FileNotFoundError) as info:
+            write_cloud(random_cloud(rng, 3), out)
+        assert info.value.filename == str(out)
+
+    def test_permissions_match_plain_open(self, tmp_path, rng):
+        plain = tmp_path / "plain.bin"
+        open(plain, "wb").close()
+        out = tmp_path / "o.ply"
+        write_cloud(random_cloud(rng, 3), out)
+        assert (stat.S_IMODE(out.stat().st_mode)
+                == stat.S_IMODE(plain.stat().st_mode))
+        os.chmod(out, 0o640)
+        write_cloud(random_cloud(rng, 3), out)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def _valid_sources() -> dict[str, tuple[bytes, bytes]]:
+    """name -> (header, payload) of files pcedit writes, for mutation."""
+    import tempfile
+    from pathlib import Path
+
+    rng = np.random.default_rng(5)
+    cloud = random_cloud(rng, 4, normals=True)
+    sources = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, encoding in (("a.ply", "ascii"),
+                               ("b.ply", "binary_little_endian"),
+                               ("a.pcd", "ascii"),
+                               ("b.pcd", "binary_little_endian"),
+                               ("a.pts", None)):
+            path = Path(tmp) / name
+            write_cloud(cloud, path, encoding=encoding)
+            data = path.read_bytes()
+            end = {"ply": data.find(b"end_header\n") + len(b"end_header\n"),
+                   "pcd": data.find(b"\n", data.find(b"DATA")) + 1,
+                   "pts": data.find(b"\n") + 1}[name[-3:]]
+            sources[name] = data[:end], data[end:]
+    return sources
+
+
+_SOURCES = _valid_sources()
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid header with one to three token or line mutations."""
+    name = draw(st.sampled_from(sorted(_SOURCES)))
+    header, payload = _SOURCES[name]
+    lines = header.decode("ascii").split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(" ")
+        op = draw(st.sampled_from(["drop", "duplicate", "number",
+                                   "truncate"]))
+        j = draw(st.integers(0, len(tokens) - 1))
+        if op == "truncate":
+            tokens = tokens[:j]
+        elif op == "drop":
+            del tokens[j]
+        elif op == "duplicate":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j] = draw(st.sampled_from(
+                ["-5", "-1", "0", "1", "2.5", "1e3", "x", "99999"]))
+        lines[at] = " ".join(tokens)
+    return name, ("\n".join(lines) + "\n").encode("ascii") + payload
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=300)
+@given(case=mutated_files())
+def test_mutated_headers_raise_only_cloud_errors(tmp_path, case):
+    name, data = case
+    path = tmp_path / name
+    path.write_bytes(data)
+    try:
+        read_cloud(path)
+    except (CloudError, OSError):
+        pass
