@@ -15,27 +15,24 @@ from .errors import (CloudError, CodecUnavailable, DuplicateLabel,
 from .formats import (ConversionReport, FormatDescriptor, convert,
                       detect_format, position_precision, read_cloud,
                       write_cloud)
-from .recolor import (EditReport, RemapParams, RgbDeleteStep, RgbRemapStep,
-                      SphereParams, SphericalDeleteStep,
-                      SphericalRecolorStep, StepReport, SubstituteStep,
-                      apply_pipeline, delete_rgb_box_outliers,
-                      delete_spherical_outliers, fit_color_sphere,
-                      recolor_rgb_box_remap, recolor_spherical,
-                      recolor_substitute)
+from .recolor import (EditReport, EditStep, RemapParams, SphereParams,
+                      StepReport, SubstituteStep, apply_pipeline,
+                      delete_rgb_box_outliers, delete_spherical_outliers,
+                      fit_color_sphere, recolor_rgb_box_remap,
+                      recolor_spherical, recolor_substitute)
 from .split import Fragment, SplitResult, split_by_boxes, write_fragments
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoxFile", "CloudError", "CodecUnavailable", "ColorSphere",
-    "ConversionReport", "DuplicateLabel", "EditReport", "EmptySelection",
-    "FormatDescriptor", "Fragment", "HeaderMismatch", "JoinedBox",
-    "LabelPalette", "MissingAttribute", "NoBoxes", "NoEnabledBoxes",
-    "OrientedBox", "PaletteEntry", "PaletteFile", "ParseError",
-    "PipelineStepError", "PointCloud", "RangeError", "RemapParams",
-    "RgbAabb", "RgbDeleteStep", "RgbRemapStep", "SchemaError",
-    "SphereParams", "SphericalDeleteStep", "SphericalRecolorStep",
-    "SplitResult", "StepReport", "SubstituteStep", "UnknownFormat",
+    "ConversionReport", "DuplicateLabel", "EditReport", "EditStep",
+    "EmptySelection", "FormatDescriptor", "Fragment", "HeaderMismatch",
+    "JoinedBox", "LabelPalette", "MissingAttribute", "NoBoxes",
+    "NoEnabledBoxes", "OrientedBox", "PaletteEntry", "PaletteFile",
+    "ParseError", "PipelineStepError", "PointCloud", "RangeError",
+    "RemapParams", "RgbAabb", "SchemaError", "SphereParams", "SplitResult",
+    "StepReport", "SubstituteStep", "UnknownFormat",
     "UnsupportedPointRecord", "apply_pipeline", "convert",
     "delete_rgb_box_outliers", "delete_spherical_outliers",
     "detect_format", "fit_color_sphere", "join_boxes_palette",

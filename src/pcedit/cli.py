@@ -19,10 +19,9 @@ from .cloud import RgbAabb
 from .errors import CloudError
 from .formats import (DEFAULT_LAS_SCALE, detect_format, convert,
                       position_precision, read_cloud, write_cloud)
-from .recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE, RemapParams,
-                      RgbDeleteStep, RgbRemapStep, SphereParams,
-                      SphericalDeleteStep, SphericalRecolorStep,
-                      SubstituteStep, apply_pipeline)
+from .recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE, EditStep,
+                      RemapParams, SphereParams, SubstituteStep,
+                      apply_pipeline)
 from .split import split_by_boxes, write_fragments
 
 log = logging.getLogger(__name__)
@@ -169,16 +168,10 @@ def _edit_steps(args, command: str):
     if command == "segment":
         return [SubstituteStep(joined=tuple(joined))]
 
-    steps = []
-    if args.mode == "spherical":
-        params = _sphere_params(args)
-        step_cls = SphericalRecolorStep if command == "recolor" \
-            else SphericalDeleteStep
-        steps = [step_cls(box=j.box, params=params) for j in enabled]
-    else:
-        params = _remap_params(args)
-        step_cls = RgbRemapStep if command == "recolor" else RgbDeleteStep
-        steps = [step_cls(box=j.box, params=params) for j in enabled]
+    params = _sphere_params(args) if args.mode == "spherical" \
+        else _remap_params(args)
+    steps = [EditStep(j.box, params, delete=command == "delete")
+             for j in enabled]
     if not steps:
         raise _UsageError("no enabled boxes to operate on")
     return steps

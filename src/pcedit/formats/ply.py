@@ -2,8 +2,9 @@
 
 Reading accepts float or double coordinates, uchar or ushort colors
 (ushort narrows to 8 bits via >> 8), optional nx/ny/nz normals, and skips
-any other vertex property.  Vertex must be the first element; list
-properties inside the vertex element and big-endian files are rejected.
+any other vertex property.  Vertex must be the first element and appear
+once; list properties inside the vertex element and big-endian files are
+rejected.  ASCII colors round half-to-even, as in the other text formats.
 
 Writing always emits double positions, double normals (when present) and
 uchar red/green/blue, so positions survive a round trip bit-exactly in
@@ -93,6 +94,10 @@ def _parse_header(path) -> RecordLayout:
             if not tokens[2].isdigit():
                 raise ParseError(f"bad element count {tokens[2]!r}",
                                  path=path, line=line_no)
+            if tokens[1] == "vertex" and any(
+                    name == "vertex" for name, _ in elements):
+                raise ParseError("repeated 'element vertex' line",
+                                 path=path, line=line_no)
             elements.append((tokens[1], int(tokens[2])))
         elif tokens[0] == "property":
             if len(tokens) < 3:
@@ -167,6 +172,7 @@ class PlyReader:
                     check_colors(raw, lines,
                                  65535 if self.narrows_colors else 255,
                                  self.path)
+                    raw = np.rint(raw)
                 colors = narrow_16bit(raw) if self.narrows_colors \
                     else raw.astype(np.uint8)
             if self.descriptor.has_normals:

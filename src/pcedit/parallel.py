@@ -3,7 +3,7 @@
 Per-point predicates are pure, so big clouds can be evaluated over disjoint
 index ranges in parallel. Results are assembled in index order, so the
 thread count never changes any output. Default is single-threaded; the CLI
-``--threads`` flag or PCEDIT_THREADS overrides it (0 means one per CPU).
+``--threads`` flag overrides it (0 means one per CPU).
 """
 
 from __future__ import annotations
@@ -17,28 +17,13 @@ import numpy as np
 _MIN_BLOCK = 1 << 18  # below this, threading overhead dominates
 
 
-def _from_env() -> int:
-    raw = os.environ.get("PCEDIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return _normalize(int(raw))
-    except ValueError:
-        return 1
-
-
-def _normalize(n: int) -> int:
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
-
-
-_max_threads = _from_env()
+_max_threads = 1
 
 
 def set_max_threads(n: int) -> None:
+    """Cap the worker threads at ``n``; 0 or less means one per CPU."""
     global _max_threads
-    _max_threads = _normalize(n)
+    _max_threads = n if n > 0 else os.cpu_count() or 1
 
 
 def get_max_threads() -> int:

@@ -167,168 +167,6 @@ def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
     return chosen
 
 
-def _apply_sphere(edit: _Edit, step) -> StepReport:
-    box, params = step.box, step.params
-    rows = edit.rows(box)
-    colors_in = np.take(edit.colors, rows, axis=0).astype(np.float64)
-    sphere = fit_color_sphere(colors_in, params)
-    dists = sphere.distances(colors_in)
-    outlier = dists > sphere.radius
-    out_rows = rows[outlier]
-    report = StepReport(op=step.op, box_label=box.label,
-                        points_examined=rows.size, points_recolored=0,
-                        points_deleted=0, sphere_center=sphere.center,
-                        sphere_radius=sphere.radius)
-
-    if step.delete:
-        edit.alive[out_rows] = False
-        report.points_deleted = out_rows.size
-    elif out_rows.size:
-        if params.outlier_mode == PROJECT_TO_SURFACE:
-            center = np.asarray(sphere.center)
-            if sphere.radius == 0.0:
-                projected = np.broadcast_to(center, (out_rows.size, 3))
-            else:
-                delta = colors_in[outlier] - center
-                scale = sphere.radius / dists[outlier]
-                projected = center + delta * scale[:, None]
-            edit.recolor(out_rows, quantize_colors(projected))
-        else:
-            in_rows = rows[~outlier]
-            if in_rows.size == 0:
-                edit.recolor(out_rows, quantize_colors(
-                    np.broadcast_to(sphere.center, (out_rows.size, 3))))
-            else:
-                nearest = _nearest_inlier_rows(edit.source.positions,
-                                               in_rows, out_rows)
-                edit.recolor(out_rows, edit.colors[in_rows[nearest]])
-        report.points_recolored = out_rows.size
-    return report
-
-
-def recolor_spherical(cloud: PointCloud, box: OrientedBox,
-                      params: SphereParams | None = None) -> PointCloud:
-    """Recolor in-box color outliers; inliers and out-of-box points as-is."""
-    return _apply_one(cloud,
-                      SphericalRecolorStep(box, params or SphereParams()))
-
-
-def delete_spherical_outliers(cloud: PointCloud, box: OrientedBox,
-                              params: SphereParams | None = None
-                              ) -> PointCloud:
-    """Drop in-box points whose color lies strictly outside the sphere."""
-    return _apply_one(cloud,
-                      SphericalDeleteStep(box, params or SphereParams()))
-
-
-def _apply_remap(edit: _Edit, step) -> StepReport:
-    rows = edit.rows(step.box)
-    colors_in = np.take(edit.colors, rows, axis=0).astype(np.float64)
-    source = rgb_color_aabb(colors_in)
-    report = StepReport(op=step.op, box_label=step.box.label,
-                        points_examined=rows.size, points_recolored=0,
-                        points_deleted=0, source_min=source.min,
-                        source_max=source.max)
-
-    if step.delete:
-        outside = ~step.params.target.contains(colors_in)
-        edit.alive[rows[outside]] = False
-        report.points_deleted = int(outside.sum())
-        return report
-
-    s_cent = np.asarray(source.centroid)
-    s_ext = np.asarray(source.extent)
-    t_cent = np.asarray(step.params.target.centroid)
-    t_ext = np.asarray(step.params.target.extent)
-    gain = np.divide(t_ext, s_ext, out=np.zeros(3), where=s_ext > 0)
-    mapped = t_cent + (colors_in - s_cent) * gain
-    edit.recolor(rows, quantize_colors(mapped))
-    report.points_recolored = rows.size
-    return report
-
-
-def recolor_rgb_box_remap(cloud: PointCloud, box: OrientedBox,
-                          params: RemapParams) -> PointCloud:
-    """Affinely map in-box colors from their fitted RGB box to the target."""
-    return _apply_one(cloud, RgbRemapStep(box, params))
-
-
-def delete_rgb_box_outliers(cloud: PointCloud, box: OrientedBox,
-                            params: RemapParams) -> PointCloud:
-    """Drop in-box points whose color falls outside the target RGB box."""
-    return _apply_one(cloud, RgbDeleteStep(box, params))
-
-
-def _apply_substitute(edit: _Edit, step) -> StepReport:
-    active = [j for j in step.joined if j.enabled and j.color is not None]
-    if not active:
-        raise NoEnabledBoxes(
-            "substitution needs at least one enabled box with a palette "
-            "color")
-    examined = int(np.count_nonzero(edit.alive))
-    assigned = ~edit.alive
-    for j in active:
-        rows = edit.index.rows(j.box)
-        rows = rows[~assigned[rows]]
-        edit.recolor(rows, np.asarray(j.color, dtype=np.uint8))
-        assigned[rows] = True
-    edit.alive &= assigned
-    survivors = int(np.count_nonzero(edit.alive))
-    return StepReport(op=step.op, box_label=None, points_examined=examined,
-                      points_recolored=survivors,
-                      points_deleted=examined - survivors)
-
-
-def recolor_substitute(cloud: PointCloud,
-                       joined: Sequence[JoinedBox]) -> PointCloud:
-    """Flat semantic coloring: each point keeps the color of the first
-    enabled colored box containing it; everything else is removed."""
-    return _apply_one(cloud, SubstituteStep(joined))
-
-
-# --- pipeline ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SphericalRecolorStep:
-    box: OrientedBox
-    params: SphereParams = field(default_factory=SphereParams)
-    op = "recolor_spherical"
-    delete = False
-
-
-@dataclass(frozen=True)
-class SphericalDeleteStep:
-    box: OrientedBox
-    params: SphereParams = field(default_factory=SphereParams)
-    op = "delete_spherical_outliers"
-    delete = True
-
-
-@dataclass(frozen=True)
-class RgbRemapStep:
-    box: OrientedBox
-    params: RemapParams
-    op = "recolor_rgb_box_remap"
-    delete = False
-
-
-@dataclass(frozen=True)
-class RgbDeleteStep:
-    box: OrientedBox
-    params: RemapParams
-    op = "delete_rgb_box_outliers"
-    delete = True
-
-
-@dataclass(frozen=True)
-class SubstituteStep:
-    joined: tuple[JoinedBox, ...]
-    op = "recolor_substitute"
-
-    def __post_init__(self):
-        object.__setattr__(self, "joined", tuple(self.joined))
-
-
 @dataclass
 class StepReport:
     """Per-step accounting plus the statistics fitted for the step."""
@@ -371,23 +209,164 @@ class EditReport:
         return "\n".join(lines)
 
 
-def _run_step(edit: _Edit, step) -> StepReport:
-    if isinstance(step, (SphericalRecolorStep, SphericalDeleteStep)):
-        return _apply_sphere(edit, step)
-    if isinstance(step, (RgbRemapStep, RgbDeleteStep)):
-        return _apply_remap(edit, step)
-    if isinstance(step, SubstituteStep):
-        return _apply_substitute(edit, step)
-    raise TypeError(f"unknown pipeline step {step!r}")
+@dataclass(frozen=True)
+class EditStep:
+    """Recolor or delete the color outliers inside one box.
+
+    ``params`` picks the color model: SphereParams fits a color sphere to
+    the in-box colors, RemapParams maps them onto a target RGB box.
+    ``delete`` removes the outliers (colors outside the sphere or the
+    target box) instead of recoloring.
+    """
+
+    box: OrientedBox
+    params: SphereParams | RemapParams = field(default_factory=SphereParams)
+    delete: bool = False
+
+    @property
+    def op(self) -> str:
+        if isinstance(self.params, SphereParams):
+            return "delete_spherical_outliers" if self.delete \
+                else "recolor_spherical"
+        return "delete_rgb_box_outliers" if self.delete \
+            else "recolor_rgb_box_remap"
+
+    def apply(self, edit: _Edit) -> StepReport:
+        rows = edit.rows(self.box)
+        colors_in = np.take(edit.colors, rows, axis=0).astype(np.float64)
+        report = StepReport(op=self.op, box_label=self.box.label,
+                            points_examined=rows.size, points_recolored=0,
+                            points_deleted=0)
+        if isinstance(self.params, SphereParams):
+            self._sphere(edit, rows, colors_in, report)
+        else:
+            self._remap(edit, rows, colors_in, report)
+        return report
+
+    def _sphere(self, edit: _Edit, rows, colors_in, report) -> None:
+        sphere = fit_color_sphere(colors_in, self.params)
+        report.sphere_center = sphere.center
+        report.sphere_radius = sphere.radius
+        dists = sphere.distances(colors_in)
+        outlier = dists > sphere.radius
+        out_rows = rows[outlier]
+        if self.delete:
+            edit.alive[out_rows] = False
+            report.points_deleted = out_rows.size
+            return
+        if not out_rows.size:
+            return
+        if self.params.outlier_mode == PROJECT_TO_SURFACE:
+            center = np.asarray(sphere.center)
+            if sphere.radius == 0.0:
+                projected = np.broadcast_to(center, (out_rows.size, 3))
+            else:
+                delta = colors_in[outlier] - center
+                scale = sphere.radius / dists[outlier]
+                projected = center + delta * scale[:, None]
+            edit.recolor(out_rows, quantize_colors(projected))
+        else:
+            in_rows = rows[~outlier]
+            if in_rows.size == 0:
+                edit.recolor(out_rows, quantize_colors(
+                    np.broadcast_to(sphere.center, (out_rows.size, 3))))
+            else:
+                nearest = _nearest_inlier_rows(edit.source.positions,
+                                               in_rows, out_rows)
+                edit.recolor(out_rows, edit.colors[in_rows[nearest]])
+        report.points_recolored = out_rows.size
+
+    def _remap(self, edit: _Edit, rows, colors_in, report) -> None:
+        source = rgb_color_aabb(colors_in)
+        report.source_min, report.source_max = source.min, source.max
+        target = self.params.target
+        if self.delete:
+            outside = ~target.contains(colors_in)
+            edit.alive[rows[outside]] = False
+            report.points_deleted = int(outside.sum())
+            return
+        s_cent = np.asarray(source.centroid)
+        s_ext = np.asarray(source.extent)
+        t_ext = np.asarray(target.extent)
+        gain = np.divide(t_ext, s_ext, out=np.zeros(3), where=s_ext > 0)
+        mapped = np.asarray(target.centroid) + (colors_in - s_cent) * gain
+        edit.recolor(rows, quantize_colors(mapped))
+        report.points_recolored = rows.size
+
+
+@dataclass(frozen=True)
+class SubstituteStep:
+    """Semantic coloring over a joined box list (see recolor_substitute)."""
+
+    joined: tuple[JoinedBox, ...]
+    op = "recolor_substitute"
+
+    def __post_init__(self):
+        object.__setattr__(self, "joined", tuple(self.joined))
+
+    def apply(self, edit: _Edit) -> StepReport:
+        active = [j for j in self.joined
+                  if j.enabled and j.color is not None]
+        if not active:
+            raise NoEnabledBoxes(
+                "substitution needs at least one enabled box with a "
+                "palette color")
+        examined = int(np.count_nonzero(edit.alive))
+        assigned = ~edit.alive
+        for j in active:
+            rows = edit.index.rows(j.box)
+            rows = rows[~assigned[rows]]
+            edit.recolor(rows, np.asarray(j.color, dtype=np.uint8))
+            assigned[rows] = True
+        edit.alive &= assigned
+        survivors = int(np.count_nonzero(edit.alive))
+        return StepReport(op=self.op, box_label=None,
+                          points_examined=examined,
+                          points_recolored=survivors,
+                          points_deleted=examined - survivors)
+
+
+def recolor_spherical(cloud: PointCloud, box: OrientedBox,
+                      params: SphereParams | None = None) -> PointCloud:
+    """Recolor in-box color outliers; inliers and out-of-box points as-is."""
+    return _apply_one(cloud, EditStep(box, params or SphereParams()))
+
+
+def delete_spherical_outliers(cloud: PointCloud, box: OrientedBox,
+                              params: SphereParams | None = None
+                              ) -> PointCloud:
+    """Drop in-box points whose color lies strictly outside the sphere."""
+    return _apply_one(cloud, EditStep(box, params or SphereParams(),
+                                      delete=True))
+
+
+def recolor_rgb_box_remap(cloud: PointCloud, box: OrientedBox,
+                          params: RemapParams) -> PointCloud:
+    """Affinely map in-box colors from their fitted RGB box to the target."""
+    return _apply_one(cloud, EditStep(box, params))
+
+
+def delete_rgb_box_outliers(cloud: PointCloud, box: OrientedBox,
+                            params: RemapParams) -> PointCloud:
+    """Drop in-box points whose color falls outside the target RGB box."""
+    return _apply_one(cloud, EditStep(box, params, delete=True))
+
+
+def recolor_substitute(cloud: PointCloud,
+                       joined: Sequence[JoinedBox]) -> PointCloud:
+    """Flat semantic coloring: each point keeps the color of the first
+    enabled colored box containing it; everything else is removed."""
+    return _apply_one(cloud, SubstituteStep(joined))
 
 
 def _apply_one(cloud: PointCloud, step) -> PointCloud:
     edit = _Edit(cloud)
-    _run_step(edit, step)
+    step.apply(edit)
     return edit.result()
 
 
-def apply_pipeline(cloud: PointCloud, steps: Sequence
+def apply_pipeline(cloud: PointCloud,
+                   steps: Sequence[EditStep | SubstituteStep]
                    ) -> tuple[PointCloud, EditReport]:
     """Run edit steps in order, each consuming the previous output.
 
@@ -398,12 +377,11 @@ def apply_pipeline(cloud: PointCloud, steps: Sequence
     edit = _Edit(cloud)
     for i, step in enumerate(steps):
         try:
-            report.steps.append(_run_step(edit, step))
+            report.steps.append(step.apply(edit))
         except PipelineStepError:
             raise
         except Exception as exc:
-            raise PipelineStepError(i, getattr(step, "op", str(step)),
-                                    exc) from exc
+            raise PipelineStepError(i, step.op, exc) from exc
     result = edit.result()
     report.output_count = result.count
     return result, report

@@ -386,6 +386,32 @@ class TestPly:
         with pytest.raises(ParseError, match="line 3"):
             read_cloud(write_tmp(tmp_path, "neg.ply", text))
 
+    def test_repeated_vertex_element_names_its_line(self, tmp_path):
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                  "property double x\nproperty double y\nproperty double z\n"
+                  "element vertex 1\nproperty double w\nend_header\n")
+        payload = np.arange(7, dtype="<f8").tobytes()
+        path = write_tmp(tmp_path, "twice.ply", header.encode() + payload)
+        with pytest.raises(ParseError,
+                           match=r"line 7: repeated 'element vertex'"):
+            read_cloud(path)
+
+    def test_fractional_ascii_colors_round_like_other_text_formats(
+            self, tmp_path):
+        header = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                  "property float x\nproperty float y\nproperty float z\n"
+                  "property {0} red\nproperty {0} green\n"
+                  "property {0} blue\nend_header\n")
+        sources = {
+            "u1.ply": header.format("uchar") + "0 0 0 1.5 2 3\n",
+            "u2.ply": header.format("ushort") + "0 0 0 511.5 512 768\n",
+            "c.xyzrgb": "0 0 0 1.5 2 3\n",
+            "c.pts": "1\n0 0 0 0 1.5 2 3\n",
+        }
+        for name, text in sources.items():
+            colors = read_cloud(write_tmp(tmp_path, name, text)).colors
+            assert colors.tolist() == [[2, 2, 3]], name
+
 
 class TestPcd:
     def test_binary_compressed_rejected(self, tmp_path):

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcedit import (EmptySelection, OrientedBox, PipelineStepError,
-                    PointCloud, RemapParams, RgbAabb, RgbDeleteStep,
-                    RgbRemapStep, SphereParams, SphericalDeleteStep,
-                    SphericalRecolorStep, SubstituteStep, apply_pipeline,
+from pcedit import (EditStep, EmptySelection, OrientedBox,
+                    PipelineStepError, PointCloud, RemapParams, RgbAabb,
+                    SphereParams, SubstituteStep, apply_pipeline,
                     fit_color_sphere, quantize_colors, rgb_color_aabb,
                     split_by_boxes)
 from pcedit.boxfile import JoinedBox
@@ -182,14 +181,14 @@ def _reference_step(cloud: PointCloud, step):
     colors = cloud.colors.copy()
     has_color = cloud.has_color
 
-    if isinstance(step, (SphericalRecolorStep, SphericalDeleteStep)):
+    if isinstance(step.params, SphereParams):
         sphere = fit_color_sphere(colors_in, step.params)
         report["sphere_center"] = list(sphere.center)
         report["sphere_radius"] = sphere.radius
         dists = np.linalg.norm(colors_in - sphere.center, axis=1)
         outlier = dists > sphere.radius
         out_rows, in_rows = rows[outlier], rows[~outlier]
-        if isinstance(step, SphericalDeleteStep):
+        if step.delete:
             keep[out_rows] = False
             report["points_deleted"] = int(out_rows.size)
         elif out_rows.size:
@@ -218,7 +217,7 @@ def _reference_step(cloud: PointCloud, step):
         report["source_min"], report["source_max"] = \
             list(source.min), list(source.max)
         target = step.params.target
-        if isinstance(step, RgbDeleteStep):
+        if step.delete:
             inside = np.all((colors_in >= target.min)
                             & (colors_in <= target.max), axis=1)
             keep[rows[~inside]] = False
@@ -268,13 +267,13 @@ def _random_steps(rng, count: int):
         kind = i % 5
         params = sphere_modes[int(rng.integers(len(sphere_modes)))]
         if kind == 0:
-            steps.append(SphericalDeleteStep(box=box, params=params))
+            steps.append(EditStep(box=box, params=params, delete=True))
         elif kind in (1, 2):
-            steps.append(SphericalRecolorStep(box=box, params=params))
+            steps.append(EditStep(box=box, params=params))
         elif kind == 3:
-            steps.append(RgbRemapStep(box=box, params=target))
+            steps.append(EditStep(box=box, params=target))
         else:
-            steps.append(RgbDeleteStep(box=box, params=target))
+            steps.append(EditStep(box=box, params=target, delete=True))
     return steps
 
 
@@ -318,9 +317,9 @@ class TestEngineMatchesReference:
         cloud = PointCloud(rng.uniform(-1, 1, (50, 3)))
         box = OrientedBox(label="all", centroid=(0, 0, 0),
                           dimensions=(4, 4, 4))
-        got, _ = apply_pipeline(cloud, [SphericalRecolorStep(box=box)])
+        got, _ = apply_pipeline(cloud, [EditStep(box=box)])
         assert not got.has_color
-        remapped, _ = apply_pipeline(cloud, [RgbRemapStep(
+        remapped, _ = apply_pipeline(cloud, [EditStep(
             box=box, params=RemapParams(target=RgbAabb(min=(0, 0, 0),
                                                        max=(9, 9, 9))))])
         assert remapped.has_color
@@ -341,9 +340,9 @@ class TestEngineMatchesReference:
                                  dimensions=(6, 1, 1))
         far = OrientedBox(label="far", centroid=(5, 0, 0),
                           dimensions=(1, 1, 1))
-        steps = [SphericalDeleteStep(box=everything, params=SphereParams(
-                     radius_mode="absolute", radius=1.0)),
-                 SphericalRecolorStep(box=far)]
+        steps = [EditStep(box=everything, params=SphereParams(
+                     radius_mode="absolute", radius=1.0), delete=True),
+                 EditStep(box=far)]
         with pytest.raises(PipelineStepError) as err:
             apply_pipeline(cloud, steps)
         assert err.value.step_index == 1

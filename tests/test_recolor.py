@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcedit import (EmptySelection, NoEnabledBoxes, OrientedBox,
+from pcedit import (EditStep, EmptySelection, NoEnabledBoxes, OrientedBox,
                     PipelineStepError, PointCloud, RemapParams, RgbAabb,
-                    RgbDeleteStep, RgbRemapStep, SphereParams,
-                    SphericalDeleteStep, SphericalRecolorStep,
-                    SubstituteStep, apply_pipeline, delete_rgb_box_outliers,
-                    delete_spherical_outliers, fit_color_sphere,
-                    recolor_rgb_box_remap, recolor_spherical,
-                    recolor_substitute)
+                    SphereParams, SubstituteStep, apply_pipeline,
+                    delete_rgb_box_outliers, delete_spherical_outliers,
+                    fit_color_sphere, recolor_rgb_box_remap,
+                    recolor_spherical, recolor_substitute)
 from pcedit.boxfile import JoinedBox
 from pcedit.recolor import NEAREST_INLIER, ROUNDING_SLACK, nearest_rank
 
@@ -453,8 +451,8 @@ class TestPipeline:
                             np.tile([255, 255, 255], (30, 1))])
         cloud = cloud_from(colors)
         params = SphereParams(radius_mode="absolute", radius=80.0)
-        steps = [SphericalDeleteStep(box=BIG_BOX, params=params),
-                 SphericalRecolorStep(box=BIG_BOX, params=params)]
+        steps = [EditStep(box=BIG_BOX, params=params, delete=True),
+                 EditStep(box=BIG_BOX, params=params)]
         out, report = apply_pipeline(cloud, steps)
         # dual route: run the single-step functions sequentially
         mid = delete_spherical_outliers(cloud, BIG_BOX, params)
@@ -467,8 +465,7 @@ class TestPipeline:
         cloud = cloud_from(rng.integers(0, 256, (10, 3)))
         far = OrientedBox(label="far", centroid=(500, 0, 0),
                           dimensions=(1, 1, 1))
-        steps = [SphericalRecolorStep(box=BIG_BOX),
-                 SphericalRecolorStep(box=far)]
+        steps = [EditStep(box=BIG_BOX), EditStep(box=far)]
         with pytest.raises(PipelineStepError) as err:
             apply_pipeline(cloud, steps)
         assert err.value.step_index == 1
@@ -477,9 +474,10 @@ class TestPipeline:
     def test_report_serialization(self, rng):
         import json
         cloud = cloud_from(rng.integers(0, 256, (50, 3)))
-        steps = [SphericalRecolorStep(box=BIG_BOX),
-                 RgbDeleteStep(box=BIG_BOX, params=RemapParams(
-                     target=RgbAabb(min=(0, 0, 0), max=(255, 255, 255))))]
+        steps = [EditStep(box=BIG_BOX),
+                 EditStep(box=BIG_BOX, params=RemapParams(
+                     target=RgbAabb(min=(0, 0, 0), max=(255, 255, 255))),
+                     delete=True)]
         _, report = apply_pipeline(cloud, steps)
         payload = json.loads(report.to_json())
         assert [s["op"] for s in payload["steps"]] == \
