@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import parallel
 from .errors import EmptySelection
@@ -113,6 +112,23 @@ class PointCloud:
         )
 
 
+def _axis_quat(axis: int, degrees: float) -> list[float]:
+    """Quaternion (x, y, z, w) of a turn by ``degrees`` about one axis."""
+    half = math.radians(degrees) / 2
+    quat = [0.0, 0.0, 0.0, math.cos(half)]
+    quat[axis] = math.sin(half)
+    return quat
+
+
+def _compose(p, q) -> tuple[float, float, float, float]:
+    """Quaternion product ``p * q`` (apply q, then p)."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    return (pw * qx + qw * px + cx, pw * qy + qw * py + cy,
+            pw * qz + qw * pz + cz, pw * qw - px * qx - py * qy - pz * qz)
+
+
 @dataclass(frozen=True)
 class OrientedBox:
     """Labeled 3D box: centroid (m), full edge lengths (m), Z-Y-X Euler degrees."""
@@ -136,13 +152,22 @@ class OrientedBox:
         object.__setattr__(self, "dimensions", dims)
         object.__setattr__(self, "rotations", rots)
 
-    def rotation(self) -> Rotation:
-        rx, ry, rz = self.rotations
-        return Rotation.from_euler("ZYX", [rz, ry, rx], degrees=True)
-
     def rotation_matrix(self) -> np.ndarray:
-        """World-from-local 3x3 matrix (columns are the box's local axes)."""
-        return self.rotation().as_matrix()
+        """World-from-local 3x3 matrix (columns are the box's local axes).
+
+        Elementary quaternions composed z·y·x, then turned into a matrix,
+        with every term in the order scipy's
+        ``Rotation.from_euler("ZYX", [rz, ry, rx], degrees=True).as_matrix()``
+        uses, so the result is bit-identical to it (signed zeros included)."""
+        rx, ry, rz = self.rotations
+        x, y, z, w = _compose(_compose(_axis_quat(2, rz), _axis_quat(1, ry)),
+                              _axis_quat(0, rx))
+        x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+        xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+        return np.array([
+            [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
 
     def contains(self, positions: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the box, faces inclusive."""

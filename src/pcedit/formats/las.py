@@ -11,6 +11,7 @@ point data.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,6 +153,15 @@ def check_finite(values: np.ndarray) -> None:
         raise RangeError("LAS cannot store NaN or infinite coordinates")
 
 
+def check_scale(scale) -> float:
+    """The LAS grid step as a float: finite and > 0, or every position
+    would be stored as (and read back as) NaN, infinity or nonsense."""
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise RangeError(f"LAS scale must be finite and > 0, got {scale:g}")
+    return scale
+
+
 def _pack_header(count: int, point_format: int, record_length: int,
                  scales, offsets, mins, maxs) -> bytes:
     return struct.pack(
@@ -184,9 +194,7 @@ class LasWriter(FileWriter):
                  offset: tuple[float, float, float] = (0.0, 0.0, 0.0)):
         self.point_format = 2 if descriptor.has_color else 0
         self._dtype = np.dtype(_FORMAT_FIELDS[self.point_format])
-        self._scale = float(scale)
-        if self._scale <= 0:
-            raise RangeError(f"LAS scale must be positive, got {scale}")
+        self._scale = check_scale(scale)
         self._offset = np.asarray(offset, dtype=np.float64)
         check_finite(self._offset)
         self._count = 0

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import CodecUnavailable, HeaderMismatch, UnsupportedPointRecord
 from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE, Chunk,
                     FormatDescriptor, narrow_16bit, widen_8bit)
-from .las import _COLOR_FORMATS, check_finite, read_header
+from .las import _COLOR_FORMATS, check_finite, check_scale, read_header
 
 FAMILY = "las"
 
@@ -77,6 +77,7 @@ class LazWriter:
     def __init__(self, path, descriptor: FormatDescriptor, *,
                  scale: float = DEFAULT_LAS_SCALE,
                  offset=(0.0, 0.0, 0.0)):
+        scale = check_scale(scale)
         laspy = _require_laspy()
         check_finite(np.asarray(offset, dtype=np.float64))
         self.path = Path(path)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .boxfile import JoinedBox
 from .cloud import (ColorSphere, GridIndex, OrientedBox, PointCloud,
@@ -51,7 +50,7 @@ class SphereParams:
                 not 0.0 < self.percentile <= 100.0:
             raise ValueError(
                 f"percentile must be in (0, 100], got {self.percentile}")
-        if self.radius_mode == "absolute" and self.radius < 0:
+        if self.radius_mode == "absolute" and not self.radius >= 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.outlier_mode not in (PROJECT_TO_SURFACE, NEAREST_INLIER):
             raise ValueError(f"unknown outlier_mode {self.outlier_mode!r}")
@@ -135,6 +134,13 @@ class _Edit:
         edited = PointCloud(self.source.positions, self.colors,
                             self.source.normals, has_color=self.has_color)
         return edited if all_alive else edited.take(self.alive)
+
+
+def cKDTree(data):
+    """``scipy.spatial.cKDTree(data)``.  scipy is imported here, on the
+    first nearest-inlier search, so that no other command pays for it."""
+    from scipy.spatial import cKDTree as tree
+    return tree(data)
 
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,

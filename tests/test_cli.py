@@ -79,6 +79,18 @@ class TestConvert:
         bad.write_bytes(cloud_path.read_bytes())
         assert run(["convert", str(bad), str(tmp_path / "o.xyz")]) == 2
 
+    @pytest.mark.parametrize("suffix", ["las", "laz"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-0.01"])
+    def test_bad_las_scale_is_data_error(self, tmp_path, capsys, suffix,
+                                         scale):
+        _, cloud_path, *_ = write_scene(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert run(["convert", str(cloud_path), str(tmp_path / f"o.{suffix}"),
+                    "--las-scale", scale]) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        # checked before the LAZ codec is looked for, so laspy is not needed
+        assert "LAS scale must be finite and > 0" in capsys.readouterr().err
+
     def test_report_file_shape(self, tmp_path):
         _, cloud_path, *_ = write_scene(tmp_path)
         out = tmp_path / "out.xyzrgb"
@@ -134,7 +146,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags", [
         ["--radius", "-1"],
         ["--mode", "remap", "--target", "10", "0", "0", "5", "255", "255"],
-        ["--mode", "remap", "--target", "0", "0", "0", "300", "255", "255"]])
+        ["--mode", "remap", "--target", "0", "0", "0", "300", "255", "255"],
+        ["--radius", "nan"]])
     def test_bad_parameter_values(self, tmp_path, capsys, flags):
         _, cloud_path, boxes_path, *_ = write_scene(tmp_path)
         assert run(["recolor", "--cloud", str(cloud_path),
@@ -222,6 +235,14 @@ class TestEditCommands:
         seg = read_cloud(out)
         assert seg.count == 60
         assert np.all(seg.colors == np.array([10, 200, 30]))
+
+    def test_infinite_radius_recolors_nothing(self, tmp_path):
+        cloud, cloud_path, boxes_path, *_ = write_scene(tmp_path)
+        out = tmp_path / "o.ply"
+        assert run(["recolor", "--cloud", str(cloud_path),
+                    "--boxes", str(boxes_path), "--out", str(out),
+                    "--radius", "inf"]) == 0
+        assert np.array_equal(read_cloud(out).colors, cloud.colors)
 
     def test_edit_dry_run(self, tmp_path, capsys):
         _, cloud_path, boxes_path, *_ = write_scene(tmp_path)

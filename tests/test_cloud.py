@@ -1,9 +1,12 @@
 """Core data model: containment, color statistics, validation."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from pcedit import (ColorSphere, EmptySelection, OrientedBox, PointCloud,
                     RgbAabb, mean_color, point_in_box, points_in_box,
@@ -66,6 +69,39 @@ class TestPointInBox:
         assert turned.rotations == (0.0, 0.0, 0.0)
         assert np.array_equal(points_in_box(pts, plain),
                               points_in_box(pts, turned))
+
+
+def scipy_matrices(rotations) -> np.ndarray:
+    """scipy's matrices for (rx, ry, rz) triples, the reference that
+    ``OrientedBox.rotation_matrix`` reproduces without importing scipy."""
+    rx, ry, rz = np.asarray(rotations, dtype=np.float64).T
+    return Rotation.from_euler("ZYX", np.column_stack([rz, ry, rx]),
+                               degrees=True).as_matrix()
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape == (3, 3)
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), \
+        (actual, expected)
+
+
+class TestRotationMatrix:
+    any_angle = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=500)
+    @given(rx=any_angle, ry=any_angle, rz=any_angle)
+    def test_bit_identical_to_scipy(self, rx, ry, rz):
+        # inputs outside [0, 360) are normalised by __post_init__ first
+        box = make_box(rot=(rx, ry, rz))
+        assert_same_bits(box.rotation_matrix(),
+                         scipy_matrices([box.rotations])[0])
+
+    def test_bit_identical_to_scipy_on_a_grid(self):
+        angles = [45.0 * k for k in range(8)] + [359.999, 1e-12]
+        triples = list(itertools.product(angles, repeat=3))
+        expected = scipy_matrices(triples)
+        for rot, matrix in zip(triples, expected):
+            assert_same_bits(make_box(rot=rot).rotation_matrix(), matrix)
 
 
 class TestOrientedBoxValidation:

@@ -90,7 +90,8 @@ class TestFitColorSphere:
     @pytest.mark.parametrize("kwargs", [
         {"percentile": 0.0}, {"percentile": 100.5},
         {"radius_mode": "absolute", "radius": -1},
-        {"radius_mode": "median"}, {"outlier_mode": "blur"}])
+        {"radius_mode": "median"}, {"outlier_mode": "blur"},
+        {"radius_mode": "absolute", "radius": math.nan}])
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
             SphereParams(**kwargs)
