@@ -5,8 +5,8 @@ from .boxfile import (BoxFile, JoinedBox, PaletteFile, join_boxes_palette,
                       load_box_file, load_palette_file, parse_box_file,
                       parse_palette_file)
 from .cloud import (ColorSphere, LabelPalette, OrientedBox, PaletteEntry,
-                    PointCloud, RgbAabb, mean_color, point_in_box,
-                    points_in_box, quantize_colors, rgb_color_aabb)
+                    PointCloud, RgbAabb, mean_color, quantize_colors,
+                    rgb_color_aabb)
 from .errors import (CloudError, CodecUnavailable, DuplicateLabel,
                      EmptySelection, HeaderMismatch, MissingAttribute,
                      NoBoxes, NoEnabledBoxes, ParseError, PipelineStepError,
@@ -37,9 +37,8 @@ __all__ = [
     "delete_rgb_box_outliers", "delete_spherical_outliers",
     "detect_format", "fit_color_sphere", "join_boxes_palette",
     "load_box_file", "load_palette_file", "mean_color", "parse_box_file",
-    "parse_palette_file", "point_in_box", "points_in_box",
-    "position_precision", "quantize_colors", "read_cloud",
-    "recolor_rgb_box_remap", "recolor_spherical", "recolor_substitute",
-    "rgb_color_aabb", "split_by_boxes", "write_cloud", "write_fragments",
-    "__version__",
+    "parse_palette_file", "position_precision", "quantize_colors",
+    "read_cloud", "recolor_rgb_box_remap", "recolor_spherical",
+    "recolor_substitute", "rgb_color_aabb", "split_by_boxes", "write_cloud",
+    "write_fragments", "__version__",
 ]

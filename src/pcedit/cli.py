@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -36,8 +37,19 @@ class _UsageError(Exception):
     pass
 
 
+#: what argparse takes for a negative number, and so for a value rather
+#: than an option: decimals with or without an exponent, ``-inf``, ``-nan``
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not exit(2)."""
+    """argparse that reports usage problems as exceptions, not exit(2), and
+    reads ``--radius -1e-3`` as it reads ``--radius=-1e-3``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise _UsageError(message)

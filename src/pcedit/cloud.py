@@ -29,8 +29,6 @@ __all__ = [
     "RgbAabb",
     "PaletteEntry",
     "LabelPalette",
-    "point_in_box",
-    "points_in_box",
     "mean_color",
     "rgb_color_aabb",
     "quantize_colors",
@@ -197,16 +195,6 @@ class OrientedBox:
         with np.errstate(invalid="ignore", over="ignore"):
             reach = np.abs(self.rotation_matrix()) @ half + 1e-9 * half.sum()
             return centroid - reach, centroid + reach
-
-
-def points_in_box(positions: np.ndarray, box: OrientedBox) -> np.ndarray:
-    """Vectorized containment mask for an (n,3) position array."""
-    return box.contains(positions)
-
-
-def point_in_box(point, box: OrientedBox) -> bool:
-    """Scalar containment test; total function, boundary-inclusive."""
-    return bool(box.contains(np.asarray(point, dtype=np.float64)))
 
 
 class GridIndex:

@@ -5,6 +5,8 @@
 .xyzrgb   x y z r g b   -- colors are either bytes 0..255 or floats 0..1;
                            if every color value in the file is <= 1.0 the
                            float convention applies and values scale by 255.
+                           Either way a value outside the range (or NaN)
+                           is a ParseError at its line.
 """
 
 from __future__ import annotations
@@ -40,21 +42,24 @@ class XyzReader:
     @property
     def count(self) -> int:
         if self._count is None:
-            self._count = count_data_rows(self.path)
+            if self.kind == "xyzrgb":
+                self._float_convention()  # counts the rows as it scans
+            else:
+                self._count = count_data_rows(self.path)
         return self._count
 
     def _float_convention(self) -> bool:
-        """True when every color value in the file is <= 1.0."""
+        """True when every color value in the file other than NaN is <= 1.0
+        (NaN is out of range in either convention)."""
         if self._colors_are_floats is None:
             peak = 0.0
-            rows = 0
-            for values, _ in TableChunks(self.path, 6):
+            table = TableChunks(self.path, 6)
+            for values, _ in table:
                 block = values[:, 3:6]
                 if block.size:
-                    peak = max(peak, float(block.max()))
-                rows += values.shape[0]
+                    peak = max(peak, float(np.fmax.reduce(block, axis=None)))
             self._colors_are_floats = peak <= 1.0
-            self._count = rows
+            self._count = table.rows_read
         return self._colors_are_floats
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
@@ -68,11 +73,9 @@ class XyzReader:
                 normals = np.ascontiguousarray(values[:, 3:6])
             elif self.kind == "xyzrgb":
                 raw = values[:, 3:6]
-                if scale_colors:
-                    colors = quantize_colors(raw * 255.0)
-                else:
-                    check_colors(raw, lines, 255, self.path)
-                    colors = quantize_colors(raw)
+                check_colors(raw, lines, 1 if scale_colors else 255,
+                             self.path)
+                colors = quantize_colors(raw * 255.0 if scale_colors else raw)
             yield Chunk(positions, colors, normals)
         self._count = table.rows_read
 

@@ -1,0 +1,308 @@
+"""The two ASCII primitives: the block reader and the row formatter.
+
+``TableChunks`` parses plain blocks in one call and every other block line
+by line; its chunks and errors are compared with a per-line reference
+written here.  ``rows_to_text`` is compared byte for byte with
+``np.savetxt``.  The last tests count how often ``convert`` scans a text
+input.
+"""
+
+from __future__ import annotations
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcedit import ParseError, PointCloud, write_cloud
+from pcedit.cli import run
+from pcedit.formats import _ascii, xyz
+from pcedit.formats._ascii import TableChunks, count_data_rows, rows_to_text
+
+GOOD = ["0", "-0", "7", "-12", "3.5", "+.5", "5.", "1e5", "-2.5E-3", "1e+2",
+        "nan", "-inf", "inf", "NaN", "Infinity", "123456.789012"]
+BAD = ["abc", "1.2.3", "1e", "--1", "0x1f", "1,5", "é", "nan(1)"]
+ENDS = ["\n"] * 12 + ["\r\n", "\r"]
+
+
+@st.composite
+def numbers(draw):
+    pick = draw(st.integers(0, 40))
+    if pick == 0:
+        return draw(st.sampled_from(BAD))
+    if pick < 8:
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if pick < 14:
+        return str(draw(st.integers(-10**6, 10**6)))
+    return draw(st.sampled_from(GOOD))
+
+
+@st.composite
+def tables(draw):
+    """Bytes of a text table and the arguments to read it with."""
+    n_columns = draw(st.integers(1, 4))
+    header = [draw(st.sampled_from(["ply", "5", "# c", "", "1 2 3"]))
+              for _ in range(draw(st.sampled_from([0, 0, 1, 3])))]
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.integers(0, 30))
+        if kind == 0:
+            lines.append("# comment 1 2")
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+        else:
+            width = n_columns + (draw(st.sampled_from([-1, 1]))
+                                 if kind == 2 else 0)
+            tokens = [draw(numbers()) for _ in range(max(width, 1))]
+            line = "".join(tok + draw(st.sampled_from([" ", " ", "\t", "  "]))
+                           for tok in tokens).rstrip()
+            if draw(st.integers(0, 8)) == 0:
+                line = draw(st.sampled_from([" ", "\t"])) + line + " "
+            if draw(st.integers(0, 15)) == 0:
+                line += " # inline"
+            lines.append(line)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   for line in header)
+    text += "".join(line + draw(st.sampled_from(ENDS)) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    rows = sum(1 for line in lines if line.split("#")[0].strip())
+    max_rows = draw(st.one_of(st.none(), st.integers(0, rows + 2)))
+    return dict(data=text.encode("utf-8"), n_columns=n_columns,
+                skip=len(header), max_rows=max_rows,
+                forbid=draw(st.booleans()),
+                chunk_size=draw(st.sampled_from([1, 2, 3, 5, 1000])),
+                block_bytes=draw(st.integers(8, 64)))
+
+
+def reference(data: bytes, n_columns: int, skip: int, max_rows, forbid: bool,
+              chunk_size: int, path) -> tuple[list, str | None, int, int]:
+    """(chunks, error message, rows read, last line number), reading one
+    physical line at a time and parsing each token with ``float``."""
+    text = data.decode("utf-8", errors="replace")
+    physical = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if physical[-1] == "":
+        physical.pop()
+    chunks: list = []
+    pending: list = []
+    rows = 0
+    line_no = min(skip, len(physical))
+
+    def fail(message, line):
+        return chunks, f"{path}: line {line}: {message}", rows, line_no
+
+    def parse():
+        for text, line in pending:
+            tokens = text.split()
+            if len(tokens) != n_columns:
+                return (f"expected {n_columns} columns, "
+                        f"found {len(tokens)}", line)
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    return f"invalid number {token!r}", line
+        chunks.append((np.array([[float(tok) for tok in text.split()]
+                                 for text, _ in pending]),
+                       np.array([line for _, line in pending])))
+        return None
+
+    for index in range(skip, len(physical)):
+        line_no = index + 1
+        text = physical[index].split("#", 1)[0].strip()
+        if not text:
+            continue
+        if max_rows is not None and rows >= max_rows:
+            if forbid:
+                return fail(f"expected {max_rows} data rows, found extra "
+                            f"data", line_no)
+            break
+        pending.append((text, line_no))
+        rows += 1
+        if len(pending) == chunk_size:
+            if (error := parse()) is not None:
+                return fail(*error)
+            pending = []
+    if pending and (error := parse()) is not None:
+        return fail(*error)
+    if max_rows is not None and rows < max_rows:
+        return fail(f"declared {max_rows} but file ends after {rows}",
+                    line_no + 1)
+    return chunks, None, rows, line_no
+
+
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal, NaN for NaN, and with the same sign on every zero."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestTableChunks:
+    @settings(max_examples=400)
+    @given(case=tables())
+    def test_matches_per_line_reference(self, tmp_path_factory, case):
+        path = tmp_path_factory.getbasetemp() / "table.txt"
+        path.write_bytes(case["data"])
+        expected, message, rows, line_no = reference(
+            case["data"], case["n_columns"], case["skip"], case["max_rows"],
+            case["forbid"], case["chunk_size"], path)
+        table = TableChunks(path, case["n_columns"],
+                            skip_header_lines=case["skip"],
+                            max_rows=case["max_rows"],
+                            declared=f"declared {case['max_rows']}",
+                            forbid_extra_rows=case["forbid"],
+                            chunk_size=case["chunk_size"])
+        got = []
+        error = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_ascii, "BLOCK_BYTES", case["block_bytes"])
+            try:
+                for values, lines in table:
+                    got.append((values.copy(), lines.copy()))
+            except ParseError as exc:
+                error = str(exc)
+            counted = count_data_rows(path, skip_header_lines=case["skip"])
+        assert error == message
+        assert len(got) == len(expected)
+        for (values, lines), (want_values, want_lines) in zip(got, expected):
+            assert same_values(values, want_values)
+            assert values.dtype == np.float64 and lines.dtype == np.int64
+            assert lines.tolist() == want_lines.tolist()
+        if message is None:
+            assert (table.rows_read, table.line_no) == (rows, line_no)
+        text = case["data"].decode("utf-8", errors="replace")
+        physical = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert counted == sum(1 for line in physical[case["skip"]:]
+                              if line.split("#", 1)[0].strip())
+
+    def test_plain_rows_share_a_chunk_with_a_commented_block(self, tmp_path,
+                                                             monkeypatch):
+        """A chunk fed by a plain block and a per-line block, whose text
+        rows fail as a whole without a bad token to name, fails at the
+        chunk's first line, as if every line had been read one by one."""
+        monkeypatch.setattr(_ascii, "BLOCK_BYTES", 16)
+        path = tmp_path / "mixed.xyz"
+        path.write_text("1 2 3\n4 5 6\n7 8 9\n"   # plain: lines 1-3
+                        "# note\n1_0 2 3\n")       # per line: lines 4-5
+        # float() takes "1_0", loadtxt does not
+        with pytest.raises(ParseError,
+                           match="line 1: malformed numeric data"):
+            list(TableChunks(path, 3, chunk_size=10))
+        # in chunks of 2, the bad row's chunk starts at line 3
+        with pytest.raises(ParseError,
+                           match="line 3: malformed numeric data"):
+            list(TableChunks(path, 3, chunk_size=2))
+
+    def test_large_plain_file_crosses_blocks(self, tmp_path, monkeypatch,
+                                             rng):
+        monkeypatch.setattr(_ascii, "BLOCK_BYTES", 4096)
+        matrix = rng.uniform(-1e3, 1e3, (5000, 3))
+        path = tmp_path / "big.xyz"
+        np.savetxt(path, matrix, fmt="%.6f")
+        chunks = list(TableChunks(path, 3, chunk_size=777))
+        assert [len(v) for v, _ in chunks] == [777] * 6 + [338]
+        values = np.concatenate([v for v, _ in chunks])
+        lines = np.concatenate([n for _, n in chunks])
+        assert np.array_equal(values, np.round(matrix, 6))
+        assert np.array_equal(lines, np.arange(1, 5001))
+        assert count_data_rows(path) == 5000
+
+
+HALFWAY = st.integers(-10**7, 10**7).flatmap(
+    lambda k: st.sampled_from([k * 1e-6 + 5e-7, k * 1e-6 - 5e-7]))
+SPECIAL = st.sampled_from([2.5e-7, -2.5e-7, 0.0, -0.0, -1e-7, 1e-7, 5e-7,
+                           1e15, -1e15, 1e300, 0.1, 1234567.0000005,
+                           np.nan, np.inf, -np.inf])
+FLOATS = st.one_of(HALFWAY, SPECIAL, st.floats(width=64))
+FORMATS = ["%.6f %.6f %.6f %d %d %d", "%.6f %.6f %.6f 0 %d %d %d",
+           "%.6f %.6f %.6f %.6f %.6f %.6f", "%.6f %.6f %.6f"]
+
+
+def savetxt_bytes(matrix: np.ndarray, fmt: str) -> bytes:
+    buf = io.StringIO()
+    np.savetxt(buf, matrix, fmt=fmt, newline="\n")
+    return buf.getvalue().encode("ascii")
+
+
+class TestRowsToText:
+    @settings(max_examples=300)
+    @given(data=st.data(), fmt=st.sampled_from(FORMATS),
+           rows=st.integers(0, 12), slice_rows=st.integers(1, 5))
+    def test_matches_savetxt(self, data, fmt, rows, slice_rows):
+        positions = np.array(data.draw(st.lists(
+            st.tuples(FLOATS, FLOATS, FLOATS), min_size=rows,
+            max_size=rows)), dtype=np.float64).reshape(rows, 3)
+        extra = fmt.count("%") - 3
+        if "%d" in fmt:
+            block = np.array(data.draw(st.lists(
+                st.integers(0, 255), min_size=rows * extra,
+                max_size=rows * extra)), dtype=np.uint8).reshape(rows, extra)
+        else:
+            block = np.array(data.draw(st.lists(
+                FLOATS, min_size=rows * extra, max_size=rows * extra)),
+                dtype=np.float64).reshape(rows, extra)
+        matrix = np.hstack([positions, block])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_ascii, "FORMAT_ROWS", slice_rows)
+            assert rows_to_text(matrix, fmt) == savetxt_bytes(matrix, fmt)
+
+    def test_known_strings(self):
+        matrix = np.array([[-1e-7, 2.5e-7, -0.0, 255, 0, 7]])
+        assert rows_to_text(matrix, FORMATS[0]) == \
+            b"-0.000000 0.000000 -0.000000 255 0 7\n"
+
+    def test_more_rows_than_one_slice(self, rng):
+        positions = rng.uniform(-1e4, 1e4, (_ascii.FORMAT_ROWS * 2 + 5, 3))
+        colors = rng.integers(0, 256, positions.shape).astype(np.uint8)
+        matrix = np.hstack([positions, colors])
+        assert rows_to_text(matrix, FORMATS[0]) == \
+            savetxt_bytes(matrix, FORMATS[0])
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts full scans of text inputs: ``TableChunks`` passes and
+    ``count_data_rows`` calls."""
+    seen = []
+    table_iter = _ascii.TableChunks.__iter__
+    count_rows = xyz.count_data_rows
+
+    def counted_iter(self):
+        seen.append(self.path.name)
+        yield from table_iter(self)
+
+    def counted_rows(path, *args, **kwargs):
+        seen.append(path.name)
+        return count_rows(path, *args, **kwargs)
+
+    monkeypatch.setattr(_ascii.TableChunks, "__iter__", counted_iter)
+    monkeypatch.setattr(xyz, "count_data_rows", counted_rows)
+    return seen
+
+
+class TestInputPasses:
+    @pytest.fixture
+    def cloud(self, rng):
+        return PointCloud(rng.uniform(-5, 5, (40, 3)),
+                          rng.integers(0, 256, (40, 3)))
+
+    def test_xyzrgb_is_scanned_at_most_twice(self, tmp_path, cloud, scans):
+        src = tmp_path / "in.xyzrgb"
+        write_cloud(cloud, src)
+        assert run(["convert", str(src), str(tmp_path / "out.ply")]) == 0
+        assert scans.count("in.xyzrgb") <= 2
+
+    @pytest.mark.parametrize("name, flags", [("in.pts", []),
+                                             ("in.ply", ["--encoding",
+                                                         "ascii"])])
+    def test_headed_text_is_scanned_once(self, tmp_path, cloud, scans, name,
+                                         flags):
+        src = tmp_path / name
+        write_cloud(cloud, tmp_path / "seed.ply")
+        assert run(["convert", str(tmp_path / "seed.ply"), str(src),
+                    *flags]) == 0
+        assert scans == []
+        assert run(["convert", str(src), str(tmp_path / "out.pcd")]) == 0
+        assert scans == [name]

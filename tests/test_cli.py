@@ -91,6 +91,15 @@ class TestConvert:
         # checked before the LAZ codec is looked for, so laspy is not needed
         assert "LAS scale must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["-0.5", "nan"])
+    def test_float_convention_color_out_of_range(self, tmp_path, capsys,
+                                                  bad):
+        src = tmp_path / "n.xyzrgb"
+        src.write_text(f"1 1 1 0.5 0.5 0.5\n0 0 0 {bad} 0.2 0.25\n")
+        assert run(["convert", str(src), str(tmp_path / "n.ply")]) == 2
+        assert sorted(tmp_path.iterdir()) == [src]
+        assert "line 2: color value" in capsys.readouterr().err
+
     def test_report_file_shape(self, tmp_path):
         _, cloud_path, *_ = write_scene(tmp_path)
         out = tmp_path / "out.xyzrgb"
@@ -154,6 +163,31 @@ class TestUsageErrors:
                     "--boxes", str(boxes_path),
                     "--out", str(tmp_path / "o.ply"), *flags]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, value, code, message", [
+        ("convert", "--las-scale", "-inf", 2, "LAS scale must be finite"),
+        ("convert", "--las-scale", "-1e-3", 2, "LAS scale must be finite"),
+        ("recolor", "--radius", "-1e-3", 1, "radius must be >= 0"),
+        ("recolor", "--percentile", "-inf", 1, "percentile must be in"),
+    ])
+    def test_option_value_starting_with_minus(self, tmp_path, capsys,
+                                              command, option, value, code,
+                                              message):
+        """``--opt -1e-3`` is the value -1e-3, exactly as ``--opt=-1e-3``."""
+        _, cloud_path, boxes_path, *_ = write_scene(tmp_path)
+        if command == "convert":
+            args = ["convert", str(cloud_path), str(tmp_path / "o.las")]
+        else:
+            args = ["recolor", "--cloud", str(cloud_path), "--boxes",
+                    str(boxes_path), "--out", str(tmp_path / "o.ply")]
+        before = sorted(tmp_path.iterdir())
+        errors = []
+        for spelling in ([option, value], [f"{option}={value}"]):
+            assert run(args + spelling) == code
+            errors.append(capsys.readouterr().err)
+        assert sorted(tmp_path.iterdir()) == before
+        assert message in errors[0]
+        assert errors[0] == errors[1]
 
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path,
                                                        monkeypatch):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from pcedit import (ColorSphere, EmptySelection, OrientedBox, PointCloud,
-                    RgbAabb, mean_color, point_in_box, points_in_box,
-                    quantize_colors, rgb_color_aabb)
+                    RgbAabb, mean_color, quantize_colors, rgb_color_aabb)
 
 from conftest import oracle_contains, random_box
 
@@ -25,20 +24,20 @@ def make_box(centroid=(0, 0, 0), dims=(2, 2, 2), rot=(0, 0, 0), label="box"):
 
 class TestPointInBox:
     def test_interior(self):
-        assert point_in_box((0.5, 0.5, 0.5), make_box())
+        assert make_box().contains((0.5, 0.5, 0.5))
 
     def test_face_is_inclusive(self):
-        assert point_in_box((1.0, 0.0, 0.0), make_box())
+        assert make_box().contains((1.0, 0.0, 0.0))
 
     def test_just_outside(self):
-        assert not point_in_box((1.0 + 1e-9, 0.0, 0.0), make_box())
+        assert not make_box().contains((1.0 + 1e-9, 0.0, 0.0))
 
     def test_yaw_45_rotates_corner_point_inside(self):
         # (1.2, 0, 0) in the frame of a 45-degree-yawed box sits at
         # roughly (0.849, -0.849, 0): inside the unit half-extents.
         box = make_box(rot=(0, 0, 45))
-        assert point_in_box((1.2, 0.0, 0.0), box)
-        assert not point_in_box((1.2, 0.0, 0.0), make_box())
+        assert box.contains((1.2, 0.0, 0.0))
+        assert not make_box().contains((1.2, 0.0, 0.0))
 
     def test_zero_rotation_equals_interval_test(self, rng):
         box = make_box(centroid=(1, -2, 3), dims=(2, 5, 0.5))
@@ -46,13 +45,13 @@ class TestPointInBox:
         lo = np.array([0, -4.5, 2.75])
         hi = np.array([2, 0.5, 3.25])
         expected = np.all((pts >= lo) & (pts <= hi), axis=1)
-        assert np.array_equal(points_in_box(pts, box), expected)
+        assert np.array_equal(box.contains(pts), expected)
 
     def test_matches_rotation_oracle_on_random_boxes(self, rng):
         pts = rng.uniform(-15, 15, (2000, 3))
         for _ in range(25):
             box = random_box(rng)
-            assert np.array_equal(points_in_box(pts, box),
+            assert np.array_equal(box.contains(pts),
                                   oracle_contains(pts, box))
 
     @given(rx=angles, ry=angles, rz=angles,
@@ -60,15 +59,15 @@ class TestPointInBox:
     def test_oracle_agreement_property(self, rx, ry, rz, px, py, pz):
         box = make_box(centroid=(1, 2, 3), dims=(4, 3, 2), rot=(rx, ry, rz))
         point = np.array([[px, py, pz]])
-        assert points_in_box(point, box)[0] == oracle_contains(point, box)[0]
+        assert box.contains(point)[0] == oracle_contains(point, box)[0]
 
     def test_rotation_full_turn_is_identity(self, rng):
         pts = rng.uniform(-3, 3, (200, 3))
         plain = make_box(rot=(0, 0, 0), dims=(3, 2, 1))
         turned = make_box(rot=(360, 720, -360), dims=(3, 2, 1))
         assert turned.rotations == (0.0, 0.0, 0.0)
-        assert np.array_equal(points_in_box(pts, plain),
-                              points_in_box(pts, turned))
+        assert np.array_equal(plain.contains(pts),
+                              turned.contains(pts))
 
 
 def scipy_matrices(rotations) -> np.ndarray:

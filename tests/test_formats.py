@@ -555,6 +555,16 @@ class TestAsciiFamily:
         with pytest.raises(ParseError, match="line 2"):
             read_cloud(path)
 
+    @pytest.mark.parametrize("bad, shown", [("-0.5", "-0.5"),
+                                            ("nan", "nan")])
+    def test_xyzrgb_float_convention_range_checked(self, tmp_path, bad,
+                                                    shown):
+        path = write_tmp(tmp_path, "n.xyzrgb",
+                         f"1 1 1 0.5 0.5 0.5\n0 0 0 {bad} 0.2 0.25\n")
+        with pytest.raises(ParseError,
+                           match=f"line 2: color value {shown} outside 0..1"):
+            read_cloud(path)
+
     def test_comments_and_blanks_skipped_with_line_numbers(self, tmp_path):
         path = write_tmp(tmp_path, "c.xyz",
                          "# header\n1 2 3\n\n4 5 6  # inline\nbad line\n")
