@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import secrets
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cloud import PointCloud
-from ..errors import (HeaderMismatch, MissingAttribute, UnknownFormat,
-                      UnsupportedPointRecord)
+from ..errors import HeaderMismatch, MissingAttribute, UnknownFormat
 from . import las, laz, pcd, ply, pts, xyz
 from ._base import (ASCII, ASCII_DECIMALS, BINARY, CAPS, DEFAULT_CHUNK_POINTS,
                     DEFAULT_LAS_SCALE, Chunk, FormatDescriptor,
@@ -39,8 +37,8 @@ __all__ = [
 
 #: kind -> the module that reads and writes it.  A kind is also its file
 #: extension.  Every module has FAMILY (what ``_sniff_family`` must find in
-#: the content; None for plain text tables), probe(path, kind),
-#: open_reader(path, kind) and
+#: the content; None for plain text tables), open_reader(path, kind), which
+#: parses the header once, and
 #: open_writer(path, descriptor, count, *, las_scale, las_offset).
 _MODULES = {"las": las, "laz": laz, "xyz": xyz, "xyzn": xyz, "xyzrgb": xyz,
             "pts": pts, "ply": ply, "pcd": pcd}
@@ -77,8 +75,9 @@ def _sniff_family(head: bytes) -> str | None:
     return None
 
 
-def detect_format(path) -> FormatDescriptor:
-    """Resolve a file's descriptor: extension first, magic must agree."""
+def open_reader(path):
+    """A chunked reader for ``path``: the extension picks the format, the
+    magic must agree, and the format's module parses the header."""
     kind = kind_of(path)
     with open(path, "rb") as fh:
         sniffed = _sniff_family(fh.read(4096))
@@ -86,13 +85,12 @@ def detect_format(path) -> FormatDescriptor:
         raise HeaderMismatch(
             f"{path}: extension says {kind} but content looks like "
             f"{sniffed or 'a plain text table'}")
-    return _MODULES[kind].probe(path, kind)
-
-
-def open_reader(path):
-    """Detect the format and return a chunked reader for it."""
-    kind = detect_format(path).kind
     return _MODULES[kind].open_reader(path, kind)
+
+
+def detect_format(path) -> FormatDescriptor:
+    """Resolve a file's descriptor: extension first, magic must agree."""
+    return open_reader(path).descriptor
 
 
 def open_writer(path, descriptor: FormatDescriptor, count: int | None = None,
@@ -152,25 +150,9 @@ def resolve_descriptor(kind: str, *, has_color: bool, has_normals: bool,
                             has_normals=normals), warnings
 
 
-def _check_expectation(found: FormatDescriptor, expected: FormatDescriptor,
-                       path) -> None:
-    if expected.kind != found.kind or expected.encoding != found.encoding:
-        raise HeaderMismatch(
-            f"{path}: expected {expected.kind}/{expected.encoding}, found "
-            f"{found.kind}/{found.encoding}")
-    if expected.has_color and not found.has_color:
-        raise UnsupportedPointRecord(
-            f"{path}: color expected but the file stores none")
-    if expected.has_normals and not found.has_normals:
-        raise MissingAttribute(
-            f"{path}: normals expected but the file stores none")
-
-
-def read_cloud(source, descriptor: FormatDescriptor | None = None) -> PointCloud:
+def read_cloud(source) -> PointCloud:
     """Load a whole file into memory as a PointCloud."""
     reader = open_reader(source)
-    if descriptor is not None:
-        _check_expectation(reader.descriptor, descriptor, source)
     desc = reader.descriptor
     positions, colors, normals = [], [], []
     for chunk in reader.chunks():
@@ -242,7 +224,7 @@ def _write_chunks(path, descriptor: FormatDescriptor, count: int, chunks, *,
     stem, suffix = os.path.splitext(name)
     # the name keeps the target's extension, which some codecs read
     temp = os.path.join(directory,
-                        f".{stem}.{secrets.token_hex(8)}.tmp{suffix}")
+                        f".{stem}.{os.urandom(8).hex()}.tmp{suffix}")
     # created as open(target, "wb") would create it: mode 0o666 less umask
     try:
         os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))

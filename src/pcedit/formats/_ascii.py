@@ -16,7 +16,6 @@ through the per-line path.
 from __future__ import annotations
 
 import io
-import itertools
 import re
 from pathlib import Path
 from typing import Iterator
@@ -35,7 +34,6 @@ FORMAT_ROWS = 32_768
 _NUMBER_BYTES = b"0123456789eE.+- \t\n"
 _BLANK_START = re.compile(rb"[ \t]*\n")
 _BLANK_LINE = re.compile(rb"\n[ \t]*\n")
-_LINE_END = re.compile(rb"\r\n|\r|\n")  # text mode's universal newlines
 
 
 def _strip(line: str) -> str:
@@ -67,13 +65,6 @@ def _blocks(fh) -> Iterator[bytes]:
         yield carry + b"\n"
 
 
-def _skip_lines(block: bytes, lines: int) -> tuple[int, bytes]:
-    """Drop up to ``lines`` leading lines; returns (dropped, rest)."""
-    ends = [m.end() for m in itertools.islice(_LINE_END.finditer(block),
-                                              lines)]
-    return len(ends), block[ends[-1]:] if ends else block
-
-
 def _text_lines(block: bytes):
     """The lines of ``block`` as text mode reads them."""
     return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8",
@@ -85,19 +76,21 @@ class TableChunks:
 
     Yields ``(values, lines)`` pairs where ``values`` is float64 of shape
     ``(k, n_columns)`` and ``lines`` holds the 1-based physical line number
-    of each row.  Blank lines and ``#`` comments are skipped but still count
+    of each row.  Rows start after ``header``, the bytes a format's header
+    parser consumed; line numbers go on from the header's lines as text mode
+    counts them.  Blank lines and ``#`` comments are skipped but still count
     toward line numbers.  After exhaustion ``rows_read`` and ``line_no`` hold
     the totals.  A file with fewer than ``max_rows`` rows fails with a
     ParseError that starts with ``declared`` (what promised the rows).
     """
 
-    def __init__(self, path, n_columns: int, *, skip_header_lines: int = 0,
+    def __init__(self, path, n_columns: int, *, header: bytes = b"",
                  max_rows: int | None = None, declared: str = "",
                  forbid_extra_rows: bool = False,
                  chunk_size: int = DEFAULT_CHUNK_POINTS):
         self.path = Path(path)
         self.n_columns = n_columns
-        self.skip_header_lines = skip_header_lines
+        self.header = header
         self.max_rows = max_rows
         self.declared = declared
         self.forbid_extra_rows = forbid_extra_rows
@@ -111,13 +104,10 @@ class TableChunks:
         parts: list = []
         filled = 0
         self.rows_read = 0
-        self.line_no = 0
+        self.line_no = sum(1 for _ in _text_lines(self.header))
         with open(self.path, "rb") as fh:
+            fh.seek(len(self.header))
             for block in _blocks(fh):
-                if self.line_no < self.skip_header_lines:
-                    skipped, block = _skip_lines(
-                        block, self.skip_header_lines - self.line_no)
-                    self.line_no += skipped
                 values = self._load(block)
                 if values is not None:
                     first = self.line_no + 1
@@ -245,15 +235,11 @@ class TableChunks:
                                      path=self.path, line=line_no) from None
 
 
-def count_data_rows(path, *, skip_header_lines: int = 0) -> int:
+def count_data_rows(path) -> int:
     """Count non-blank, non-comment lines without parsing numbers."""
     rows = 0
-    skip = skip_header_lines
     with open(path, "rb") as fh:
         for block in _blocks(fh):
-            if skip:
-                skipped, block = _skip_lines(block, skip)
-                skip -= skipped
             if _plain(block):
                 rows += block.count(b"\n")
             else:

@@ -120,14 +120,14 @@ class RecordLayout:
     """A PLY/PCD data section as its header declares it.
 
     ``fields`` holds (name, numpy type code, values per record) in file
-    order.  A name may repeat; lookups use its first occurrence.
+    order.  A name may repeat; lookups use its first occurrence.  ``header``
+    is the bytes the header parser consumed; the data starts after them.
     """
 
     encoding: str
     count: int
     fields: list[tuple[str, str, int]]
-    header_bytes: int
-    header_lines: int
+    header: bytes
 
     def first(self, name: str) -> int | None:
         for i, (field, _, _) in enumerate(self.fields):
@@ -154,7 +154,7 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
     """
     if layout.encoding == ASCII:
         table = TableChunks(path, sum(n for _, _, n in layout.fields),
-                            skip_header_lines=layout.header_lines,
+                            header=layout.header,
                             max_rows=layout.count, declared=declared,
                             chunk_size=chunk_size)
         for values, lines in table:
@@ -163,7 +163,7 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
         return
     dtype = np.dtype([(f"f{i}", f"<{code}", (n,) if n > 1 else ())
                       for i, (_, code, n) in enumerate(layout.fields)])
-    for records in read_records(path, dtype, layout.header_bytes,
+    for records in read_records(path, dtype, len(layout.header),
                                 layout.count, chunk_size, noun):
         yield (lambda names: np.column_stack(
             [records[f"f{layout.first(name)}"] for name in names])), None

@@ -247,10 +247,6 @@ class LasWriter(FileWriter):
         return super().close()
 
 
-def probe(path, kind: str) -> FormatDescriptor:
-    return LasReader(path).descriptor
-
-
 def open_reader(path, kind: str) -> LasReader:
     return LasReader(path)
 

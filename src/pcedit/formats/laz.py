@@ -36,31 +36,29 @@ def _require_laspy():
     return laspy
 
 
-def probe(path, kind: str) -> FormatDescriptor:
-    header = read_header(path)
-    if not header.compressed:
-        raise HeaderMismatch(
-            f"{path}: .laz extension but the data is uncompressed LAS")
-    if header.point_format not in (0, 1, 2, 3):
-        raise UnsupportedPointRecord(
-            f"LAS point record format {header.point_format} is not "
-            f"supported (supported: 0-3)")
-    return FormatDescriptor(kind="laz", encoding=BINARY,
-                            has_color=header.point_format in _COLOR_FORMATS,
-                            has_normals=False)
-
-
 class LazReader:
+    """Everything but the points comes from the LAS header, so a LAZ file
+    opens and counts without laspy; ``chunks`` needs it."""
+
     def __init__(self, path):
         self.path = Path(path)
-        self.descriptor = probe(path, "laz")
-        self._laspy = _require_laspy()
-        with self._laspy.open(str(path)) as fh:
-            self.count = fh.header.point_count
+        header = read_header(path)
+        if not header.compressed:
+            raise HeaderMismatch(
+                f"{path}: .laz extension but the data is uncompressed LAS")
+        if header.point_format not in (0, 1, 2, 3):
+            raise UnsupportedPointRecord(
+                f"LAS point record format {header.point_format} is not "
+                f"supported (supported: 0-3)")
+        self.descriptor = FormatDescriptor(
+            kind="laz", encoding=BINARY,
+            has_color=header.point_format in _COLOR_FORMATS,
+            has_normals=False)
+        self.count = header.count
         self.narrows_colors = self.descriptor.has_color
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        with self._laspy.open(str(self.path)) as fh:
+        with _require_laspy().open(str(self.path)) as fh:
             for points in fh.chunk_iterator(chunk_size):
                 positions = np.column_stack([np.asarray(points.x),
                                              np.asarray(points.y),

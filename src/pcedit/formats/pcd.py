@@ -31,7 +31,7 @@ _NORMAL_NAMES = ("normal_x", "normal_y", "normal_z")
 
 def _parse_header(path) -> RecordLayout:
     entries: dict[str, list[str]] = {}
-    header_bytes = 0
+    header = b""
     header_lines = 0
     with open(path, "rb") as fh:
         while True:
@@ -39,7 +39,7 @@ def _parse_header(path) -> RecordLayout:
             if not raw:
                 raise ParseError("missing DATA line", path=path,
                                  line=header_lines + 1)
-            header_bytes += len(raw)
+            header += raw
             header_lines += 1
             line = raw.decode("ascii", errors="replace").strip()
             if not line or line.startswith("#"):
@@ -96,8 +96,7 @@ def _parse_header(path) -> RecordLayout:
                    f"{min(width, height, count)}")
 
     layout = RecordLayout(encoding=encoding, count=count, fields=fields,
-                          header_bytes=header_bytes,
-                          header_lines=header_lines)
+                          header=header)
     for axis in _XYZ:
         if layout.first(axis) is None or layout.code(axis)[0] != "f":
             raise fail(f"missing float field {axis!r}")
@@ -156,8 +155,10 @@ class PcdReader:
         if code[0] == "f":
             return _unpack_rgb(np.ascontiguousarray(
                 raw[:, 0], dtype=np.float32).view(np.uint32))
-        if lines is not None and code[0] == "u":
-            check_colors(raw, lines, np.iinfo(code).max, self.path)
+        if lines is not None:  # text: round half-to-even like the others
+            if code[0] == "u":
+                check_colors(raw, lines, np.iinfo(code).max, self.path)
+            raw = np.rint(raw)
         return _unpack_rgb(raw[:, 0].astype(np.uint64).astype(np.uint32))
 
 
@@ -177,10 +178,6 @@ def _header(descriptor: FormatDescriptor, count: int, groups) -> bytes:
              f"POINTS {count}",
              f"DATA {mode}"]
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def probe(path, kind: str) -> FormatDescriptor:
-    return PcdReader(path).descriptor
 
 
 def open_reader(path, kind: str) -> PcdReader:

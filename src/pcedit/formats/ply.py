@@ -47,14 +47,14 @@ _RGB = ("red", "green", "blue")
 
 def _parse_header(path) -> RecordLayout:
     lines: list[str] = []
-    header_bytes = 0
+    header = b""
     with open(path, "rb") as fh:
         while True:
             raw = fh.readline()
             if not raw:
                 raise ParseError("missing end_header", path=path,
                                  line=len(lines) + 1)
-            header_bytes += len(raw)
+            header += raw
             line = raw.decode("ascii", errors="replace").strip()
             lines.append(line)
             if line == "end_header":
@@ -131,8 +131,7 @@ def _parse_header(path) -> RecordLayout:
             raise ParseError(f"element {name!r} precedes vertex", path=path,
                              line=len(lines))
     layout = RecordLayout(encoding=encoding, count=vertex[0][1],
-                          fields=props, header_bytes=header_bytes,
-                          header_lines=len(lines))
+                          fields=props, header=header)
     for axis in _XYZ:
         if layout.first(axis) is None:
             raise ParseError(f"vertex element lacks property {axis!r}",
@@ -187,10 +186,6 @@ def _header(descriptor: FormatDescriptor, count: int, groups) -> bytes:
               for group in groups for name in group.names]
     lines.append("end_header")
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def probe(path, kind: str) -> FormatDescriptor:
-    return PlyReader(path).descriptor
 
 
 def open_reader(path, kind: str) -> PlyReader:

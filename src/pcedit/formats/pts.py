@@ -8,6 +8,7 @@ first surplus row.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ FAMILY = None
 
 _COLUMNS = 7  # x y z intensity r g b
 
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+
 _DESCRIPTOR = FormatDescriptor(kind="pts", encoding=ASCII, has_color=True,
                                has_normals=False)
 
@@ -30,29 +33,34 @@ _ENCODE = record_encoder(ASCII,
                          [POSITIONS, COLORS._replace(fmt="0 %d %d %d")])
 
 
-def _read_count(path) -> int:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+def _read_count(path) -> tuple[int, bytes]:
+    """The declared point count and the bytes of its line, which ends where
+    text mode ends a line: at ``\\r\\n``, ``\\r`` or ``\\n``."""
+    with open(path, "rb") as fh:
         first = fh.readline()
     if not first:
         raise ParseError("missing point-count header", path=path, line=1)
+    end = _LINE_END.search(first)
+    header = first[:end.end()] if end else first
+    text = header.decode("utf-8", errors="replace").strip()
     try:
-        count = int(first.strip())
+        count = int(text)
     except ValueError:
-        raise ParseError(f"point-count header is not an integer: "
-                         f"{first.strip()!r}", path=path, line=1) from None
+        raise ParseError(f"point-count header is not an integer: {text!r}",
+                         path=path, line=1) from None
     if count < 0:
         raise ParseError(f"negative point count {count}", path=path, line=1)
-    return count
+    return count, header
 
 
 class PtsReader:
     def __init__(self, path):
         self.path = Path(path)
         self.descriptor = _DESCRIPTOR
-        self.count = _read_count(path)
+        self.count, self._header = _read_count(path)
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        table = TableChunks(self.path, _COLUMNS, skip_header_lines=1,
+        table = TableChunks(self.path, _COLUMNS, header=self._header,
                             max_rows=self.count, forbid_extra_rows=True,
                             declared=f"header declares {self.count} points",
                             chunk_size=chunk_size)
@@ -61,10 +69,6 @@ class PtsReader:
             check_colors(raw, lines, 255, self.path)
             yield Chunk(np.ascontiguousarray(values[:, :3]),
                         quantize_colors(raw), None)
-
-
-def probe(path, kind: str) -> FormatDescriptor:
-    return PtsReader(path).descriptor
 
 
 def open_reader(path, kind: str) -> PtsReader:

@@ -25,17 +25,13 @@ FAMILY = None
 _COLUMNS = {"xyz": 3, "xyzn": 6, "xyzrgb": 6}
 
 
-def _descriptor(kind: str) -> FormatDescriptor:
-    return FormatDescriptor(kind=kind, encoding=ASCII,
-                            has_color=kind == "xyzrgb",
-                            has_normals=kind == "xyzn")
-
-
 class XyzReader:
     def __init__(self, path, kind: str):
         self.path = Path(path)
         self.kind = kind
-        self.descriptor = _descriptor(kind)
+        self.descriptor = FormatDescriptor(kind=kind, encoding=ASCII,
+                                           has_color=kind == "xyzrgb",
+                                           has_normals=kind == "xyzn")
         self._count: int | None = None
         self._colors_are_floats: bool | None = None
 
@@ -78,10 +74,6 @@ class XyzReader:
                 colors = quantize_colors(raw * 255.0 if scale_colors else raw)
             yield Chunk(positions, colors, normals)
         self._count = table.rows_read
-
-
-def probe(path, kind: str) -> FormatDescriptor:
-    return _descriptor(kind)
 
 
 def open_reader(path, kind: str) -> XyzReader:

@@ -9,17 +9,21 @@ remainder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import GridIndex, OrientedBox, PointCloud
-from .errors import NoBoxes
-from .formats import resolve_descriptor, write_cloud
+from .errors import NoBoxes, UnknownFormat
+from .formats import CAPS, DEFAULT_LAS_SCALE, write_cloud
 
 log = logging.getLogger(__name__)
 
@@ -94,46 +98,51 @@ def _unique_name(base: str, used: set[str]) -> str:
 
 def write_fragments(result: SplitResult, out_dir, kind: str = "ply", *,
                     encoding: str | None = None,
-                    naming_template: str = "{label}.{ext}",
-                    las_scale: float | None = None) -> list[Path]:
+                    las_scale: float = DEFAULT_LAS_SCALE) -> list[Path]:
     """Write one file per fragment plus the remainder and a manifest.
 
     Name collisions after label sanitization get ``_2``/``_3`` suffixes.
     Empty fragments are still written (with a warning) so downstream
-    pipelines keyed by label never face missing files.
+    pipelines keyed by label never face missing files.  The files are
+    staged in a hidden directory inside ``out_dir`` and moved into place
+    only once every one of them is written, so a failure leaves
+    ``out_dir`` as it was.
     """
+    if kind not in CAPS:
+        raise UnknownFormat(f"unknown format kind {kind!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".split.", dir=out))
     used: set[str] = set()
-    paths: list[Path] = []
+    names: list[str] = []
     manifest: dict = {"fragments": [], "remainder": None}
-    extra = {} if las_scale is None else {"las_scale": las_scale}
 
-    def _emit(label: str, cloud: PointCloud) -> Path:
-        descriptor, _ = resolve_descriptor(
-            kind, has_color=cloud.has_color,
-            has_normals=cloud.normals is not None, encoding=encoding)
-        name = _unique_name(
-            naming_template.format(label=_sanitize(label), ext=kind), used)
-        path = out / name
-        write_cloud(cloud, path, descriptor, **extra)
-        return path
+    def _emit(label: str, cloud: PointCloud) -> str:
+        name = _unique_name(f"{_sanitize(label)}.{kind}", used)
+        write_cloud(cloud, staging / name, encoding=encoding,
+                    las_scale=las_scale)
+        names.append(name)
+        return name
 
-    for fragment in result.fragments:
-        if fragment.cloud.count == 0:
-            log.warning("fragment %r is empty; writing a 0-point file",
-                        fragment.label)
-        path = _emit(fragment.label, fragment.cloud)
-        paths.append(path)
-        manifest["fragments"].append({"label": fragment.label,
-                                      "path": path.name,
-                                      "count": fragment.cloud.count})
-    if result.remainder is not None:
-        path = _emit("remainder", result.remainder)
-        paths.append(path)
-        manifest["remainder"] = {"path": path.name,
-                                 "count": result.remainder.count}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    return paths
+    try:
+        for fragment in result.fragments:
+            if fragment.cloud.count == 0:
+                log.warning("fragment %r is empty; writing a 0-point file",
+                            fragment.label)
+            manifest["fragments"].append(
+                {"label": fragment.label, "count": fragment.cloud.count,
+                 "path": _emit(fragment.label, fragment.cloud)})
+        if result.remainder is not None:
+            manifest["remainder"] = {
+                "count": result.remainder.count,
+                "path": _emit("remainder", result.remainder)}
+        (staging / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+        for name in names + ["manifest.json"]:
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(out / name, staging / name)  # keep its mode
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [out / name for name in names]

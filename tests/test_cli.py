@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pcedit import PointCloud, cli, read_cloud, write_cloud
+from pcedit import PointCloud, cli, parallel, read_cloud, write_cloud
 from pcedit.cli import run
 
 
@@ -331,6 +331,72 @@ class TestSplitCommand:
                     "--boxes", str(boxes_path), "--out-dir", str(frag_dir),
                     "--dry-run"]) == 0
         assert not frag_dir.exists()
+
+
+    def test_failed_split_moves_nothing_into_out_dir(self, tmp_path,
+                                                     capsys):
+        """A NaN row falls outside every box, and the LAS remainder cannot
+        store it: the fragment already written is not moved into place,
+        and what --out-dir held stays as it was."""
+        cloud, _, boxes_path, *_ = write_scene(tmp_path)
+        positions = cloud.positions.copy()
+        positions[-1] = [np.nan, 0, 0]
+        nan_path = tmp_path / "nan.ply"
+        write_cloud(PointCloud(positions, cloud.colors), nan_path)
+        frags = tmp_path / "frags"
+        frags.mkdir()
+        (frags / "zone.las").write_bytes(b"old fragment")
+        (frags / "manifest.json").write_text("old manifest")
+        argv = ["split", "--boxes", str(boxes_path), "--out-dir", str(frags),
+                "--format", "las", "--cloud"]
+        assert run(argv + [str(nan_path)]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert sorted(p.name for p in frags.iterdir()) == ["manifest.json",
+                                                           "zone.las"]
+        assert (frags / "zone.las").read_bytes() == b"old fragment"
+        assert (frags / "manifest.json").read_text() == "old manifest"
+
+        positions[-1] = [1000, 0, 0]  # outside the box: the remainder
+        write_cloud(PointCloud(positions, cloud.colors), nan_path)
+        assert run(argv + [str(nan_path)]) == 0
+        assert sorted(p.name for p in frags.iterdir()) == [
+            "manifest.json", "remainder.las", "zone.las"]
+        assert read_cloud(frags / "zone.las").count == 59
+        assert json.loads((frags / "manifest.json").read_text())[
+            "remainder"] == {"count": 1, "path": "remainder.las"}
+
+
+class TestThreads:
+    @pytest.mark.parametrize("command", ["recolor", "delete"])
+    def test_thread_count_changes_no_byte(self, tmp_path, monkeypatch,
+                                          command):
+        """--threads 0, 1 and 2 write the same cloud and report, with blocks
+        small enough that the pool splits the containment scan."""
+        monkeypatch.setattr(parallel, "_MIN_BLOCK", 16)
+        monkeypatch.setattr(parallel, "_max_threads", parallel._max_threads)
+        pools = []
+
+        class CountingPool(parallel.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+        _, cloud_path, boxes_path, *_ = write_scene(tmp_path, n_outliers=200)
+        results = {}
+        for threads in ("0", "1", "2"):
+            pools.clear()
+            out = tmp_path / f"{threads}.ply"
+            report = tmp_path / f"{threads}.json"
+            assert run([command, "--cloud", str(cloud_path),
+                        "--boxes", str(boxes_path), "--out", str(out),
+                        "--radius", "20", "--report", str(report),
+                        "--threads", threads]) == 0
+            results[threads] = (out.read_bytes(),
+                                json.loads(report.read_text())["report"])
+            if threads == "2":
+                assert pools and set(pools) == {2}
+        assert results["0"] == results["1"] == results["2"]
 
 
 class TestInfo:

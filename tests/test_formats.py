@@ -14,6 +14,7 @@ from pcedit import (CloudError, CodecUnavailable, HeaderMismatch,
                     UnknownFormat, UnsupportedPointRecord, convert,
                     detect_format, position_precision, read_cloud,
                     write_cloud)
+from pcedit.cli import run
 from pcedit.formats import FormatDescriptor, open_reader
 from pcedit.split import Fragment, SplitResult, write_fragments
 
@@ -506,6 +507,14 @@ class TestPcd:
                                      text.encode() + payload))
         assert cloud.colors.tolist() == [[255, 1, 2]]
 
+    def test_ascii_unsigned_rgb_rounds_half_to_even(self, tmp_path):
+        text = ("VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\n"
+                "TYPE F F F U\nCOUNT 1 1 1 1\nWIDTH 3\nHEIGHT 1\n"
+                "VIEWPOINT 0 0 0 1 0 0 0\nPOINTS 3\nDATA ascii\n"
+                "0 0 0 3.5\n0 0 0 2.5\n0 0 0 65280.5\n")
+        cloud = read_cloud(write_tmp(tmp_path, "h.pcd", text))
+        assert cloud.colors.tolist() == [[0, 0, 4], [0, 0, 2], [0, 255, 0]]
+
     def test_multi_count_coordinate_rejected(self, tmp_path):
         text = ("VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
                 "COUNT 2 1 1\nWIDTH 1\nHEIGHT 1\nPOINTS 1\nDATA binary\n")
@@ -581,24 +590,52 @@ class TestAsciiFamily:
             write_cloud(random_cloud(rng, 3), tmp_path / "n.xyzn")
 
 
-class TestExpectations:
-    def test_expected_kind_mismatch(self, tmp_path, rng):
-        path = tmp_path / "c.ply"
-        write_cloud(random_cloud(rng, 3), path)
-        expectation = FormatDescriptor(kind="pcd", encoding="ascii",
-                                       has_color=True, has_normals=False)
-        with pytest.raises(HeaderMismatch):
-            read_cloud(path, expectation)
+class TestHeaderLineEnds:
+    """A header line ends at ``\\n``; a lone ``\\r`` inside it is one more
+    line to text mode, which numbers the data rows."""
 
-    def test_expected_color_missing(self, tmp_path, rng):
-        cloud = PointCloud(rng.uniform(size=(3, 3)))
-        path = tmp_path / "c.las"
-        write_cloud(cloud, path)
-        expectation = FormatDescriptor(kind="las",
-                                       encoding="binary_little_endian",
-                                       has_color=True, has_normals=False)
-        with pytest.raises(UnsupportedPointRecord):
-            read_cloud(path, expectation)
+    PLY = (b"ply\nformat ascii 1.0\ncomment made by x\ry\n"
+           b"element vertex 2\nproperty float x\nproperty float y\n"
+           b"property float z\nend_header\n")  # 9 lines to text mode
+    PCD = (b"# .PCD v0.7\n# made by x\ry\nVERSION 0.7\nFIELDS x y z\n"
+           b"SIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\nWIDTH 2\nHEIGHT 1\n"
+           b"VIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n")  # 13 lines
+
+    @pytest.mark.parametrize("name, header", [("c.ply", PLY),
+                                              ("c.pcd", PCD)])
+    def test_rows_read_through_read_cloud_and_convert(self, tmp_path, name,
+                                                      header):
+        path = write_tmp(tmp_path, name, header + b"1 2 3\n4 5 6\n")
+        assert read_cloud(path).positions.tolist() == [[1, 2, 3], [4, 5, 6]]
+        out = tmp_path / "o.xyz"
+        assert run(["convert", str(path), str(out)]) == 0
+        assert out.read_text() == ("1.000000 2.000000 3.000000\n"
+                                   "4.000000 5.000000 6.000000\n")
+
+    @pytest.mark.parametrize("name, header, line", [("c.ply", PLY, 11),
+                                                    ("c.pcd", PCD, 15)])
+    def test_data_error_names_the_text_mode_line(self, tmp_path, name,
+                                                 header, line):
+        path = write_tmp(tmp_path, name, header + b"1 2 3\n4 5\n")
+        with pytest.raises(ParseError,
+                           match=f"line {line}: expected 3 columns, found 2"):
+            read_cloud(path)
+
+    def test_pts_count_line_ending_in_lone_cr(self, tmp_path):
+        path = write_tmp(tmp_path, "c.pts",
+                         b"2\r1 2 3 0 10 20 30\n4 5 6 0 40 50 60\n")
+        cloud = read_cloud(path)
+        assert cloud.positions.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert cloud.colors.tolist() == [[10, 20, 30], [40, 50, 60]]
+        path.write_bytes(b"2\r1 2 3 0 10 20 30\n4 5 6 0 40 50\n")
+        with pytest.raises(ParseError, match="line 3: expected 7 columns"):
+            read_cloud(path)
+
+    def test_header_with_only_cr_line_ends_is_rejected(self, tmp_path):
+        path = write_tmp(tmp_path, "c.ply", self.PLY.replace(b"\n", b"\r")
+                         + b"1 2 3\r4 5 6\r")
+        with pytest.raises(ParseError, match="missing end_header"):
+            read_cloud(path)
 
 
 class TestConvert:
@@ -672,6 +709,12 @@ class TestLaz:
     def test_detect_works_without_codec(self, tmp_path, rng):
         desc = detect_format(self._fake_laz(tmp_path, rng))
         assert desc.kind == "laz" and desc.has_color
+
+    def test_dry_run_convert_reads_only_the_header(self, tmp_path, rng):
+        report = convert(self._fake_laz(tmp_path, rng), tmp_path / "o.ply",
+                         dry_run=True)
+        assert (report.source_kind, report.points_written) == ("laz", 3)
+        assert not (tmp_path / "o.ply").exists()
 
     def test_read_raises_codec_unavailable(self, tmp_path, rng):
         try:

@@ -1,4 +1,5 @@
-"""Import cost: scipy stays unloaded unless a nearest-inlier search runs.
+"""Import cost: scipy stays unloaded unless a nearest-inlier search runs,
+and hashlib (with its OpenSSL binding and hmac) is never loaded.
 
 Importing scipy.spatial costs about half a second per process, and every
 CLI command is a fresh process.  Each check runs in a fresh interpreter,
@@ -25,7 +26,8 @@ import pcedit, pcedit.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
-seen = {"import": scipy_modules()}
+hashing = sorted({"hashlib", "_hashlib", "hmac", "secrets"} & set(sys.modules))
+seen = {"import": scipy_modules(), "hashing": hashing}
 codes = {}
 for mode, out in zip(sys.argv[3::2], sys.argv[4::2]):
     codes[mode] = pcedit.cli.run(
@@ -72,6 +74,7 @@ def test_import_and_surface_recolor_leave_scipy_unloaded(tmp_path):
     result = run_child(cloud_path, boxes_path,
                        PROJECT_TO_SURFACE, tmp_path / "surface.ply")
     assert result["seen"]["import"] == []
+    assert result["seen"]["hashing"] == []
     assert result["codes"] == {PROJECT_TO_SURFACE: 0}
     assert result["seen"][PROJECT_TO_SURFACE] == []
 

@@ -15,7 +15,8 @@ from pcedit import (EditStep, EmptySelection, NoEnabledBoxes, OrientedBox,
                     fit_color_sphere, recolor_rgb_box_remap,
                     recolor_spherical, recolor_substitute)
 from pcedit.boxfile import JoinedBox
-from pcedit.recolor import NEAREST_INLIER, ROUNDING_SLACK, nearest_rank
+from pcedit.recolor import (NEAREST_INLIER, ROUNDING_SLACK,
+                            _nearest_inlier_rows, nearest_rank)
 
 from conftest import oracle_contains, oracle_nearest_index, random_box
 
@@ -200,6 +201,17 @@ class TestNearestInlier:
         out = recolor_spherical(cloud, BIG_BOX, self.params(1.0))
         # both are outliers; center (50,0,0) is the only sane target
         assert out.colors.tolist() == [[50, 0, 0], [50, 0, 0]]
+
+    def test_single_inlier(self, rng):
+        """One inlier: every query asks for k == 1 neighbour."""
+        positions = rng.uniform(-5, 5, (9, 3))
+        inlier_rows = np.array([4])
+        outlier_rows = np.array([0, 1, 2, 3, 5, 6, 7, 8])
+        nearest = _nearest_inlier_rows(positions, inlier_rows, outlier_rows)
+        assert nearest.dtype == np.int64 and nearest.shape == (8,)
+        for row, pick in zip(outlier_rows, nearest):
+            assert inlier_rows[pick] == oracle_nearest_index(
+                positions, inlier_rows, positions[row])
 
     def test_matches_brute_force_oracle_with_grid_ties(self, rng):
         # integer grid positions force repeated exact distances

@@ -180,12 +180,6 @@ class TestWriteFragments:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["remainder"] is None
 
-    def test_naming_template(self, rng, tmp_path):
-        _, result = self.split(rng, labels=("a",))
-        paths = write_fragments(result, tmp_path, "pts",
-                                naming_template="seg_{label}.{ext}")
-        assert paths[0].name == "seg_a.pts"
-
     def test_las_fragments(self, rng, tmp_path):
         cloud, result = self.split(rng)
         paths = write_fragments(result, tmp_path, "las", las_scale=0.001)
