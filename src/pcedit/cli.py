@@ -14,12 +14,12 @@ import re
 import sys
 from pathlib import Path
 
-from . import parallel
+from . import formats, parallel
 from .boxfile import join_boxes_palette, load_box_file, load_palette_file
 from .cloud import RgbAabb
 from .errors import CloudError
-from .formats import (DEFAULT_LAS_SCALE, detect_format, convert,
-                      position_precision, read_cloud, write_cloud)
+from .formats import (DEFAULT_LAS_SCALE, convert, position_precision,
+                      read_cloud, write_cloud)
 from .recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE, EditStep,
                       RemapParams, SphereParams, SubstituteStep,
                       apply_pipeline)
@@ -272,19 +272,22 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    descriptor = detect_format(args.input)
-    cloud = read_cloud(args.input)
+    # one open and one header parse; counting the decoded records checks
+    # the whole file while holding one chunk
+    reader = formats.open_reader(args.input)
+    descriptor = reader.descriptor
+    points = sum(chunk.positions.shape[0] for chunk in reader.chunks())
     precision = position_precision(descriptor)
     print(f"kind:      {descriptor.kind}")
     print(f"encoding:  {descriptor.encoding}")
-    print(f"points:    {cloud.count}")
+    print(f"points:    {points}")
     print(f"color:     {'yes' if descriptor.has_color else 'no'}")
     print(f"normals:   {'yes' if descriptor.has_normals else 'no'}")
     print(f"precision: {precision:g} m")
     _write_report(args, {"command": "info", "flags": _echo_flags(args),
                          "report": {"kind": descriptor.kind,
                                     "encoding": descriptor.encoding,
-                                    "points": cloud.count,
+                                    "points": points,
                                     "has_color": descriptor.has_color,
                                     "has_normals": descriptor.has_normals,
                                     "precision_m": precision}})

@@ -5,12 +5,11 @@ to "N numeric columns per line".  This module does the buffered parsing once,
 keeps physical line numbers attached to every parsed row so errors can point
 at the offending line, and formats outgoing rows deterministically.
 
-Files are read in blocks of whole lines.  A *plain* block -- number bytes
-only, no comment, carriage return or blank line -- is parsed with one
-``np.loadtxt`` call; any other block goes through the per-line path, which
-strips comments and names the line of a bad row.  Either way a chunk holds
-the same rows and fails with the same error as if every line had gone
-through the per-line path.
+Files are read in blocks of whole lines, each parsed into rows at once.  A
+*plain* block -- number bytes only, no comment, carriage return or blank
+line -- is parsed with one ``np.loadtxt`` call; any other block is parsed
+line by line up to its first bad row.  ``np.loadtxt`` is the only number
+rule either way, and the first bad row in file order is the one reported.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from ..errors import ParseError
 from ._base import DEFAULT_CHUNK_POINTS
 
-#: bytes read at a time; a block ends after the last newline read so far
+#: bytes read at a time; a block ends after the last line end read so far
 BLOCK_BYTES = 8 << 20
 
 #: rows per ``%`` call in ``rows_to_text``
@@ -52,15 +51,18 @@ def _plain(block: bytes) -> bool:
 
 
 def _blocks(fh) -> Iterator[bytes]:
-    """The rest of binary ``fh`` as blocks of whole lines, each ending in
-    ``\\n`` (one is added to a last line that has none)."""
+    """The rest of binary ``fh`` as blocks of whole lines (one ``\\n`` is
+    added to a last line that has none).  A block ends after its last
+    ``\\n``, or after its last ``\\r`` that is not the final byte read,
+    since that one may be half of a ``\\r\\n``."""
     carry = b""
     while data := fh.read(BLOCK_BYTES):
         data = carry + data
-        cut = data.rfind(b"\n") + 1
-        carry = data[cut:]
-        if cut:
-            yield data[:cut]
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        block, carry = data[:cut], data[cut:]
+        del data  # one copy of the block is alive while it is parsed
+        if block:
+            yield block
     if carry:
         yield carry + b"\n"
 
@@ -80,8 +82,13 @@ class TableChunks:
     parser consumed; line numbers go on from the header's lines as text mode
     counts them.  Blank lines and ``#`` comments are skipped but still count
     toward line numbers.  After exhaustion ``rows_read`` and ``line_no`` hold
-    the totals.  A file with fewer than ``max_rows`` rows fails with a
-    ParseError that starts with ``declared`` (what promised the rows).
+    the totals.
+
+    Reading stops at the first failure in file order: a row ``np.loadtxt``
+    rejects or with the wrong column count, a row past ``max_rows`` when
+    ``forbid_extra_rows`` is set, or an end before ``max_rows`` rows (a
+    ParseError that starts with ``declared``).  Every good row before it
+    is yielded first, so the error does not depend on ``chunk_size``.
     """
 
     def __init__(self, path, n_columns: int, *, header: bytes = b"",
@@ -99,10 +106,28 @@ class TableChunks:
         self.line_no = 0
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # the chunk being built, in row order: (values, lines) arrays from
-        # plain blocks and (texts, line numbers) lists from the per-line path
-        parts: list = []
+        parts: list = []  # (values, lines) arrays of the chunk being built
         filled = 0
+        try:
+            for values, lines in self._rows():
+                while len(values):
+                    take = self.chunk_size - filled
+                    parts.append((values[:take], lines[:take]))
+                    filled += len(parts[-1][0])
+                    values, lines = values[take:], lines[take:]
+                    if filled == self.chunk_size:
+                        yield _join(parts)
+                        parts, filled = [], 0
+        except ParseError:
+            if filled:
+                yield _join(parts)  # the good rows before the failure
+            raise
+        if filled:
+            yield _join(parts)
+
+    def _rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The good rows of each block as ``(values, lines)`` arrays; raises
+        after the last of them at the first failure."""
         self.rows_read = 0
         self.line_no = sum(1 for _ in _text_lines(self.header))
         with open(self.path, "rb") as fh:
@@ -113,46 +138,34 @@ class TableChunks:
                     first = self.line_no + 1
                     self.line_no += len(values)
                     self.rows_read += len(values)
-                    lines = np.arange(first, self.line_no + 1, dtype=np.int64)
-                    lo = 0
-                    while lo < len(values):
-                        hi = min(len(values), lo + self.chunk_size - filled)
-                        parts.append((values[lo:hi], lines[lo:hi]))
-                        filled += hi - lo
-                        lo = hi
-                        if filled == self.chunk_size:
-                            yield self._join(parts)
-                            parts, filled = [], 0
+                    yield values, np.arange(first, self.line_no + 1,
+                                            dtype=np.int64)
                     continue
-                buffer: list[str] = []
-                numbers: list[int] = []
-                parts.append((buffer, numbers))
+                texts, numbers = [], []  # data rows, their line numbers
+                full = False  # a row past max_rows was met
                 for raw in _text_lines(block):
                     self.line_no += 1
                     text = _strip(raw)
                     if not text:
                         continue
-                    if (self.max_rows is not None
-                            and self.rows_read >= self.max_rows):
-                        if self.forbid_extra_rows:
-                            raise ParseError(
-                                f"expected {self.max_rows} data rows, "
-                                f"found extra data",
-                                path=self.path, line=self.line_no)
+                    if self.rows_read + len(texts) == self.max_rows:
+                        full = True
                         break
-                    buffer.append(text)
+                    texts.append(text)
                     numbers.append(self.line_no)
-                    self.rows_read += 1
-                    filled += 1
-                    if filled == self.chunk_size:
-                        yield self._join(parts)
-                        buffer, numbers = [], []
-                        parts, filled = [(buffer, numbers)], 0
-                else:
-                    continue
-                break  # max_rows reached: the rest is not read
-        if filled:
-            yield self._join(parts)
+                values = self._parse(texts)
+                good = len(values)
+                self.rows_read += good
+                yield values, np.array(numbers[:good], dtype=np.int64)
+                if good < len(texts):
+                    raise self._row_error(texts[good], numbers[good])
+                if full:
+                    if self.forbid_extra_rows:
+                        raise ParseError(
+                            f"expected {self.max_rows} data rows, "
+                            f"found extra data",
+                            path=self.path, line=self.line_no)
+                    return  # max_rows reached: the rest is not read
         if self.max_rows is not None and self.rows_read < self.max_rows:
             raise ParseError(f"{self.declared} but file ends after "
                              f"{self.rows_read}", path=self.path,
@@ -167,72 +180,56 @@ class TableChunks:
             return None
         if not _plain(block):
             return None
-        try:
-            values = np.loadtxt(io.StringIO(block.decode("ascii")),
-                                dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            return None
-        return values if values.shape == (lines, self.n_columns) else None
+        return _floats(io.StringIO(block.decode("ascii")), lines,
+                       self.n_columns)
 
-    def _join(self, parts: list) -> tuple[np.ndarray, np.ndarray]:
-        """One chunk from its parts.  Text parts are parsed together; rows
-        from plain blocks are valid, so a bad text row fails exactly as it
-        would if the whole chunk had been read line by line."""
-        parts = [part for part in parts if len(part[1])]
-        texts = [part for part in parts if isinstance(part[1], list)]
-        if texts:
-            buffer = [text for part in texts for text in part[0]]
-            numbers = [number for part in texts for number in part[1]]
-            mixed = len(texts) < len(parts)
-            parsed = self._parse(buffer, numbers,
-                                 int(parts[0][1][0]) if mixed else None)
-            at = 0
-            for i, (_, lines) in enumerate(parts):
-                if isinstance(lines, list):
-                    parts[i] = (parsed[at:at + len(lines)],
-                                np.asarray(lines, dtype=np.int64))
-                    at += len(lines)
-        if len(parts) == 1:
-            return parts[0]
-        return (np.concatenate([values for values, _ in parts]),
-                np.concatenate([lines for _, lines in parts]))
+    def _parse(self, texts: list[str]) -> np.ndarray:
+        """The values of ``texts`` up to the first bad row.  Whether a
+        prefix parses is monotone in its length, so after the whole list a
+        bisection finds the longest one in O(n log n)."""
+        good = np.empty((0, self.n_columns))
+        lo, hi = 0, len(texts) + 1  # texts[:lo] parse, texts[:hi] do not
+        mid = len(texts)
+        while lo < mid:
+            values = _floats(io.StringIO("\n".join(texts[:mid])), mid,
+                             self.n_columns)
+            if values is None:
+                hi = mid
+            else:
+                lo, good = mid, values
+            mid = (lo + hi) // 2
+        return good
 
-    def _parse(self, buffer: list[str], numbers: list[int],
-               first_line: int | None = None) -> np.ndarray:
-        """Parse text rows.  ``first_line`` is where their chunk starts when
-        it also holds rows from plain blocks; None when these are all."""
-        try:
-            values = np.loadtxt(io.StringIO("\n".join(buffer)),
-                                dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is not None:
-            if values.shape[1] == self.n_columns:
-                return values
-            if first_line is None:
-                raise ParseError(
-                    f"expected {self.n_columns} columns, "
-                    f"found {values.shape[1]}",
-                    path=self.path, line=numbers[0])
-        self._locate_bad_row(buffer, numbers)
-        raise ParseError("malformed numeric data", path=self.path,
-                         line=numbers[0] if first_line is None
-                         else first_line)  # pragma: no cover
+    def _row_error(self, text: str, line: int) -> ParseError:
+        """Name what is wrong with a row ``np.loadtxt`` rejects."""
+        tokens = text.split()
+        if len(tokens) != self.n_columns:
+            return ParseError(
+                f"expected {self.n_columns} columns, found {len(tokens)}",
+                path=self.path, line=line)
+        bad = next((tok for tok in tokens
+                    if _floats(io.StringIO(tok), 1, 1) is None), text)
+        return ParseError(f"invalid number {bad!r}", path=self.path,
+                          line=line)
 
-    def _locate_bad_row(self, buffer: list[str], numbers: list[int]):
-        """Re-scan a failed block line by line to name the culprit."""
-        for text, line_no in zip(buffer, numbers):
-            tokens = text.split()
-            if len(tokens) != self.n_columns:
-                raise ParseError(
-                    f"expected {self.n_columns} columns, found {len(tokens)}",
-                    path=self.path, line=line_no)
-            for tok in tokens:
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ParseError(f"invalid number {tok!r}",
-                                     path=self.path, line=line_no) from None
+
+def _floats(text: io.StringIO, rows: int, width: int) -> np.ndarray | None:
+    """``text`` as a float64 ``(rows, width)`` array; None when
+    ``np.loadtxt`` rejects a token or finds another shape.  Taking a
+    ``StringIO`` lets the caller's ``str`` go before the parse."""
+    try:
+        values = np.loadtxt(text, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (rows, width) else None
+
+
+def _join(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk from its ``(values, lines)`` parts."""
+    if len(parts) == 1:
+        return parts[0]
+    return (np.concatenate([values for values, _ in parts]),
+            np.concatenate([lines for _, lines in parts]))
 
 
 def count_data_rows(path) -> int:
@@ -261,11 +258,12 @@ def rows_to_text(matrix: np.ndarray, fmt: str) -> bytes:
     return "".join(parts).encode("ascii")
 
 
-def check_colors(values: np.ndarray, lines: np.ndarray, top: int, path):
-    """Fail at the first row whose color values are not all in 0..top."""
-    bad = ~((values >= 0) & (values <= top))
+def check_colors(values: np.ndarray, lines: np.ndarray, top: int, path,
+                 bottom: int = 0):
+    """Fail at the first row with a color value outside bottom..top."""
+    bad = ~((values >= bottom) & (values <= top))
     if bad.any():
         row = int(np.argwhere(bad.any(axis=1))[0, 0])
         raise ParseError(
-            f"color value {values[row][bad[row]][0]:g} outside 0..{top}",
-            path=path, line=int(lines[row]))
+            f"color value {values[row][bad[row]][0]:g} outside "
+            f"{bottom}..{top}", path=path, line=int(lines[row]))

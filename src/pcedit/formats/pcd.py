@@ -150,15 +150,19 @@ class PcdReader:
             yield Chunk(positions, colors, normals)
 
     def _colors(self, raw: np.ndarray, lines) -> np.ndarray:
-        """Unpack one packed-rgb column: float bits or an unsigned value."""
+        """Unpack one packed-rgb column: float bits or an integer value,
+        whose low 32 bits hold the color."""
         code = self._layout.code(self._rgb)
         if code[0] == "f":
             return _unpack_rgb(np.ascontiguousarray(
                 raw[:, 0], dtype=np.float32).view(np.uint32))
-        if lines is not None:  # text: round half-to-even like the others
-            if code[0] == "u":
-                check_colors(raw, lines, np.iinfo(code).max, self.path)
-            raw = np.rint(raw)
+        if lines is not None:  # text: in range, round half-to-even
+            limits = np.iinfo(code)
+            check_colors(raw, lines, limits.max, self.path,
+                         bottom=limits.min)
+            # the low 32 bits: casting a negative float to unsigned is not
+            # portable
+            raw = np.mod(np.rint(raw), 2.0 ** 32)
         return _unpack_rgb(raw[:, 0].astype(np.uint64).astype(np.uint32))
 
 

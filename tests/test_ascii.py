@@ -81,57 +81,55 @@ def tables(draw):
 def reference(data: bytes, n_columns: int, skip: int, max_rows, forbid: bool,
               chunk_size: int, path) -> tuple[list, str | None, int, int]:
     """(chunks, error message, rows read, last line number), reading one
-    physical line at a time and parsing each token with ``float``."""
+    physical line at a time and parsing each token with ``float``.  Rows
+    are scanned up to the first failure; the good rows before it form the
+    chunks.  ``float`` and ``np.loadtxt`` agree on every generated token;
+    ``1_0``, where they differ, has its own test."""
     text = data.decode("utf-8", errors="replace")
     physical = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if physical[-1] == "":
         physical.pop()
-    chunks: list = []
-    pending: list = []
-    rows = 0
+    good: list = []
+    error = None
     line_no = min(skip, len(physical))
-
-    def fail(message, line):
-        return chunks, f"{path}: line {line}: {message}", rows, line_no
-
-    def parse():
-        for text, line in pending:
-            tokens = text.split()
-            if len(tokens) != n_columns:
-                return (f"expected {n_columns} columns, "
-                        f"found {len(tokens)}", line)
-            for token in tokens:
-                try:
-                    float(token)
-                except ValueError:
-                    return f"invalid number {token!r}", line
-        chunks.append((np.array([[float(tok) for tok in text.split()]
-                                 for text, _ in pending]),
-                       np.array([line for _, line in pending])))
-        return None
-
     for index in range(skip, len(physical)):
         line_no = index + 1
-        text = physical[index].split("#", 1)[0].strip()
-        if not text:
+        tokens = physical[index].split("#", 1)[0].split()
+        if not tokens:
             continue
-        if max_rows is not None and rows >= max_rows:
+        if max_rows is not None and len(good) >= max_rows:
             if forbid:
-                return fail(f"expected {max_rows} data rows, found extra "
-                            f"data", line_no)
+                error = (f"expected {max_rows} data rows, found extra data",
+                         line_no)
             break
-        pending.append((text, line_no))
-        rows += 1
-        if len(pending) == chunk_size:
-            if (error := parse()) is not None:
-                return fail(*error)
-            pending = []
-    if pending and (error := parse()) is not None:
-        return fail(*error)
-    if max_rows is not None and rows < max_rows:
-        return fail(f"declared {max_rows} but file ends after {rows}",
-                    line_no + 1)
-    return chunks, None, rows, line_no
+        if len(tokens) != n_columns:
+            error = (f"expected {n_columns} columns, found {len(tokens)}",
+                     line_no)
+            break
+        try:
+            good.append(([float(tok) for tok in tokens], line_no))
+        except ValueError:
+            bad = next(tok for tok in tokens if not is_float(tok))
+            error = (f"invalid number {bad!r}", line_no)
+            break
+    else:
+        if max_rows is not None and len(good) < max_rows:
+            error = (f"declared {max_rows} but file ends after {len(good)}",
+                     line_no + 1)
+    chunks = [(np.array([row for row, _ in good[lo:lo + chunk_size]]),
+               np.array([line for _, line in good[lo:lo + chunk_size]]))
+              for lo in range(0, len(good), chunk_size)]
+    message = None if error is None else \
+        f"{path}: line {error[1]}: {error[0]}"
+    return chunks, message, len(good), line_no
+
+
+def is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def same_values(a: np.ndarray, b: np.ndarray) -> bool:
@@ -187,21 +185,51 @@ class TestTableChunks:
 
     def test_plain_rows_share_a_chunk_with_a_commented_block(self, tmp_path,
                                                              monkeypatch):
-        """A chunk fed by a plain block and a per-line block, whose text
-        rows fail as a whole without a bad token to name, fails at the
-        chunk's first line, as if every line had been read one by one."""
+        """A chunk fed by a plain block and a per-line block: the good rows
+        come out, then the first row ``np.loadtxt`` rejects is named with
+        its token, whatever the chunk size."""
         monkeypatch.setattr(_ascii, "BLOCK_BYTES", 16)
         path = tmp_path / "mixed.xyz"
         path.write_text("1 2 3\n4 5 6\n7 8 9\n"   # plain: lines 1-3
                         "# note\n1_0 2 3\n")       # per line: lines 4-5
-        # float() takes "1_0", loadtxt does not
-        with pytest.raises(ParseError,
-                           match="line 1: malformed numeric data"):
-            list(TableChunks(path, 3, chunk_size=10))
-        # in chunks of 2, the bad row's chunk starts at line 3
-        with pytest.raises(ParseError,
-                           match="line 3: malformed numeric data"):
-            list(TableChunks(path, 3, chunk_size=2))
+        for chunk_size in (10, 2):
+            lines = []
+            # float() takes "1_0", loadtxt does not
+            with pytest.raises(ParseError,
+                               match="line 5: invalid number '1_0'"):
+                for _, numbers in TableChunks(path, 3, chunk_size=chunk_size):
+                    lines += numbers.tolist()
+            assert lines == [1, 2, 3]
+
+    def test_lone_cr_file_is_cut_into_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_ascii, "BLOCK_BYTES", 16)
+        path = tmp_path / "cr.xyz"
+        path.write_bytes(b"".join(b"%d 0 0\r" % i for i in range(40)))
+        with open(path, "rb") as fh:
+            blocks = list(_ascii._blocks(fh))
+        assert len(blocks) > 10
+        assert max(map(len, blocks)) <= 2 * 16
+        chunks = list(TableChunks(path, 3, chunk_size=7))
+        assert np.concatenate([v for v, _ in chunks])[:, 0].tolist() == \
+            list(range(40))
+        assert np.concatenate([n for _, n in chunks]).tolist() == \
+            list(range(1, 41))
+
+    @pytest.mark.parametrize("block_bytes", range(4, 12))
+    def test_crlf_split_across_blocks_keeps_line_numbers(
+            self, tmp_path, monkeypatch, block_bytes):
+        """Reads that end between a CR and its LF: no line number moves."""
+        monkeypatch.setattr(_ascii, "BLOCK_BYTES", block_bytes)
+        path = tmp_path / "crlf.xyz"
+        path.write_bytes(b"1 2 3\r\n\r\n4 5 6\r\n# c\r\n7 8 9\r\n1 2\r\n")
+        with open(path, "rb") as fh:
+            assert not any(block.startswith(b"\n")
+                           for block in _ascii._blocks(fh))
+        lines = []
+        with pytest.raises(ParseError, match="line 6: expected 3 columns"):
+            for _, numbers in TableChunks(path, 3, chunk_size=2):
+                lines += numbers.tolist()
+        assert lines == [1, 3, 5]
 
     def test_large_plain_file_crosses_blocks(self, tmp_path, monkeypatch,
                                              rng):

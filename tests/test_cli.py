@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pcedit import PointCloud, cli, parallel, read_cloud, write_cloud
 from pcedit.cli import run
+from pcedit.formats import ply
 
 
 def write_scene(tmp_path, n_outliers=10):
@@ -407,6 +409,29 @@ class TestInfo:
         assert "kind:      ply" in out
         assert "points:    60" in out
         assert "color:     yes" in out
+
+
+    def test_parses_the_header_once(self, tmp_path, monkeypatch):
+        _, cloud_path, *_ = write_scene(tmp_path)
+        calls = []
+        parse_header = ply._parse_header
+
+        def counted(path):
+            calls.append(path)
+            return parse_header(path)
+
+        monkeypatch.setattr(ply, "_parse_header", counted)
+        assert run(["info", str(cloud_path)]) == 0
+        assert len(calls) == 1
+
+    def test_truncated_binary_ply_names_its_byte(self, tmp_path, capsys):
+        _, cloud_path, *_ = write_scene(tmp_path)
+        clipped = tmp_path / "clipped.ply"
+        clipped.write_bytes(cloud_path.read_bytes()[:-40])
+        assert run(["info", str(clipped)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .*clipped\.ply: byte \d+: unexpected "
+                            r"end of data: \d+ of 60 vertices\n", err)
 
 
 class TestDeterminism:

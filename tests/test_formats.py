@@ -1,8 +1,11 @@
 """Format layer: detection, parsing, round trips, streaming conversion."""
 
 import os
+import re
 import stat
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +510,29 @@ class TestPcd:
                                      text.encode() + payload))
         assert cloud.colors.tolist() == [[255, 1, 2]]
 
+    SIGNED = ("VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\n"
+              "TYPE F F F I\nCOUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\n"
+              "VIEWPOINT 0 0 0 1 0 0 0\nPOINTS 1\nDATA ascii\n")
+
+    @pytest.mark.parametrize("value, color", [
+        ("-1", [255, 255, 255]), ("-2147483648", [0, 0, 0]),
+        ("2147483647", [255, 255, 255]), ("16711935", [255, 0, 255])])
+    def test_ascii_signed_rgb_read(self, tmp_path, value, color):
+        path = write_tmp(tmp_path, "s.pcd", self.SIGNED + f"0 0 0 {value}\n")
+        assert read_cloud(path).colors.tolist() == [color]
+
+    @pytest.mark.parametrize("value, shown", [
+        ("5000000000", "5e+09"), ("1e30", "1e+30"), ("nan", "nan"),
+        ("-2147483649", "-2.14748e+09")])
+    def test_ascii_signed_rgb_out_of_range(self, tmp_path, value, shown):
+        path = write_tmp(tmp_path, "s.pcd", self.SIGNED + f"0 0 0 {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=re.escape(
+                    f"line 11: color value {shown} outside "
+                    f"-2147483648..2147483647")):
+                read_cloud(path)
+
     def test_ascii_unsigned_rgb_rounds_half_to_even(self, tmp_path):
         text = ("VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\n"
                 "TYPE F F F U\nCOUNT 1 1 1 1\nWIDTH 3\nHEIGHT 1\n"
@@ -539,6 +565,28 @@ class TestAsciiFamily:
     def test_pts_bad_count_header(self, tmp_path):
         path = write_tmp(tmp_path, "h.pts", "many\n0 0 0 0 1 2 3\n")
         with pytest.raises(ParseError, match="line 1"):
+            read_cloud(path)
+
+    def test_pts_count_line_read_from_a_bounded_prefix(self, tmp_path):
+        """A file whose lines end in a lone CR is not read whole to find
+        its count line."""
+        rows = 300_000
+        path = write_tmp(tmp_path, "cr.pts",
+                         f"{rows}\r" + "0 0 0 0 1 2 3\r" * rows)
+        assert path.stat().st_size > 4 << 20
+        tracemalloc.start()
+        try:
+            reader = open_reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reader.count == rows
+        assert peak < 256 << 10
+
+    def test_pts_overlong_count_line_rejected(self, tmp_path):
+        path = write_tmp(tmp_path, "l.pts", " " * 5000 + "1\n0 0 0 0 1 2 3\n")
+        with pytest.raises(ParseError,
+                           match="line 1: point-count line is longer than"):
             read_cloud(path)
 
     def test_pts_intensity_ignored_written_as_zero(self, tmp_path):
@@ -588,6 +636,48 @@ class TestAsciiFamily:
     def test_xyzn_requires_normals_to_write(self, tmp_path, rng):
         with pytest.raises(MissingAttribute):
             write_cloud(random_cloud(rng, 3), tmp_path / "n.xyzn")
+
+
+class TestFirstBadRow:
+    """A text input fails at its first bad row in file order, whatever the
+    chunk size; color range checks count as rows."""
+
+    PLY = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+           "property float y\nproperty float z\nproperty uchar red\n"
+           "property uchar green\nproperty uchar blue\nend_header\n")
+    PCD = ("VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\nTYPE F F F U\n"
+           "COUNT 1 1 1 1\nWIDTH 3\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+           "POINTS 3\nDATA ascii\n")
+    CASES = [
+        # count 2, a typo on line 3, an extra row on line 4
+        ("typo.pts", "2\n0 0 0 0 1 2 3\n0 x 0 0 1 2 3\n0 0 0 0 1 2 3\n",
+         "line 3: invalid number 'x'"),
+        # color 300 on line 11, a typo on line 12
+        ("two.ply", PLY + "0 0 0 300 0 0\nx 0 0 1 2 3\n0 0 0 1 2 3\n",
+         "line 11: color value 300 outside 0..255"),
+        ("two.pcd", PCD + "0 0 0 1\n0 0 0 -1\nx 0 0 1\n",
+         "line 12: color value -1 outside 0..4294967295"),
+        # float() takes "1_0", np.loadtxt does not
+        ("c.xyz", "1 2 3\n# note\n1_0 2 3\n1 2\n",
+         "line 3: invalid number '1_0'"),
+        ("n.xyzn", "0 0 1 0 0 1\n0 0 1 0 0 1_0\n0 0 1\n",
+         "line 2: invalid number '1_0'"),
+    ]
+
+    @pytest.mark.parametrize("name, text, error", CASES)
+    @pytest.mark.parametrize("chunk_size", [1, 2, None])
+    def test_convert(self, tmp_path, name, text, error, chunk_size):
+        path = write_tmp(tmp_path, name, text)
+        sizes = {} if chunk_size is None else {"chunk_size": chunk_size}
+        with pytest.raises(ParseError, match=re.escape(error)):
+            convert(path, tmp_path / "out.ply", **sizes)
+        assert not (tmp_path / "out.ply").exists()
+
+    @pytest.mark.parametrize("name, text, error", CASES)
+    def test_info(self, tmp_path, capsys, name, text, error):
+        path = write_tmp(tmp_path, name, text)
+        assert run(["info", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
 
 
 class TestHeaderLineEnds:
