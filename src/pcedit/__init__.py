@@ -1,12 +1,10 @@
 """pcedit: bounding-box-driven point-cloud recoloring, deletion,
 segmentation, splitting and format conversion."""
 
-from .boxfile import (BoxFile, JoinedBox, PaletteFile, join_boxes_palette,
-                      load_box_file, load_palette_file, parse_box_file,
-                      parse_palette_file)
-from .cloud import (ColorSphere, LabelPalette, OrientedBox, PaletteEntry,
-                    PointCloud, RgbAabb, mean_color, quantize_colors,
-                    rgb_color_aabb)
+from .boxfile import (BoxFile, JoinedBox, join_boxes_palette, load_box_file,
+                      load_palette_file, parse_box_file, parse_palette_file)
+from .cloud import (ColorSphere, OrientedBox, PaletteEntry, PointCloud,
+                    RgbAabb, mean_color, quantize_colors, rgb_color_aabb)
 from .errors import (CloudError, CodecUnavailable, DuplicateLabel,
                      EmptySelection, HeaderMismatch, MissingAttribute,
                      NoBoxes, NoEnabledBoxes, ParseError, PipelineStepError,
@@ -28,12 +26,11 @@ __all__ = [
     "BoxFile", "CloudError", "CodecUnavailable", "ColorSphere",
     "ConversionReport", "DuplicateLabel", "EditReport", "EditStep",
     "EmptySelection", "FormatDescriptor", "Fragment", "HeaderMismatch",
-    "JoinedBox", "LabelPalette", "MissingAttribute", "NoBoxes",
-    "NoEnabledBoxes", "OrientedBox", "PaletteEntry", "PaletteFile",
-    "ParseError", "PipelineStepError", "PointCloud", "RangeError",
-    "RemapParams", "RgbAabb", "SchemaError", "SphereParams", "SplitResult",
-    "StepReport", "SubstituteStep", "UnknownFormat",
-    "UnsupportedPointRecord", "apply_pipeline", "convert",
+    "JoinedBox", "MissingAttribute", "NoBoxes", "NoEnabledBoxes",
+    "OrientedBox", "PaletteEntry", "ParseError", "PipelineStepError",
+    "PointCloud", "RangeError", "RemapParams", "RgbAabb", "SchemaError",
+    "SphereParams", "SplitResult", "StepReport", "SubstituteStep",
+    "UnknownFormat", "UnsupportedPointRecord", "apply_pipeline", "convert",
     "delete_rgb_box_outliers", "delete_spherical_outliers",
     "detect_format", "fit_color_sphere", "join_boxes_palette",
     "load_box_file", "load_palette_file", "mean_color", "parse_box_file",

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cloud import LabelPalette, OrientedBox, PaletteEntry
+from .cloud import OrientedBox, PaletteEntry
 from .errors import DuplicateLabel, ParseError, RangeError, SchemaError
 
 log = logging.getLogger(__name__)
@@ -47,11 +47,6 @@ class BoxFile:
             })
         return json.dumps({"filename": self.source_cloud_name,
                            "objects": objects}, indent=2)
-
-
-@dataclass
-class PaletteFile:
-    palette: LabelPalette
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,9 @@ def parse_box_file(text: str) -> BoxFile:
     return BoxFile(source_cloud_name=filename, boxes=boxes)
 
 
-def parse_palette_file(text: str) -> PaletteFile:
-    """Parse ``<label> <R> <G> <B> <0|1>`` lines into a LabelPalette."""
+def parse_palette_file(text: str) -> dict[str, PaletteEntry]:
+    """Parse ``<label> <R> <G> <B> <0|1>`` lines into a label -> entry map
+    in file order."""
     entries: dict[str, PaletteEntry] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         hash_at = raw.find("#")
@@ -162,28 +158,27 @@ def parse_palette_file(text: str) -> PaletteFile:
                 f"line {line_no}: duplicate palette label {label!r}")
         entries[label] = PaletteEntry(color=channels,
                                       enabled=tokens[4] == "1")
-    return PaletteFile(palette=LabelPalette(entries=entries))
+    return entries
 
 
 def join_boxes_palette(box_file: BoxFile,
-                       palette_file: PaletteFile | None) -> list[JoinedBox]:
+                       palette: dict[str, PaletteEntry] | None
+                       ) -> list[JoinedBox]:
     """Join boxes to palette entries by exact label, preserving box order.
 
     Boxes without a palette line stay enabled but colorless (usable for
     deletion or splitting, not substitution); a warning is logged per
     missing label.
     """
-    palette = palette_file.palette if palette_file is not None \
-        else LabelPalette()
     joined = []
     missing: set[str] = set()
     for box in box_file.boxes:
-        if box.label in palette:
-            entry = palette[box.label]
+        entry = (palette or {}).get(box.label)
+        if entry is not None:
             joined.append(JoinedBox(box=box, color=entry.color,
                                     enabled=entry.enabled))
         else:
-            if palette_file is not None and box.label not in missing:
+            if palette is not None and box.label not in missing:
                 missing.add(box.label)
                 log.warning("box label %r has no palette entry; "
                             "enabled without color", box.label)
@@ -202,7 +197,7 @@ def load_box_file(path) -> BoxFile:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def load_palette_file(path) -> PaletteFile:
+def load_palette_file(path) -> dict[str, PaletteEntry]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

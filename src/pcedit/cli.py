@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import formats, parallel
+from . import formats
 from .boxfile import join_boxes_palette, load_box_file, load_palette_file
 from .cloud import RgbAabb
 from .errors import CloudError
@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="worker thread cap; 0 = one per CPU")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--report", metavar="PATH",
                         help="write a JSON report here")
     parser.add_argument("--dry-run", action="store_true",
@@ -305,8 +305,6 @@ def run(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    if getattr(args, "threads", None) is not None:
-        parallel.set_max_threads(args.threads)
 
     try:
         if args.command == "convert":

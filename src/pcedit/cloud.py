@@ -13,12 +13,11 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import parallel
 from .errors import EmptySelection
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "ColorSphere",
     "RgbAabb",
     "PaletteEntry",
-    "LabelPalette",
     "mean_color",
     "rgb_color_aabb",
     "quantize_colors",
@@ -175,15 +173,10 @@ class OrientedBox:
         rot = self.rotation_matrix()
         centroid = np.asarray(self.centroid)
         half = np.asarray(self.dimensions) / 2.0
-
-        def block(lo: int, hi: int) -> np.ndarray:
-            local = (pts[lo:hi] - centroid) @ rot  # row-vector form of R^T (p - c)
-            inside = np.abs(local[:, 0]) <= half[0]
-            inside &= np.abs(local[:, 1]) <= half[1]
-            inside &= np.abs(local[:, 2]) <= half[2]
-            return inside
-
-        mask = parallel.blockwise(block, len(pts))
+        local = (pts - centroid) @ rot  # row-vector form of R^T (p - c)
+        mask = np.abs(local[:, 0]) <= half[0]
+        mask &= np.abs(local[:, 1]) <= half[1]
+        mask &= np.abs(local[:, 2]) <= half[2]
         return bool(mask[0]) if squeeze else mask
 
     def world_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -378,25 +371,6 @@ class PaletteEntry:
         if any(not (0 <= v <= 255) for v in color):
             raise ValueError(f"palette color {color} outside [0, 255]")
         object.__setattr__(self, "color", color)
-
-
-@dataclass
-class LabelPalette:
-    """Ordered label -> (color, enabled) map driving substitution and splits."""
-
-    entries: dict[str, PaletteEntry] = field(default_factory=dict)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.entries
-
-    def __getitem__(self, label: str) -> PaletteEntry:
-        return self.entries[label]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def labels(self) -> list[str]:
-        return list(self.entries)
 
 
 def mean_color(colors: Iterable) -> np.ndarray:

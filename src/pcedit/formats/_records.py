@@ -115,6 +115,36 @@ def read_records(path, dtype: np.dtype, offset: int, count: int,
             yield records
 
 
+#: the most bytes a header line may take, its line end included
+HEADER_LINE_BYTES = 4096
+
+
+def read_header_lines(path, is_last: Callable[[str], bool], max_lines: int,
+                      missing: str) -> tuple[list[str], bytes]:
+    """The stripped lines of a text header, up to the one ``is_last``
+    accepts, and the bytes they take.  Each line must end within
+    ``HEADER_LINE_BYTES``, so a file whose lines end in a lone ``\\r`` is
+    not read whole; a file that ends first fails with ``missing``."""
+    lines: list[str] = []
+    header = b""
+    with open(path, "rb") as fh:
+        while True:
+            raw = fh.readline(HEADER_LINE_BYTES + 1)
+            if not raw:
+                raise ParseError(missing, path=path, line=len(lines) + 1)
+            if len(raw) > HEADER_LINE_BYTES:
+                raise ParseError(f"header line is longer than "
+                                 f"{HEADER_LINE_BYTES} bytes", path=path,
+                                 line=len(lines) + 1)
+            header += raw
+            lines.append(raw.decode("ascii", errors="replace").strip())
+            if is_last(lines[-1]):
+                return lines, header
+            if len(lines) > max_lines:
+                raise ParseError("header too large", path=path,
+                                 line=max_lines)
+
+
 @dataclass
 class RecordLayout:
     """A PLY/PCD data section as its header declares it.

@@ -17,7 +17,8 @@ from ._ascii import check_colors
 from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, Chunk,
                     FormatDescriptor)
 from ._records import (NORMALS, FileWriter, Fields, RecordLayout,
-                       record_columns, record_encoder, record_fields)
+                       read_header_lines, record_columns, record_encoder,
+                       record_fields)
 
 FAMILY = "pcd"
 
@@ -29,30 +30,22 @@ _XYZ = ("x", "y", "z")
 _NORMAL_NAMES = ("normal_x", "normal_y", "normal_z")
 
 
+def _is_data_line(line: str) -> bool:
+    tokens = line.split()
+    return bool(tokens) and tokens[0].upper() == "DATA"
+
+
 def _parse_header(path) -> RecordLayout:
+    lines, header = read_header_lines(path, _is_data_line, 100,
+                                      "missing DATA line")
     entries: dict[str, list[str]] = {}
-    header = b""
-    header_lines = 0
-    with open(path, "rb") as fh:
-        while True:
-            raw = fh.readline()
-            if not raw:
-                raise ParseError("missing DATA line", path=path,
-                                 line=header_lines + 1)
-            header += raw
-            header_lines += 1
-            line = raw.decode("ascii", errors="replace").strip()
-            if not line or line.startswith("#"):
-                continue
+    for line in lines:
+        if line and not line.startswith("#"):
             tokens = line.split()
             entries[tokens[0].upper()] = tokens[1:]
-            if tokens[0].upper() == "DATA":
-                break
-            if header_lines > 100:
-                raise ParseError("header too large", path=path, line=100)
 
     def fail(message):
-        return ParseError(message, path=path, line=header_lines)
+        return ParseError(message, path=path, line=len(lines))
 
     for key in ("FIELDS", "SIZE", "TYPE", "WIDTH", "HEIGHT", "DATA"):
         if key not in entries:

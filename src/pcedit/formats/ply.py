@@ -21,8 +21,8 @@ from ..errors import ParseError
 from ._ascii import check_colors
 from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, Chunk,
                     FormatDescriptor, narrow_16bit)
-from ._records import (FileWriter, RecordLayout, record_columns,
-                       record_encoder, record_fields)
+from ._records import (FileWriter, RecordLayout, read_header_lines,
+                       record_columns, record_encoder, record_fields)
 
 FAMILY = "ply"
 
@@ -46,21 +46,8 @@ _RGB = ("red", "green", "blue")
 
 
 def _parse_header(path) -> RecordLayout:
-    lines: list[str] = []
-    header = b""
-    with open(path, "rb") as fh:
-        while True:
-            raw = fh.readline()
-            if not raw:
-                raise ParseError("missing end_header", path=path,
-                                 line=len(lines) + 1)
-            header += raw
-            line = raw.decode("ascii", errors="replace").strip()
-            lines.append(line)
-            if line == "end_header":
-                break
-            if len(lines) > 1000:
-                raise ParseError("header too large", path=path, line=1000)
+    lines, header = read_header_lines(path, lambda line: line == "end_header",
+                                      1000, "missing end_header")
 
     if not lines or lines[0] != "ply":
         raise ParseError("not a PLY file (missing 'ply' magic)",

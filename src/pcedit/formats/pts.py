@@ -17,16 +17,14 @@ from ..cloud import quantize_colors
 from ..errors import ParseError
 from ._ascii import TableChunks, check_colors
 from ._base import ASCII, DEFAULT_CHUNK_POINTS, Chunk, FormatDescriptor
-from ._records import COLORS, POSITIONS, FileWriter, record_encoder
+from ._records import (COLORS, HEADER_LINE_BYTES, POSITIONS, FileWriter,
+                       record_encoder)
 
 FAMILY = None
 
 _COLUMNS = 7  # x y z intensity r g b
 
 _LINE_END = re.compile(rb"\r\n|\r|\n")
-
-#: the most bytes the count line may take, its line end included
-_COUNT_LINE_BYTES = 4096
 
 _DESCRIPTOR = FormatDescriptor(kind="pts", encoding=ASCII, has_color=True,
                                has_normals=False)
@@ -39,17 +37,17 @@ _ENCODE = record_encoder(ASCII,
 def _read_count(path) -> tuple[int, bytes]:
     """The declared point count and the bytes of its line, which ends where
     text mode ends a line: at ``\\r\\n``, ``\\r`` or ``\\n``.  The line
-    must end within ``_COUNT_LINE_BYTES``, so a file whose lines end in a
+    must end within ``HEADER_LINE_BYTES``, so a file whose lines end in a
     lone ``\\r`` is not read whole to find it."""
     with open(path, "rb") as fh:
-        head = fh.read(_COUNT_LINE_BYTES + 1)
+        head = fh.read(HEADER_LINE_BYTES + 1)
     if not head:
         raise ParseError("missing point-count header", path=path, line=1)
     end = _LINE_END.search(head)
     header = head[:end.end()] if end else head
-    if len(header) > _COUNT_LINE_BYTES:
+    if len(header) > HEADER_LINE_BYTES:
         raise ParseError(f"point-count line is longer than "
-                         f"{_COUNT_LINE_BYTES} bytes", path=path, line=1)
+                         f"{HEADER_LINE_BYTES} bytes", path=path, line=1)
     text = header.decode("utf-8", errors="replace").strip()
     try:
         count = int(text)

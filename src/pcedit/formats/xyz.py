@@ -46,14 +46,26 @@ class XyzReader:
 
     def _float_convention(self) -> bool:
         """True when every color value in the file other than NaN is <= 1.0
-        (NaN is out of range in either convention)."""
+        (NaN is out of range in either convention).
+
+        The scan fails at the first color that neither convention accepts,
+        naming 0..1 if every color up to its row is <= 1.0 and 0..255
+        otherwise, so the first bad row in file order is the one reported.
+        """
         if self._colors_are_floats is None:
             peak = 0.0
             table = TableChunks(self.path, 6)
-            for values, _ in table:
+            for values, lines in table:
                 block = values[:, 3:6]
-                if block.size:
-                    peak = max(peak, float(np.fmax.reduce(block, axis=None)))
+                if not block.size:
+                    continue
+                if not (block.min() >= 0 and block.max() <= 255):  # or NaN
+                    rejected = ~((block >= 0) & (block <= 255)).all(axis=1)
+                    head = block[:int(rejected.argmax()) + 1]
+                    peak = max(peak, float(np.fmax.reduce(head, axis=None)))
+                    check_colors(head, lines, 1 if peak <= 1.0 else 255,
+                                 self.path)
+                peak = max(peak, float(np.fmax.reduce(block, axis=None)))
             self._colors_are_floats = peak <= 1.0
             self._count = table.rows_read
         return self._colors_are_floats

@@ -120,12 +120,12 @@ def test_serialize_parse_fixpoint(rows):
 
 class TestParsePalette:
     def test_basic_line(self):
-        palette = parse_palette_file("tree 0 255 0 1").palette
+        palette = parse_palette_file("tree 0 255 0 1")
         assert palette["tree"].color == (0, 255, 0)
         assert palette["tree"].enabled
 
     def test_disabled_entry(self):
-        palette = parse_palette_file("sky 135 206 235 0").palette
+        palette = parse_palette_file("sky 135 206 235 0")
         assert not palette["sky"].enabled
 
     def test_channel_out_of_range(self):
@@ -134,8 +134,8 @@ class TestParsePalette:
 
     def test_comments_and_blanks_ignored(self):
         text = "# classes\n\ntree 0 255 0 1  # green\n\n# done\n"
-        palette = parse_palette_file(text).palette
-        assert palette.labels() == ["tree"]
+        palette = parse_palette_file(text)
+        assert list(palette) == ["tree"]
 
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabel, match="line 3"):

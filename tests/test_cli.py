@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pcedit import PointCloud, cli, parallel, read_cloud, write_cloud
+from pcedit import PointCloud, cli, read_cloud, write_cloud
 from pcedit.cli import run
 from pcedit.formats import ply
 
@@ -370,24 +370,11 @@ class TestSplitCommand:
 
 class TestThreads:
     @pytest.mark.parametrize("command", ["recolor", "delete"])
-    def test_thread_count_changes_no_byte(self, tmp_path, monkeypatch,
-                                          command):
-        """--threads 0, 1 and 2 write the same cloud and report, with blocks
-        small enough that the pool splits the containment scan."""
-        monkeypatch.setattr(parallel, "_MIN_BLOCK", 16)
-        monkeypatch.setattr(parallel, "_max_threads", parallel._max_threads)
-        pools = []
-
-        class CountingPool(parallel.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+    def test_thread_count_changes_no_byte(self, tmp_path, command):
+        """--threads 0, 1 and 2 write the same cloud and report."""
         _, cloud_path, boxes_path, *_ = write_scene(tmp_path, n_outliers=200)
         results = {}
         for threads in ("0", "1", "2"):
-            pools.clear()
             out = tmp_path / f"{threads}.ply"
             report = tmp_path / f"{threads}.json"
             assert run([command, "--cloud", str(cloud_path),
@@ -396,9 +383,17 @@ class TestThreads:
                         "--threads", threads]) == 0
             results[threads] = (out.read_bytes(),
                                 json.loads(report.read_text())["report"])
-            if threads == "2":
-                assert pools and set(pools) == {2}
         assert results["0"] == results["1"] == results["2"]
+
+    def test_non_integer_thread_count_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        _, cloud_path, boxes_path, *_ = write_scene(tmp_path)
+        out = tmp_path / "out.ply"
+        assert run(["recolor", "--cloud", str(cloud_path),
+                    "--boxes", str(boxes_path), "--out", str(out),
+                    "--threads", "x"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInfo:

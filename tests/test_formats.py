@@ -662,6 +662,12 @@ class TestFirstBadRow:
          "line 3: invalid number '1_0'"),
         ("n.xyzn", "0 0 1 0 0 1\n0 0 1 0 0 1_0\n0 0 1\n",
          "line 2: invalid number '1_0'"),
+        # the convention pre-pass checks colors as it scans
+        ("c.xyzrgb", "0 0 0 300 0 0\n1 x 2 0 0 0\n",
+         "line 1: color value 300 outside 0..255"),
+        # every color up to the bad one is <= 1, a later one is not
+        ("f.xyzrgb", "0 0 0 0.5 0 0\n0 0 0 -1 0 0\n0 0 0 200 0 0\n",
+         "line 2: color value -1 outside 0..1"),
     ]
 
     @pytest.mark.parametrize("name, text, error", CASES)
@@ -726,6 +732,25 @@ class TestHeaderLineEnds:
                          + b"1 2 3\r4 5 6\r")
         with pytest.raises(ParseError, match="missing end_header"):
             read_cloud(path)
+
+    @pytest.mark.parametrize("name, header", [("c.ply", PLY),
+                                              ("c.pcd", PCD)])
+    def test_header_read_from_a_bounded_prefix(self, tmp_path, name, header):
+        """A file whose lines end in a lone CR is not read whole to find
+        the end of its header."""
+        rows = 400_000
+        path = write_tmp(tmp_path, name, header.replace(b"\n", b"\r")
+                         + b"1 2 3\r" * rows)
+        assert path.stat().st_size > 2 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="line 1: header line is "
+                                                 "longer than 4096 bytes"):
+                open_reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
 
 class TestConvert:

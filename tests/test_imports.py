@@ -1,5 +1,6 @@
 """Import cost: scipy stays unloaded unless a nearest-inlier search runs,
-and hashlib (with its OpenSSL binding and hmac) is never loaded.
+and neither hashlib (with its OpenSSL binding and hmac) nor
+concurrent.futures is ever loaded.
 
 Importing scipy.spatial costs about half a second per process, and every
 CLI command is a fresh process.  Each check runs in a fresh interpreter,
@@ -23,17 +24,20 @@ _CHILD = """
 import json, sys
 import pcedit, pcedit.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
 
 hashing = sorted({"hashlib", "_hashlib", "hmac", "secrets"} & set(sys.modules))
-seen = {"import": scipy_modules(), "hashing": hashing}
+seen = {"import": loaded("scipy"), "hashing": hashing,
+        "concurrent": loaded("concurrent")}
 codes = {}
 for mode, out in zip(sys.argv[3::2], sys.argv[4::2]):
     codes[mode] = pcedit.cli.run(
         ["recolor", "--cloud", sys.argv[1], "--boxes", sys.argv[2],
-         "--out", out, "--radius", "30", "--outlier-mode", mode])
-    seen[mode] = scipy_modules()
+         "--out", out, "--radius", "30", "--outlier-mode", mode,
+         "--threads", "2"])
+    seen[mode] = loaded("scipy")
+    seen[mode + " concurrent"] = loaded("concurrent")
 print(json.dumps({"seen": seen, "codes": codes}))
 """
 
@@ -77,6 +81,9 @@ def test_import_and_surface_recolor_leave_scipy_unloaded(tmp_path):
     assert result["seen"]["hashing"] == []
     assert result["codes"] == {PROJECT_TO_SURFACE: 0}
     assert result["seen"][PROJECT_TO_SURFACE] == []
+    # no thread pool, even with --threads 2
+    assert result["seen"]["concurrent"] == []
+    assert result["seen"][PROJECT_TO_SURFACE + " concurrent"] == []
 
 
 def test_nearest_inlier_search_still_gives_the_nearest_inlier(tmp_path):
