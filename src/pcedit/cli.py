@@ -276,7 +276,10 @@ def _cmd_info(args) -> int:
     # the whole file while holding one chunk
     reader = formats.open_reader(args.input)
     descriptor = reader.descriptor
-    points = sum(chunk.positions.shape[0] for chunk in reader.chunks())
+    points = 0
+    for chunk in reader.chunks():
+        points += chunk.positions.shape[0]
+        del chunk
     precision = position_precision(descriptor)
     print(f"kind:      {descriptor.kind}")
     print(f"encoding:  {descriptor.encoding}")

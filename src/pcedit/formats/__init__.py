@@ -7,7 +7,8 @@ Everything funnels through two small protocols:
 * reader: ``.descriptor``, ``.count``, ``.chunks(chunk_size)``
 * writer: ``.write(chunk)``, ``.close() -> bytes written``
 
-so the conversion pipeline never holds more than one batch in memory.
+so the conversion pipeline never holds more than one batch in memory:
+every loop over chunks drops its chunk before it asks for the next one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -151,25 +153,29 @@ def resolve_descriptor(kind: str, *, has_color: bool, has_normals: bool,
 
 
 def read_cloud(source) -> PointCloud:
-    """Load a whole file into memory as a PointCloud."""
+    """Load a whole file into memory as a PointCloud.
+
+    Each chunk is copied onto the end of arrays that grow in place to the
+    summed length, and is dropped before the next is read, so the peak is
+    the cloud plus one chunk.
+    """
     reader = open_reader(source)
     desc = reader.descriptor
-    positions, colors, normals = [], [], []
+    columns = {"positions": np.empty((0, 3))}
+    if desc.has_color:
+        columns["colors"] = np.empty((0, 3), dtype=np.uint8)
+    if desc.has_normals:
+        columns["normals"] = np.empty((0, 3))
+    n = 0
     for chunk in reader.chunks():
-        positions.append(chunk.positions)
-        if desc.has_color:
-            colors.append(chunk.colors)
-        if desc.has_normals:
-            normals.append(chunk.normals)
-    if not positions:
-        return PointCloud.empty(has_color=desc.has_color,
-                                has_normals=desc.has_normals)
-    return PointCloud(
-        positions=np.vstack(positions),
-        colors=np.vstack(colors) if colors else None,
-        normals=np.vstack(normals) if normals else None,
-        has_color=desc.has_color,
-    )
+        k = chunk.positions.shape[0]
+        for name, array in columns.items():
+            # no view of these arrays exists, so growing in place is safe
+            array.resize((n + k, 3), refcheck=False)
+            array[n:] = getattr(chunk, name)
+        n += k
+        del chunk
+    return PointCloud(has_color=desc.has_color, **columns)
 
 
 def _cloud_chunks(cloud: PointCloud, descriptor: FormatDescriptor,
@@ -225,22 +231,25 @@ def _write_chunks(path, descriptor: FormatDescriptor, count: int, chunks, *,
     # the name keeps the target's extension, which some codecs read
     temp = os.path.join(directory,
                         f".{stem}.{os.urandom(8).hex()}.tmp{suffix}")
-    # created as open(target, "wb") would create it: mode 0o666 less umask
     try:
-        os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    except OSError as exc:
-        exc.filename = os.fspath(path)  # report the path the caller gave
-        raise
-    try:
+        # The writer creates the file as open(target, "wb") would: mode
+        # 0o666 less umask.  It must be new, not emptied: ext4 flushes a
+        # file that was truncated to nothing when it is closed, a cost
+        # that grows with the file.
+        try:
+            writer = open_writer(temp, descriptor, count,
+                                 las_scale=las_scale, las_offset=las_offset)
+        except OSError as exc:
+            exc.filename = os.fspath(path)  # report the path the caller gave
+            raise
         with contextlib.suppress(FileNotFoundError):
             shutil.copymode(target, temp)  # an existing target keeps its mode
-        writer = open_writer(temp, descriptor, count, las_scale=las_scale,
-                             las_offset=las_offset)
         points = 0
         try:
             for chunk in chunks:
                 writer.write(chunk)
                 points += chunk.positions.shape[0]
+                del chunk
         except BaseException:
             writer.close()
             raise
@@ -317,9 +326,10 @@ def convert(in_path, out_path, *, kind: str | None = None,
 
     if las_offset is None:
         las_offset = (0.0, 0.0, 0.0)
+    # map, unlike a generator expression, keeps no chunk between items
     report.bytes_written, report.points_written = _write_chunks(
         out_path, out_desc, count,
-        (_adapt_chunk(chunk, out_desc) for chunk in reader.chunks(chunk_size)),
+        map(_adapt_chunk, reader.chunks(chunk_size), repeat(out_desc)),
         las_scale=las_scale, las_offset=las_offset)
     return report
 
@@ -328,10 +338,10 @@ def _minimum_pass(reader, chunk_size: int):
     """Component-wise coordinate minimum, streamed."""
     lows = None
     for chunk in reader.chunks(chunk_size):
-        if chunk.positions.shape[0] == 0:
-            continue
-        block = chunk.positions.min(axis=0)
-        lows = block if lows is None else np.minimum(lows, block)
+        if chunk.positions.shape[0]:
+            block = chunk.positions.min(axis=0)
+            lows = block if lows is None else np.minimum(lows, block)
+        del chunk
     return (0.0, 0.0, 0.0) if lows is None else tuple(lows)
 
 

@@ -63,6 +63,7 @@ def _blocks(fh) -> Iterator[bytes]:
         del data  # one copy of the block is alive while it is parsed
         if block:
             yield block
+        del block  # and none while the next one is read
     if carry:
         yield carry + b"\n"
 
@@ -118,6 +119,7 @@ class TableChunks:
                     if filled == self.chunk_size:
                         yield _join(parts)
                         parts, filled = [], 0
+                del values, lines  # an empty view keeps its block alive
         except ParseError:
             if filled:
                 yield _join(parts)  # the good rows before the failure
@@ -133,43 +135,46 @@ class TableChunks:
         with open(self.path, "rb") as fh:
             fh.seek(len(self.header))
             for block in _blocks(fh):
-                values = self._load(block)
-                if values is not None:
-                    first = self.line_no + 1
-                    self.line_no += len(values)
-                    self.rows_read += len(values)
-                    yield values, np.arange(first, self.line_no + 1,
-                                            dtype=np.int64)
-                    continue
-                texts, numbers = [], []  # data rows, their line numbers
-                full = False  # a row past max_rows was met
-                for raw in _text_lines(block):
-                    self.line_no += 1
-                    text = _strip(raw)
-                    if not text:
-                        continue
-                    if self.rows_read + len(texts) == self.max_rows:
-                        full = True
-                        break
-                    texts.append(text)
-                    numbers.append(self.line_no)
-                values = self._parse(texts)
-                good = len(values)
-                self.rows_read += good
-                yield values, np.array(numbers[:good], dtype=np.int64)
-                if good < len(texts):
-                    raise self._row_error(texts[good], numbers[good])
-                if full:
-                    if self.forbid_extra_rows:
-                        raise ParseError(
-                            f"expected {self.max_rows} data rows, "
-                            f"found extra data",
-                            path=self.path, line=self.line_no)
+                if (yield from self._block_rows(block)):
                     return  # max_rows reached: the rest is not read
+                del block  # not alive while the next block is read
         if self.max_rows is not None and self.rows_read < self.max_rows:
             raise ParseError(f"{self.declared} but file ends after "
                              f"{self.rows_read}", path=self.path,
                              line=self.line_no + 1)
+
+    def _block_rows(self, block: bytes):
+        """The good rows of one block, as ``_rows`` yields them; returns
+        True when a row past ``max_rows`` was met."""
+        values = self._load(block)
+        if values is not None:
+            first = self.line_no + 1
+            self.line_no += len(values)
+            self.rows_read += len(values)
+            yield values, np.arange(first, self.line_no + 1, dtype=np.int64)
+            return False
+        texts, numbers = [], []  # data rows, their line numbers
+        full = False  # a row past max_rows was met
+        for raw in _text_lines(block):
+            self.line_no += 1
+            text = _strip(raw)
+            if not text:
+                continue
+            if self.rows_read + len(texts) == self.max_rows:
+                full = True
+                break
+            texts.append(text)
+            numbers.append(self.line_no)
+        values = self._parse(texts)
+        good = len(values)
+        self.rows_read += good
+        yield values, np.array(numbers[:good], dtype=np.int64)
+        if good < len(texts):
+            raise self._row_error(texts[good], numbers[good])
+        if full and self.forbid_extra_rows:
+            raise ParseError(f"expected {self.max_rows} data rows, found "
+                             f"extra data", path=self.path, line=self.line_no)
+        return full
 
     def _load(self, block: bytes) -> np.ndarray | None:
         """The rows of a plain block, one per line, parsed at once; None
@@ -180,8 +185,9 @@ class TableChunks:
             return None
         if not _plain(block):
             return None
-        return _floats(io.StringIO(block.decode("ascii")), lines,
-                       self.n_columns)
+        # number bytes only, so the bytes parse as their text does, without
+        # a 4-byte-per-character str
+        return _floats(io.BytesIO(block), lines, self.n_columns)
 
     def _parse(self, texts: list[str]) -> np.ndarray:
         """The values of ``texts`` up to the first bad row.  Whether a
@@ -213,10 +219,11 @@ class TableChunks:
                           line=line)
 
 
-def _floats(text: io.StringIO, rows: int, width: int) -> np.ndarray | None:
+def _floats(text: io.StringIO | io.BytesIO, rows: int,
+            width: int) -> np.ndarray | None:
     """``text`` as a float64 ``(rows, width)`` array; None when
     ``np.loadtxt`` rejects a token or finds another shape.  Taking a
-    ``StringIO`` lets the caller's ``str`` go before the parse."""
+    stream lets the caller's ``str`` go before the parse."""
     try:
         values = np.loadtxt(text, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:

@@ -52,9 +52,9 @@ def record_fields(descriptor: FormatDescriptor, normals: Fields = NORMALS,
     return groups
 
 
-def record_encoder(encoding: str,
-                   groups: list[Fields]) -> Callable[[Chunk], bytes]:
-    """chunk -> bytes, as binary records or as one text row per point."""
+def record_encoder(encoding: str, groups: list[Fields]
+                   ) -> Callable[[Chunk], bytes | np.ndarray]:
+    """chunk -> text rows, or a structured array of binary records."""
     if encoding == ASCII:
         fmt = " ".join(group.fmt for group in groups)
         return lambda chunk: rows_to_text(
@@ -62,23 +62,24 @@ def record_encoder(encoding: str,
     dtype = np.dtype([(name, group.dtype) for group in groups
                       for name in group.names])
 
-    def encode(chunk: Chunk) -> bytes:
+    def encode(chunk: Chunk) -> np.ndarray:
         records = np.empty(chunk.positions.shape[0], dtype=dtype)
         for group in groups:
             block = group.block(chunk)
             for i, name in enumerate(group.names):
                 records[name] = block[:, i]
-        return records.tobytes()
+        return records
 
     return encode
 
 
 class FileWriter:
     """Header bytes, then ``encode(chunk)`` per chunk; ``close`` returns the
-    number of bytes written."""
+    number of bytes written.  An encoded chunk is written from its own
+    buffer, so binary records are not copied into a ``bytes`` first."""
 
     def __init__(self, path, descriptor: FormatDescriptor, header: bytes,
-                 encode: Callable[[Chunk], bytes]):
+                 encode: Callable[[Chunk], bytes | np.ndarray]):
         self.path = Path(path)
         self.descriptor = descriptor
         self._encode = encode
@@ -87,9 +88,9 @@ class FileWriter:
         self._bytes = len(header)
 
     def write(self, chunk: Chunk):
-        data = self._encode(chunk)
+        data = memoryview(self._encode(chunk))
         self._fh.write(data)
-        self._bytes += len(data)
+        self._bytes += data.nbytes
 
     def close(self) -> int:
         self._fh.close()
@@ -113,6 +114,7 @@ def read_records(path, dtype: np.dtype, offset: int, count: int,
                     f"unexpected end of data: {done} of {count} {noun}",
                     path=path, offset=offset + done * dtype.itemsize)
             yield records
+            del records  # the caller's chunk goes before the next is read
 
 
 #: the most bytes a header line may take, its line end included
@@ -179,8 +181,9 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
 
     ``block(names)`` stacks those fields into a (k, len(names)) array, read
     from the parsed text columns or straight from the binary record fields
-    in their stored type; it is valid until the next chunk.  ``lines``
-    holds the text rows' line numbers; it is None for binary data.
+    in their stored type; it fails once the next chunk is asked for, so no
+    caller keeps a chunk alive by accident.  ``lines`` holds the text rows'
+    line numbers; it is None for binary data.
     """
     if layout.encoding == ASCII:
         table = TableChunks(path, sum(n for _, _, n in layout.fields),
@@ -190,6 +193,7 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
         for values, lines in table:
             yield (lambda names: values[:, [layout.column(name)
                                             for name in names]]), lines
+            del values, lines
         return
     dtype = np.dtype([(f"f{i}", f"<{code}", (n,) if n > 1 else ())
                       for i, (_, code, n) in enumerate(layout.fields)])
@@ -197,3 +201,4 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
                                 layout.count, chunk_size, noun):
         yield (lambda names: np.column_stack(
             [records[f"f{layout.first(name)}"] for name in names])), None
+        del records

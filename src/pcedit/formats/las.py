@@ -130,20 +130,23 @@ class LasReader:
         self.narrows_colors = self.descriptor.has_color
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        scales = np.asarray(self.header.scales, dtype=np.float64)
-        offsets = np.asarray(self.header.offsets, dtype=np.float64)
         for records in read_records(self.path, self._dtype,
                                     self.header.offset_to_points, self.count,
                                     chunk_size):
-            ints = np.column_stack([records["X"], records["Y"],
-                                    records["Z"]]).astype(np.float64)
-            positions = ints * scales + offsets
-            colors = None
-            if self.descriptor.has_color:
-                colors = np.column_stack(
-                    [narrow_16bit(records[c]) for c in
-                     ("red", "green", "blue")])
-            yield Chunk(positions, colors, None)
+            yield self._decode(records)
+            del records  # the caller's chunk goes before the next is read
+
+    def _decode(self, records: np.ndarray) -> Chunk:
+        positions = np.empty((records.shape[0], 3))
+        for axis, name in enumerate("XYZ"):
+            positions[:, axis] = records[name]
+            positions[:, axis] *= self.header.scales[axis]
+            positions[:, axis] += self.header.offsets[axis]
+        colors = None
+        if self.descriptor.has_color:
+            colors = np.column_stack(
+                [narrow_16bit(records[c]) for c in ("red", "green", "blue")])
+        return Chunk(positions, colors, None)
 
 
 def check_finite(values: np.ndarray) -> None:
@@ -207,20 +210,24 @@ class LasWriter(FileWriter):
                                       (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
                          self._records)
 
-    def _records(self, chunk: Chunk) -> bytes:
+    def _records(self, chunk: Chunk) -> np.ndarray:
         n = chunk.positions.shape[0]
         if n == 0:
-            return b""
+            return np.empty(0, dtype=self._dtype)
         check_finite(chunk.positions)
-        ints = np.rint((chunk.positions - self._offset) / self._scale)
+        # grid steps from the offset, whole numbers kept in float64 until
+        # they are stored
+        ints = chunk.positions - self._offset
+        ints /= self._scale
+        np.rint(ints, out=ints)
+        lows, highs = ints.min(axis=0), ints.max(axis=0)
         limit = np.iinfo(np.int32)
-        if ints.min() < limit.min or ints.max() > limit.max:
+        if lows.min() < limit.min or highs.max() > limit.max:
             raise RangeError(
                 f"coordinates span more than the int32 LAS grid at scale "
                 f"{self._scale:g}; increase the scale or adjust the offset")
-        ints = ints.astype(np.int64)
-        self._int_min = np.minimum(self._int_min, ints.min(axis=0))
-        self._int_max = np.maximum(self._int_max, ints.max(axis=0))
+        self._int_min = np.minimum(self._int_min, lows.astype(np.int64))
+        self._int_max = np.maximum(self._int_max, highs.astype(np.int64))
         records = np.zeros(n, dtype=self._dtype)
         records["X"] = ints[:, 0]
         records["Y"] = ints[:, 1]
@@ -230,7 +237,7 @@ class LasWriter(FileWriter):
             records["green"] = widen_8bit(chunk.colors[:, 1])
             records["blue"] = widen_8bit(chunk.colors[:, 2])
         self._count += n
-        return records.tobytes()
+        return records
 
     def close(self) -> int:
         if self._count:

@@ -60,15 +60,18 @@ class LazReader:
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
         with _require_laspy().open(str(self.path)) as fh:
             for points in fh.chunk_iterator(chunk_size):
-                positions = np.column_stack([np.asarray(points.x),
-                                             np.asarray(points.y),
-                                             np.asarray(points.z)])
-                colors = None
-                if self.descriptor.has_color:
-                    colors = np.column_stack(
-                        [narrow_16bit(np.asarray(points[c]))
-                         for c in ("red", "green", "blue")])
-                yield Chunk(positions.astype(np.float64), colors, None)
+                yield self._decode(points)
+                del points  # the caller's chunk goes before the next
+
+    def _decode(self, points) -> Chunk:
+        positions = np.column_stack([np.asarray(points.x),
+                                     np.asarray(points.y),
+                                     np.asarray(points.z)])
+        colors = None
+        if self.descriptor.has_color:
+            colors = np.column_stack([narrow_16bit(np.asarray(points[c]))
+                                      for c in ("red", "green", "blue")])
+        return Chunk(positions.astype(np.float64), colors, None)
 
 
 class LazWriter:

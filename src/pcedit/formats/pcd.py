@@ -134,13 +134,17 @@ class PcdReader:
         declared = f"POINTS declares {self.count} rows"
         for block, lines in record_columns(self.path, self._layout,
                                            chunk_size, declared, "points"):
-            positions = block(_XYZ).astype(np.float64, copy=False)
-            colors = normals = None
-            if self._rgb is not None:
-                colors = self._colors(block((self._rgb,)), lines)
-            if self.descriptor.has_normals:
-                normals = block(_NORMAL_NAMES).astype(np.float64, copy=False)
-            yield Chunk(positions, colors, normals)
+            yield self._decode(block, lines)
+            del block, lines  # the caller's chunk goes before the next
+
+    def _decode(self, block, lines) -> Chunk:
+        positions = block(_XYZ).astype(np.float64, copy=False)
+        colors = normals = None
+        if self._rgb is not None:
+            colors = self._colors(block((self._rgb,)), lines)
+        if self.descriptor.has_normals:
+            normals = block(_NORMAL_NAMES).astype(np.float64, copy=False)
+        return Chunk(positions, colors, normals)
 
     def _colors(self, raw: np.ndarray, lines) -> np.ndarray:
         """Unpack one packed-rgb column: float bits or an integer value,

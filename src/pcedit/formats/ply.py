@@ -150,20 +150,23 @@ class PlyReader:
         declared = f"vertex element declares {self.count} rows"
         for block, lines in record_columns(self.path, self._layout,
                                            chunk_size, declared, "vertices"):
-            positions = block(_XYZ).astype(np.float64, copy=False)
-            colors = normals = None
-            if self.descriptor.has_color:
-                raw = block(_RGB)
-                if lines is not None:
-                    check_colors(raw, lines,
-                                 65535 if self.narrows_colors else 255,
-                                 self.path)
-                    raw = np.rint(raw)
-                colors = narrow_16bit(raw) if self.narrows_colors \
-                    else raw.astype(np.uint8)
-            if self.descriptor.has_normals:
-                normals = block(_NORMALS).astype(np.float64, copy=False)
-            yield Chunk(positions, colors, normals)
+            yield self._decode(block, lines)
+            del block, lines  # the caller's chunk goes before the next
+
+    def _decode(self, block, lines) -> Chunk:
+        positions = block(_XYZ).astype(np.float64, copy=False)
+        colors = normals = None
+        if self.descriptor.has_color:
+            raw = block(_RGB)
+            if lines is not None:
+                check_colors(raw, lines,
+                             65535 if self.narrows_colors else 255, self.path)
+                raw = np.rint(raw)
+            colors = narrow_16bit(raw) if self.narrows_colors \
+                else raw.astype(np.uint8)
+        if self.descriptor.has_normals:
+            normals = block(_NORMALS).astype(np.float64, copy=False)
+        return Chunk(positions, colors, normals)
 
 
 def _header(descriptor: FormatDescriptor, count: int, groups) -> bytes:

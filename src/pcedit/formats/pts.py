@@ -71,10 +71,10 @@ class PtsReader:
                             declared=f"header declares {self.count} points",
                             chunk_size=chunk_size)
         for values, lines in table:
-            raw = values[:, 4:7]
-            check_colors(raw, lines, 255, self.path)
+            check_colors(values[:, 4:7], lines, 255, self.path)
             yield Chunk(np.ascontiguousarray(values[:, :3]),
-                        quantize_colors(raw), None)
+                        quantize_colors(values[:, 4:7]), None)
+            del values, lines  # the caller's chunk goes before the next
 
 
 def open_reader(path, kind: str) -> PtsReader:

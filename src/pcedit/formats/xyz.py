@@ -57,8 +57,6 @@ class XyzReader:
             table = TableChunks(self.path, 6)
             for values, lines in table:
                 block = values[:, 3:6]
-                if not block.size:
-                    continue
                 if not (block.min() >= 0 and block.max() <= 255):  # or NaN
                     rejected = ~((block >= 0) & (block <= 255)).all(axis=1)
                     head = block[:int(rejected.argmax()) + 1]
@@ -66,6 +64,7 @@ class XyzReader:
                     check_colors(head, lines, 1 if peak <= 1.0 else 255,
                                  self.path)
                 peak = max(peak, float(np.fmax.reduce(block, axis=None)))
+                del values, lines, block  # before the next chunk is read
             self._colors_are_floats = peak <= 1.0
             self._count = table.rows_read
         return self._colors_are_floats
@@ -75,17 +74,20 @@ class XyzReader:
         table = TableChunks(self.path, _COLUMNS[self.kind],
                             chunk_size=chunk_size)
         for values, lines in table:
-            positions = np.ascontiguousarray(values[:, :3])
-            colors = normals = None
-            if self.kind == "xyzn":
-                normals = np.ascontiguousarray(values[:, 3:6])
-            elif self.kind == "xyzrgb":
-                raw = values[:, 3:6]
-                check_colors(raw, lines, 1 if scale_colors else 255,
-                             self.path)
-                colors = quantize_colors(raw * 255.0 if scale_colors else raw)
-            yield Chunk(positions, colors, normals)
+            yield self._decode(values, lines, scale_colors)
+            del values, lines  # the caller's chunk goes before the next
         self._count = table.rows_read
+
+    def _decode(self, values, lines, scale_colors: bool) -> Chunk:
+        positions = np.ascontiguousarray(values[:, :3])
+        colors = normals = None
+        if self.kind == "xyzn":
+            normals = np.ascontiguousarray(values[:, 3:6])
+        elif self.kind == "xyzrgb":
+            raw = values[:, 3:6]
+            check_colors(raw, lines, 1 if scale_colors else 255, self.path)
+            colors = quantize_colors(raw * 255.0 if scale_colors else raw)
+        return Chunk(positions, colors, normals)
 
 
 def open_reader(path, kind: str) -> XyzReader:

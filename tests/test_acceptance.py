@@ -250,26 +250,38 @@ def _stream_synthetic_ply(path, n_points, chunk=1_000_000):
     writer.close()
 
 
-_CHILD_CONVERT = """
-import json, resource, sys, time
+# The child's own peak in GB: VmHWM where /proc has it.  ru_maxrss is the
+# fallback only, since a vfork'd child inherits its parent's high-water mark.
+_PEAK_GB = """
+import re, resource
+
+def peak_gb():
+    try:
+        with open("/proc/self/status") as fh:
+            status = fh.read()
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1048576
+    return int(re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1)) / 1048576
+"""
+
+_CHILD_CONVERT = _PEAK_GB + """
+import json, sys, time
 from pcedit.formats import convert
 t0 = time.perf_counter()
 report = convert(sys.argv[1], sys.argv[2])
 dt = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1048576
-print(json.dumps({"seconds": dt, "rss_gb": rss,
+print(json.dumps({"seconds": dt, "rss_gb": peak_gb(),
                   "points": report.points_written}))
 """
 
-_CHILD_RECOLOR = """
-import json, resource, sys
+_CHILD_RECOLOR = _PEAK_GB + """
+import json, sys
 from pcedit import OrientedBox, SphereParams, read_cloud, recolor_spherical
 cloud = read_cloud(sys.argv[1])
 box = OrientedBox(label="all", centroid=(50, 50, 50),
                   dimensions=(1e4, 1e4, 1e4))
 out = recolor_spherical(cloud, box, SphereParams())
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1048576
-print(json.dumps({"rss_gb": rss, "points": out.count}))
+print(json.dumps({"rss_gb": peak_gb(), "points": out.count}))
 """
 
 
