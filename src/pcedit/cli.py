@@ -18,8 +18,9 @@ from . import formats
 from .boxfile import join_boxes_palette, load_box_file, load_palette_file
 from .cloud import RgbAabb
 from .errors import CloudError
-from .formats import (DEFAULT_LAS_SCALE, convert, position_precision,
-                      read_cloud, write_cloud)
+from .formats import (DEFAULT_LAS_SCALE, convert, kind_of,
+                      position_precision, read_cloud, resolve_descriptor,
+                      write_cloud)
 from .recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE, EditStep,
                       RemapParams, SphereParams, SubstituteStep,
                       apply_pipeline)
@@ -205,6 +206,17 @@ def _write_report(args, payload: dict):
         Path(args.report).write_text(text, encoding="utf-8")
 
 
+def _output_descriptor(kind: str, cloud, args):
+    """The descriptor ``cloud`` is written with; what ``kind`` cannot
+    store of it is printed as a warning, as ``convert`` does."""
+    descriptor, notes = resolve_descriptor(
+        kind, has_color=cloud.has_color,
+        has_normals=cloud.normals is not None, encoding=_encoding(args))
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    return descriptor
+
+
 def _cmd_convert(args) -> int:
     report = convert(args.input, args.output, kind=args.kind,
                      encoding=_encoding(args), las_scale=args.las_scale,
@@ -232,11 +244,11 @@ def _cmd_edit(args, command: str) -> int:
     cloud = read_cloud(args.cloud)
     edited, report = apply_pipeline(cloud, steps)
     print(report.to_table())
+    descriptor = _output_descriptor(kind_of(args.out), edited, args)
     if args.dry_run:
         print("dry run: no output written")
     else:
-        write_cloud(edited, args.out, encoding=_encoding(args),
-                    las_scale=args.las_scale)
+        write_cloud(edited, args.out, descriptor, las_scale=args.las_scale)
         print(f"wrote {edited.count} points to {args.out}")
     _write_report(args, {"command": command, "flags": _echo_flags(args),
                          "report": json.loads(report.to_json())})
@@ -259,6 +271,7 @@ def _cmd_split(args) -> int:
         print(f"{f.label}: {f.cloud.count} points")
     if result.remainder is not None:
         print(f"remainder: {result.remainder.count} points")
+    _output_descriptor(args.kind, cloud, args)
     if args.dry_run:
         print("dry run: no files written")
     else:

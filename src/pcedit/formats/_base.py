@@ -1,10 +1,8 @@
-"""Shared pieces of the format layer: descriptors, capabilities, chunks."""
+"""Shared pieces of the format layer: descriptors and capabilities."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from ..errors import UnknownFormat
@@ -22,14 +20,6 @@ DEFAULT_LAS_SCALE = 1e-4
 
 #: decimal places written for positions/normals in ASCII carriers
 ASCII_DECIMALS = 6
-
-
-class Chunk(NamedTuple):
-    """One decoded batch: positions f64 (k,3), optional colors u8 / normals f64."""
-
-    positions: np.ndarray
-    colors: np.ndarray | None
-    normals: np.ndarray | None
 
 
 @dataclass(frozen=True)

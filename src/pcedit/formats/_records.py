@@ -1,25 +1,26 @@
 """Fixed-layout point records: the one writer and the one record reader.
 
-Every native writer is a header followed by one encoded block per chunk
-(``FileWriter``).  PLY, PCD, pts and the xyz family describe their rows as
-groups of fields (``Fields``), so one encoder turns a chunk into either
-packed little-endian records or ``%``-formatted text rows.  On the read
-side, the binary readers (PLY, PCD, LAS) pull records with one
-``np.fromfile`` loop that reports where a short file ends, and PLY/PCD read
-either encoding through ``record_columns``.
+Every native writer is a header followed by the encoded buffers of each
+``PointCloud`` chunk (``FileWriter``).  PLY, PCD, pts and the xyz family
+describe their rows as groups of fields (``Fields``), so one encoder turns
+a chunk into either packed little-endian records or ``%``-formatted text
+rows.  On the read side, the binary readers (PLY, PCD, LAS) pull records
+with one ``np.fromfile`` loop that reports where a short file ends, and
+PLY/PCD read either encoding through ``record_columns``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from ..cloud import PointCloud
 from ..errors import ParseError
-from ._ascii import TableChunks, rows_to_text
-from ._base import ASCII, ASCII_DECIMALS, Chunk, FormatDescriptor
+from ._ascii import FORMAT_ROWS, TableChunks, rows_to_text
+from ._base import ASCII, ASCII_DECIMALS, FormatDescriptor
 
 _TRIPLE_FMT = " ".join([f"%.{ASCII_DECIMALS}f"] * 3)
 
@@ -30,15 +31,15 @@ class Fields(NamedTuple):
     names: tuple[str, ...]
     dtype: str                            # numpy type of each binary field
     fmt: str                              # printf format of the whole group
-    block: Callable[[Chunk], np.ndarray]
+    block: Callable[[PointCloud], np.ndarray]
 
 
 POSITIONS = Fields(("x", "y", "z"), "<f8", _TRIPLE_FMT,
-                   lambda chunk: chunk.positions)
+                   lambda cloud: cloud.positions)
 NORMALS = Fields(("nx", "ny", "nz"), "<f8", _TRIPLE_FMT,
-                 lambda chunk: chunk.normals)
+                 lambda cloud: cloud.normals)
 COLORS = Fields(("red", "green", "blue"), "u1", "%d %d %d",
-                lambda chunk: chunk.colors)
+                lambda cloud: cloud.colors)
 
 
 def record_fields(descriptor: FormatDescriptor, normals: Fields = NORMALS,
@@ -53,33 +54,40 @@ def record_fields(descriptor: FormatDescriptor, normals: Fields = NORMALS,
 
 
 def record_encoder(encoding: str, groups: list[Fields]
-                   ) -> Callable[[Chunk], bytes | np.ndarray]:
-    """chunk -> text rows, or a structured array of binary records."""
+                   ) -> Callable[[PointCloud], Iterable]:
+    """chunk -> text rows, ``FORMAT_ROWS`` rows per buffer, or one
+    structured array of binary records."""
     if encoding == ASCII:
         fmt = " ".join(group.fmt for group in groups)
-        return lambda chunk: rows_to_text(
-            np.hstack([group.block(chunk) for group in groups]), fmt)
+
+        def encode_text(chunk: PointCloud) -> Iterator[bytes]:
+            matrix = np.hstack([group.block(chunk) for group in groups])
+            for lo in range(0, len(matrix), FORMAT_ROWS):
+                yield rows_to_text(matrix[lo:lo + FORMAT_ROWS], fmt)
+
+        return encode_text
     dtype = np.dtype([(name, group.dtype) for group in groups
                       for name in group.names])
 
-    def encode(chunk: Chunk) -> np.ndarray:
-        records = np.empty(chunk.positions.shape[0], dtype=dtype)
+    def encode(chunk: PointCloud) -> list[np.ndarray]:
+        records = np.empty(chunk.count, dtype=dtype)
         for group in groups:
             block = group.block(chunk)
             for i, name in enumerate(group.names):
                 records[name] = block[:, i]
-        return records
+        return [records]
 
     return encode
 
 
 class FileWriter:
-    """Header bytes, then ``encode(chunk)`` per chunk; ``close`` returns the
-    number of bytes written.  An encoded chunk is written from its own
-    buffer, so binary records are not copied into a ``bytes`` first."""
+    """Header bytes, then each buffer ``encode(chunk)`` gives; ``close``
+    returns the number of bytes written.  A buffer is written as it is made
+    and from its own memory, so text goes out part by part and binary
+    records are not copied into a ``bytes`` first."""
 
     def __init__(self, path, descriptor: FormatDescriptor, header: bytes,
-                 encode: Callable[[Chunk], bytes | np.ndarray]):
+                 encode: Callable[[PointCloud], Iterable]):
         self.path = Path(path)
         self.descriptor = descriptor
         self._encode = encode
@@ -87,10 +95,12 @@ class FileWriter:
         self._fh.write(header)
         self._bytes = len(header)
 
-    def write(self, chunk: Chunk):
-        data = memoryview(self._encode(chunk))
-        self._fh.write(data)
-        self._bytes += data.nbytes
+    def write(self, chunk: PointCloud):
+        for data in self._encode(chunk):
+            data = memoryview(data)
+            self._fh.write(data)
+            self._bytes += data.nbytes
+            del data  # not alive while the next part is made
 
     def close(self) -> int:
         self._fh.close()

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cloud import PointCloud
 from ..errors import HeaderMismatch, ParseError, RangeError, UnsupportedPointRecord
-from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE, Chunk,
+from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE,
                     FormatDescriptor, narrow_16bit, widen_8bit)
 from ._records import FileWriter, read_records
 
@@ -136,7 +137,7 @@ class LasReader:
             yield self._decode(records)
             del records  # the caller's chunk goes before the next is read
 
-    def _decode(self, records: np.ndarray) -> Chunk:
+    def _decode(self, records: np.ndarray) -> PointCloud:
         positions = np.empty((records.shape[0], 3))
         for axis, name in enumerate("XYZ"):
             positions[:, axis] = records[name]
@@ -146,7 +147,7 @@ class LasReader:
         if self.descriptor.has_color:
             colors = np.column_stack(
                 [narrow_16bit(records[c]) for c in ("red", "green", "blue")])
-        return Chunk(positions, colors, None)
+        return PointCloud(positions, colors)
 
 
 def check_finite(values: np.ndarray) -> None:
@@ -210,17 +211,19 @@ class LasWriter(FileWriter):
                                       (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
                          self._records)
 
-    def _records(self, chunk: Chunk) -> np.ndarray:
-        n = chunk.positions.shape[0]
+    def _records(self, chunk: PointCloud) -> list[np.ndarray]:
+        n = chunk.count
         if n == 0:
-            return np.empty(0, dtype=self._dtype)
+            return []
         check_finite(chunk.positions)
         # grid steps from the offset, whole numbers kept in float64 until
         # they are stored
         ints = chunk.positions - self._offset
         ints /= self._scale
         np.rint(ints, out=ints)
-        lows, highs = ints.min(axis=0), ints.max(axis=0)
+        # one reduction per column, as in formats._minimum_pass
+        lows = np.array([column.min() for column in ints.T])
+        highs = np.array([column.max() for column in ints.T])
         limit = np.iinfo(np.int32)
         if lows.min() < limit.min or highs.max() > limit.max:
             raise RangeError(
@@ -237,7 +240,7 @@ class LasWriter(FileWriter):
             records["green"] = widen_8bit(chunk.colors[:, 1])
             records["blue"] = widen_8bit(chunk.colors[:, 2])
         self._count += n
-        return records
+        return [records]
 
     def close(self) -> int:
         if self._count:

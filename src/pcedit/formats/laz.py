@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cloud import PointCloud
 from ..errors import CodecUnavailable, HeaderMismatch, UnsupportedPointRecord
-from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE, Chunk,
+from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE,
                     FormatDescriptor, narrow_16bit, widen_8bit)
 from .las import _COLOR_FORMATS, check_finite, check_scale, read_header
 
@@ -63,7 +64,7 @@ class LazReader:
                 yield self._decode(points)
                 del points  # the caller's chunk goes before the next
 
-    def _decode(self, points) -> Chunk:
+    def _decode(self, points) -> PointCloud:
         positions = np.column_stack([np.asarray(points.x),
                                      np.asarray(points.y),
                                      np.asarray(points.z)])
@@ -71,7 +72,7 @@ class LazReader:
         if self.descriptor.has_color:
             colors = np.column_stack([narrow_16bit(np.asarray(points[c]))
                                       for c in ("red", "green", "blue")])
-        return Chunk(positions.astype(np.float64), colors, None)
+        return PointCloud(positions, colors)
 
 
 class LazWriter:
@@ -91,8 +92,8 @@ class LazWriter:
         self._header = header
         self._writer = laspy.open(str(path), mode="w", header=header)
 
-    def write(self, chunk: Chunk):
-        n = chunk.positions.shape[0]
+    def write(self, chunk: PointCloud):
+        n = chunk.count
         if n == 0:
             return
         check_finite(chunk.positions)

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cloud import PointCloud
 from ..errors import ParseError
 from ._ascii import check_colors
-from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, Chunk,
-                    FormatDescriptor)
+from ._base import ASCII, BINARY, DEFAULT_CHUNK_POINTS, FormatDescriptor
 from ._records import (NORMALS, FileWriter, Fields, RecordLayout,
                        read_header_lines, record_columns, record_encoder,
                        record_fields)
@@ -114,7 +114,7 @@ def _pack_rgb(colors: np.ndarray) -> np.ndarray:
 
 _NORMALS = NORMALS._replace(names=_NORMAL_NAMES)
 _RGB = Fields(("rgb",), "<u4", "%u",
-              lambda chunk: _pack_rgb(chunk.colors)[:, None])
+              lambda cloud: _pack_rgb(cloud.colors)[:, None])
 
 
 class PcdReader:
@@ -137,14 +137,11 @@ class PcdReader:
             yield self._decode(block, lines)
             del block, lines  # the caller's chunk goes before the next
 
-    def _decode(self, block, lines) -> Chunk:
-        positions = block(_XYZ).astype(np.float64, copy=False)
-        colors = normals = None
-        if self._rgb is not None:
-            colors = self._colors(block((self._rgb,)), lines)
-        if self.descriptor.has_normals:
-            normals = block(_NORMAL_NAMES).astype(np.float64, copy=False)
-        return Chunk(positions, colors, normals)
+    def _decode(self, block, lines) -> PointCloud:
+        colors = None if self._rgb is None \
+            else self._colors(block((self._rgb,)), lines)
+        normals = block(_NORMAL_NAMES) if self.descriptor.has_normals else None
+        return PointCloud(block(_XYZ), colors, normals)  # as float64
 
     def _colors(self, raw: np.ndarray, lines) -> np.ndarray:
         """Unpack one packed-rgb column: float bits or an integer value,

@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cloud import PointCloud
 from ..errors import ParseError
 from ._ascii import check_colors
-from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, Chunk,
-                    FormatDescriptor, narrow_16bit)
+from ._base import (ASCII, BINARY, DEFAULT_CHUNK_POINTS, FormatDescriptor,
+                    narrow_16bit)
 from ._records import (FileWriter, RecordLayout, read_header_lines,
                        record_columns, record_encoder, record_fields)
 
@@ -153,9 +154,8 @@ class PlyReader:
             yield self._decode(block, lines)
             del block, lines  # the caller's chunk goes before the next
 
-    def _decode(self, block, lines) -> Chunk:
-        positions = block(_XYZ).astype(np.float64, copy=False)
-        colors = normals = None
+    def _decode(self, block, lines) -> PointCloud:
+        colors = None
         if self.descriptor.has_color:
             raw = block(_RGB)
             if lines is not None:
@@ -164,9 +164,8 @@ class PlyReader:
                 raw = np.rint(raw)
             colors = narrow_16bit(raw) if self.narrows_colors \
                 else raw.astype(np.uint8)
-        if self.descriptor.has_normals:
-            normals = block(_NORMALS).astype(np.float64, copy=False)
-        return Chunk(positions, colors, normals)
+        normals = block(_NORMALS) if self.descriptor.has_normals else None
+        return PointCloud(block(_XYZ), colors, normals)  # as float64
 
 
 def _header(descriptor: FormatDescriptor, count: int, groups) -> bytes:

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cloud import quantize_colors
+from ..cloud import PointCloud, quantize_colors
 from ..errors import ParseError
 from ._ascii import TableChunks, check_colors
-from ._base import ASCII, DEFAULT_CHUNK_POINTS, Chunk, FormatDescriptor
+from ._base import ASCII, DEFAULT_CHUNK_POINTS, FormatDescriptor
 from ._records import (COLORS, HEADER_LINE_BYTES, POSITIONS, FileWriter,
                        record_encoder)
 
@@ -72,8 +72,8 @@ class PtsReader:
                             chunk_size=chunk_size)
         for values, lines in table:
             check_colors(values[:, 4:7], lines, 255, self.path)
-            yield Chunk(np.ascontiguousarray(values[:, :3]),
-                        quantize_colors(values[:, 4:7]), None)
+            yield PointCloud(np.ascontiguousarray(values[:, :3]),
+                             quantize_colors(values[:, 4:7]))
             del values, lines  # the caller's chunk goes before the next
 
 

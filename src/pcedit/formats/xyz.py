@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cloud import quantize_colors
+from ..cloud import PointCloud, quantize_colors
 from ._ascii import TableChunks, check_colors, count_data_rows
-from ._base import ASCII, DEFAULT_CHUNK_POINTS, Chunk, FormatDescriptor
+from ._base import ASCII, DEFAULT_CHUNK_POINTS, FormatDescriptor
 from ._records import FileWriter, record_encoder, record_fields
 
 FAMILY = None
@@ -78,7 +78,7 @@ class XyzReader:
             del values, lines  # the caller's chunk goes before the next
         self._count = table.rows_read
 
-    def _decode(self, values, lines, scale_colors: bool) -> Chunk:
+    def _decode(self, values, lines, scale_colors: bool) -> PointCloud:
         positions = np.ascontiguousarray(values[:, :3])
         colors = normals = None
         if self.kind == "xyzn":
@@ -87,7 +87,7 @@ class XyzReader:
             raw = values[:, 3:6]
             check_colors(raw, lines, 1 if scale_colors else 255, self.path)
             colors = quantize_colors(raw * 255.0 if scale_colors else raw)
-        return Chunk(positions, colors, normals)
+        return PointCloud(positions, colors, normals)
 
 
 def open_reader(path, kind: str) -> XyzReader:

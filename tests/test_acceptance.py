@@ -6,6 +6,7 @@ minute or two; everything else finishes in seconds.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from pcedit import (OrientedBox, PointCloud, RemapParams, RgbAabb,
                     write_cloud)
 from pcedit.boxfile import JoinedBox
 from pcedit.cli import run as cli_run
-from pcedit.formats import Chunk, convert, open_writer, resolve_descriptor
+from pcedit.formats import convert, open_writer, resolve_descriptor
 
 from conftest import oracle_contains, random_box
 
@@ -243,9 +244,9 @@ def _stream_synthetic_ply(path, n_points, chunk=1_000_000):
     written = 0
     while written < n_points:
         k = min(chunk, n_points - written)
-        writer.write(Chunk(rng.uniform(0, 100, (k, 3)),
-                           rng.integers(0, 256, (k, 3), dtype=np.uint8),
-                           None))
+        writer.write(PointCloud(rng.uniform(0, 100, (k, 3)),
+                                rng.integers(0, 256, (k, 3),
+                                             dtype=np.uint8)))
         written += k
     writer.close()
 
@@ -285,6 +286,16 @@ print(json.dumps({"rss_gb": peak_gb(), "points": out.count}))
 """
 
 
+def _fsync(path):
+    """Put ``path`` on disk, so that writing it back does not fall inside
+    the next timed conversion."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _run_child(code, *args):
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, check=True)
@@ -299,21 +310,28 @@ def test_criterion_7_scale_proxy(tmp_path):
         big_ply = tmp_path / "big.ply"
         _stream_synthetic_ply(small_ply, 1_000_000)
         _stream_synthetic_ply(big_ply, 10_000_000)
+        _fsync(small_ply)
+        _fsync(big_ply)
 
         def timed_convert(src, dst):
             t0 = time.perf_counter()
             convert(src, dst)
-            return time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            _fsync(dst)
+            return seconds
 
         t_small = min(timed_convert(small_ply, tmp_path / "s1.las"),
                       timed_convert(small_ply, tmp_path / "s2.las"))
         child = _run_child(_CHILD_CONVERT, big_ply, tmp_path / "b1.las")
+        _fsync(tmp_path / "b1.las")
         assert child["points"] == 10_000_000
         assert child["rss_gb"] < 1.5, f"convert peak {child['rss_gb']:.2f} GB"
         t_big = min(child["seconds"],
                     timed_convert(big_ply, tmp_path / "b2.las"))
         assert t_big < 120.0, f"10M convert took {t_big:.0f}s"
         ratio = t_big / t_small
+        print(f"\ncriterion 7: 1M {t_small:.2f} s, 10M {t_big:.2f} s, "
+              f"ratio {ratio:.1f}")
         assert 7.0 <= ratio <= 13.0, f"scaling ratio {ratio:.1f}"
 
         recolor = _run_child(_CHILD_RECOLOR, big_ply)

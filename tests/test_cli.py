@@ -60,6 +60,33 @@ class TestConvert:
         assert run(["convert", str(cloud_path), str(out)]) == 0
         assert "color dropped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("command", ["recolor", "delete", "segment"])
+    def test_edit_lossy_warning_on_stderr(self, tmp_path, capsys, command,
+                                          dry_run):
+        _, cloud_path, boxes_path, palette, _ = write_scene(tmp_path)
+        argv = [command, "--cloud", str(cloud_path), "--boxes",
+                str(boxes_path), "--out", str(tmp_path / "out.xyz")]
+        argv += ["--palette", str(palette)] if command == "segment" \
+            else ["--radius", "60"]
+        assert run(argv + ["--dry-run"] * dry_run) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: color dropped: xyz cannot store "
+                                "color channels\n")
+        assert "color dropped" not in captured.out
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_split_lossy_warning_on_stderr(self, tmp_path, capsys, dry_run):
+        _, cloud_path, boxes_path, *_ = write_scene(tmp_path)
+        argv = ["split", "--cloud", str(cloud_path), "--boxes",
+                str(boxes_path), "--out-dir", str(tmp_path / "frags"),
+                "--format", "xyz"]
+        assert run(argv + ["--dry-run"] * dry_run) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: color dropped: xyz cannot store "
+                                "color channels\n")
+        assert "color dropped" not in captured.out
+
     def test_convert_onto_its_own_input(self, tmp_path, capsys):
         _, cloud_path, *_ = write_scene(tmp_path)
         fresh = tmp_path / "fresh.ply"

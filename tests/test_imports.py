@@ -103,3 +103,17 @@ def test_nearest_inlier_search_still_gives_the_nearest_inlier(tmp_path):
         expect = oracle_nearest_index(cloud.positions, inlier_rows,
                                       cloud.positions[row])
         assert colors[row].tolist() == cloud.colors[expect].tolist(), row
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer wraps names in every layer where they are
+    looked up; deleting or renaming one fails here, in Tier-1."""
+    import_root = Path(pcedit.__file__).resolve().parents[1]
+    perfbench = import_root.parent / "perfbench"
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import Tracer, install\n"
+            "install(Tracer('x'))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(perfbench)],
+                          env={"PATH": "", "PYTHONPATH": str(import_root)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,7 @@ import pytest
 
 import pcedit
 from pcedit import PointCloud, read_cloud, write_cloud
-from pcedit.formats import (DEFAULT_CHUNK_POINTS, Chunk, open_writer,
+from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_writer,
                             resolve_descriptor)
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -64,9 +64,9 @@ def write_las(path, n_points, chunk=250_000):
     rng = np.random.default_rng(5)
     for lo in range(0, n_points, chunk):
         k = min(chunk, n_points - lo)
-        writer.write(Chunk(rng.uniform(0, 100, (k, 3)),
-                           rng.integers(0, 256, (k, 3), dtype=np.uint8),
-                           None))
+        writer.write(PointCloud(rng.uniform(0, 100, (k, 3)),
+                                rng.integers(0, 256, (k, 3),
+                                             dtype=np.uint8)))
     writer.close()
 
 
@@ -86,22 +86,27 @@ def import_peak():
 
 
 @needs_vmhwm
-@pytest.mark.parametrize("command", ["convert", "info"])
-def test_peak_does_not_grow_with_the_file(command, las_files, import_peak,
-                                          tmp_path):
+@pytest.mark.parametrize(
+    "command, suffix",
+    [("convert", ".ply"), ("info", None), ("convert", ".xyzrgb")],
+    # text rows go out FORMAT_ROWS at a time, so text output is bounded too
+    ids=["convert", "info", "convert-text"])
+def test_peak_does_not_grow_with_the_file(command, suffix, las_files,
+                                          import_peak, tmp_path):
+    what = f"{command} to {suffix}" if suffix else command
     peaks = {}
     for n, path in las_files.items():
         argv = [command, path]
-        if command == "convert":
-            argv.append(tmp_path / f"out{n}.ply")
+        if suffix:
+            argv.append(tmp_path / f"out{n}{suffix}")
         peaks[n] = cli_peak_mb(*argv)
     small, big = (peaks[n] for n in SIZES)
     assert abs(big - small) <= SPREAD_MB, \
-        f"{command}: peak {small} MB at {SIZES[0]} points, {big} MB at " \
+        f"{what}: peak {small} MB at {SIZES[0]} points, {big} MB at " \
         f"{SIZES[1]}"
     for n, peak in peaks.items():
         assert peak - import_peak <= WORKING_SET_MB, \
-            f"{command} on {n} points peaks at {peak} MB, " \
+            f"{what} on {n} points peaks at {peak} MB, " \
             f"{peak - import_peak} MB above an import-only process"
 
 
