@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -193,19 +193,27 @@ class OrientedBox:
 class GridIndex:
     """Uniform-grid index over the finite rows of an (n,3) position array.
 
-    Points are sorted by a 16-bit cell key (numpy sorts such keys with a
-    radix sort); about 32 points share a cell.  ``rows(box)`` gathers the
-    cells under ``box.world_bounds()`` and runs the exact predicate,
+    Points are sorted by their cell key, with about ``points_per_cell``
+    points to a cell (32 by default).  A grid of at most 65,535 cells keeps
+    16-bit keys, which numpy sorts with a radix sort; only a denser grid
+    over more points widens them.  ``rows(box)`` gathers the cells under
+    ``box.world_bounds()`` and runs the exact predicate,
     ``OrientedBox.contains``, on those candidates only, so it returns
-    exactly ``np.flatnonzero(box.contains(positions))``.  Rows with a NaN
-    or infinite coordinate are never inside a box with finite bounds and
-    are left out of the index.
+    exactly ``np.flatnonzero(box.contains(positions))``.  ``query(x)``
+    gives each query's nearest indexed row.  Rows with a NaN or infinite
+    coordinate are never inside a box with finite bounds and are left out
+    of the index.
     """
 
     MAX_CELLS = (1 << 16) - 1
     POINTS_PER_CELL = 32
+    #: candidate pairs a query batch measures at once
+    BATCH = 1 << 17
+    #: relative margin on the stopping distance, far above rounding error
+    SLACK = 1e-9
 
-    def __init__(self, positions: np.ndarray):
+    def __init__(self, positions: np.ndarray,
+                 points_per_cell: float = POINTS_PER_CELL):
         self.positions = positions = _as_points(positions, "positions")
         self._finite_rows = None
         if not np.isfinite(positions).all():
@@ -220,36 +228,48 @@ class GridIndex:
             for k in range(3):
                 column = self._column(k)
                 self._lo[k], self._hi[k] = column.min(), column.max()
-        self._counts, self._scale = self._cell_grid(m)
+        self._counts, self._scale = self._cell_grid(m, points_per_cell)
 
-        key = np.zeros(m, dtype=np.uint16)
+        cells = int(self._counts.prod())
+        key_type = np.uint16 if cells <= self.MAX_CELLS else np.uint32
+        key = np.zeros(m, dtype=key_type)
         stride = 1
         for k in range(3):
             if self._counts[k] > 1:
-                key += self._cells(self._column(k), k).astype(np.uint16) \
-                    * np.uint16(stride)
+                key += self._cells(self._column(k), k).astype(key_type) \
+                    * key_type(stride)
             stride *= int(self._counts[k])
-        order = np.argsort(key, kind="stable")
+        # numpy radix-sorts 16-bit keys; wider ones sort faster unstably,
+        # and no caller needs the order of the rows inside a cell
+        order = np.argsort(key, kind="stable" if key_type is np.uint16
+                           else "quicksort")
         if self._finite_rows is not None:
             order = self._finite_rows[order]
         self._order = order
-        self._starts = np.zeros(stride + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=stride), out=self._starts[1:])
+        self._starts = np.zeros(cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=cells), out=self._starts[1:])
 
     def _column(self, k: int) -> np.ndarray:
         if self._finite_rows is None:
             return self.positions[:, k]
         return self.positions[self._finite_rows, k]
 
-    def _cell_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cells per axis (product <= MAX_CELLS) and the world -> cell scale.
+    def _cell_grid(self, m: int, points_per_cell: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Cells per axis and the world -> cell scale.
 
         Cells are near-cubic with edge ``h``; an axis thinner than ``h``
-        gets one cell and the others share the cell budget.
+        gets one cell and the others share the cell budget.  Past
+        ``MAX_CELLS * POINTS_PER_CELL`` points cells fill up instead of
+        multiplying, so the default density never leaves 16-bit keys.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             extent = self._hi - self._lo
-        target = max(1, min(self.MAX_CELLS, m // self.POINTS_PER_CELL))
+        target = max(1, int(min(m, self.MAX_CELLS * self.POINTS_PER_CELL)
+                            // points_per_cell))
+        # 16-bit keys while the budget allows them; wider keys may pass
+        # the budget by the rounding of each axis up to whole cells
+        limit = self.MAX_CELLS if target <= self.MAX_CELLS else 2 * target
         active = np.isfinite(extent) & (extent > 0)
         h = math.inf
         while active.any():
@@ -263,9 +283,9 @@ class GridIndex:
         counts = np.ones(3, dtype=np.int64)
         with np.errstate(over="ignore"):
             while True:
-                counts[active] = np.minimum(self.MAX_CELLS,
+                counts[active] = np.minimum(limit,
                                             np.ceil(extent[active] / h))
-                if counts.prod() <= self.MAX_CELLS:
+                if counts.prod() <= limit:
                     break
                 h *= 1.25
             scale = counts / np.where(active, extent, 1.0)
@@ -293,11 +313,7 @@ class GridIndex:
         yz = (np.arange(y0, y1 + 1)[:, None]
               + ny * np.arange(z0, z1 + 1)[None, :]).ravel() * nx
         begin = self._starts[yz + x0]
-        lengths = self._starts[yz + x1 + 1] - begin
-        total = int(lengths.sum())
-        run_offsets = np.cumsum(lengths) - lengths
-        slots = np.arange(total) + np.repeat(begin - run_offsets, lengths)
-        return self._order[slots]
+        return self._order[_runs(begin, self._starts[yz + x1 + 1] - begin)]
 
     def rows(self, box: OrientedBox) -> np.ndarray:
         """Ascending rows of the indexed positions inside ``box``."""
@@ -307,6 +323,122 @@ class GridIndex:
         candidates = self._candidates(lo, hi)
         inside = box.contains(np.take(self.positions, candidates, axis=0))
         return np.sort(candidates[inside])
+
+    def query(self, x: np.ndarray) -> np.ndarray:
+        """Row of the indexed position nearest to each finite query point.
+
+        Exact, after Bentley, Weide & Yao (ACM TOMS 1980): distances are
+        ``sqrt((dx*dx + dy*dy) + dz*dz)`` and a tie goes to the lowest row.
+        A query scans the block of cells within ``r`` of its own, unclipped
+        cell, starting from the first ``r >= 1`` that reaches the grid.
+        Every point left unscanned lies past a block face with cells beyond
+        it, so the query is done once its best distance is below the
+        distance to the nearest such face; the others scan again at the
+        first ``r`` whose faces all lie beyond their best distance.
+        """
+        x = _as_points(x, "queries")
+        if not np.isfinite(x).all():
+            raise ValueError("queries must be finite")
+        if not self._order.size:
+            raise ValueError("nearest-row query on an empty index")
+        n = len(x)
+        counts = self._counts[:, None]
+        axes = np.flatnonzero(self._counts > 1)
+        u = np.zeros((3, n))   # one-cell axes have no inner faces: cell 0
+        for k in axes:
+            u[k] = (x[:, k] - self._lo[k]) * self._scale[k]
+        # far-off cells are moved in, never past the grid, so that ring
+        # arithmetic stays in int64; distances still use the true ``u``
+        cell = np.clip(np.floor(u), -2.0**40, 2.0**40).astype(np.int64)
+        cover = np.maximum(cell, counts - 1 - cell).max(axis=0)
+        ring = np.maximum(np.maximum(-cell, cell - counts + 1).max(axis=0), 1)
+        best = np.full(n, np.inf)
+        rows = np.full(n, -1, dtype=np.int64)
+        columns = [np.take(column, self._order) for column in self.positions.T]
+        queries = [np.ascontiguousarray(column) for column in x.T]
+        finest = self._scale[axes].max(initial=0.0)
+        todo = np.arange(n)
+        while todo.size:
+            r = ring[todo]
+            self._scan(queries, columns, todo, cell[:, todo] - r,
+                       cell[:, todo] + r, best, rows)
+            face = np.full(todo.size, np.inf)
+            for k in axes:
+                c, uk, s = cell[k, todo], u[k, todo], self._scale[k]
+                face = np.minimum(face, np.where(
+                    c - r > 0, (uk - (c - r)) / s, np.inf))
+                face = np.minimum(face, np.where(
+                    c + r + 1 < self._counts[k], (c + r + 1 - uk) / s,
+                    np.inf))
+            near = best[todo]
+            done = near * (1 + self.SLACK) < face
+            grow = np.where(np.isfinite(near),
+                            np.floor(near * finest * (1 + 2 * self.SLACK))
+                            + 1, 2.0 * r)
+            ring[todo] = np.minimum(np.maximum(grow, r + 1), cover[todo])
+            todo = todo[~done]
+        return rows
+
+    def _scan(self, queries, columns, todo, lo, hi, best, rows) -> None:
+        """Fold the points of the cells [lo, hi] (clipped to the grid) into
+        the running ``best`` distance and ``rows`` of each query in
+        ``todo``, at most ``BATCH`` runs or candidates at a time."""
+        lo = np.maximum(lo, 0)
+        hi = np.minimum(hi, self._counts[:, None] - 1)
+        nx, ny, _ = self._counts
+        span = hi[1] - lo[1] + 1
+        pairs = span * (hi[2] - lo[2] + 1)
+        for a, b in _batches(pairs, self.BATCH):
+            # each (y, z) pair of a block is one contiguous run of keys
+            owner = np.repeat(np.arange(a, b), pairs[a:b])
+            step = _runs(np.zeros(b - a, dtype=np.int64), pairs[a:b])
+            y = lo[1, owner] + step % span[owner]
+            z = lo[2, owner] + step // span[owner]
+            base = (y + ny * z) * nx
+            begin = self._starts[base + lo[0, owner]]
+            lengths = self._starts[base + hi[0, owner] + 1] - begin
+            for c, d in _batches(lengths, self.BATCH):
+                slots = _runs(begin[c:d], lengths[c:d])
+                if not slots.size:
+                    continue
+                who = todo[np.repeat(owner[c:d], lengths[c:d])]
+                dx, dy, dz = (columns[k][slots] - queries[k][who]
+                              for k in range(3))
+                dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+                first = np.empty(who.size, dtype=bool)
+                first[0] = True
+                np.not_equal(who[1:], who[:-1], out=first[1:])
+                seg = np.flatnonzero(first)
+                low = np.minimum.reduceat(dist, seg)
+                tied = dist == low[np.cumsum(first) - 1]
+                pick = np.minimum.reduceat(
+                    np.where(tied, self._order[slots], np.iinfo(np.int64).max),
+                    seg)
+                q = who[seg]
+                better = (low < best[q]) | ((low == best[q])
+                                            & (pick < rows[q]))
+                best[q[better]] = low[better]
+                rows[q[better]] = pick[better]
+
+
+def _runs(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The slots ``begin[i], ..., begin[i] + lengths[i] - 1`` of every run,
+    run after run."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(begin - offsets, lengths)
+
+
+def _batches(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """``[start, stop)`` ranges of consecutive ``sizes`` that sum to at most
+    ``limit``; an item larger than ``limit`` is a range of its own."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + limit, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,11 @@ def record_encoder(encoding: str, groups: list[Fields]
         fmt = " ".join(group.fmt for group in groups)
 
         def encode_text(chunk: PointCloud) -> Iterator[bytes]:
-            matrix = np.hstack([group.block(chunk) for group in groups])
-            for lo in range(0, len(matrix), FORMAT_ROWS):
-                yield rows_to_text(matrix[lo:lo + FORMAT_ROWS], fmt)
+            blocks = [group.block(chunk) for group in groups]
+            for lo in range(0, chunk.count, FORMAT_ROWS):
+                # one part's float64 matrix at a time, not the chunk's
+                yield rows_to_text(np.hstack(
+                    [block[lo:lo + FORMAT_ROWS] for block in blocks]), fmt)
 
         return encode_text
     dtype = np.dtype([(name, group.dtype) for group in groups

@@ -137,40 +137,22 @@ class _Edit:
 
 
 def cKDTree(data):
-    """``scipy.spatial.cKDTree(data)``.  scipy is imported here, on the
-    first nearest-inlier search, so that no other command pays for it."""
-    from scipy.spatial import cKDTree as tree
-    return tree(data)
+    """The nearest-inlier search index over ``data``: a ``GridIndex`` with
+    about one inlier to four cells, so that the first ring of cells around
+    a query settles nearly every query; its ``query(x)`` gives each query's
+    nearest row.
+
+    Only the name is scipy's.  The benchmark's tracer
+    (``perfbench/tracer.py``) wraps ``recolor.cKDTree`` to time the search,
+    so the name stays until the program records its own spans."""
+    return GridIndex(data, points_per_cell=0.25)
 
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
                          outlier_rows: np.ndarray) -> np.ndarray:
-    """Index (into ``inlier_rows``) of each outlier's nearest inlier.
-
-    Distance ties resolve to the lowest point index.  Queries saturate:
-    if every returned neighbor of a query ties at the minimum distance we
-    re-query with a larger k until the tie set is fully visible.
-    """
-    tree = cKDTree(positions[inlier_rows])
-    queries = positions[outlier_rows]
-    n_in = inlier_rows.size
-    chosen = np.full(outlier_rows.size, -1, dtype=np.int64)
-    pending = np.arange(outlier_rows.size)
-    k = min(4, n_in)
-    while pending.size:
-        dist, idx = tree.query(queries[pending], k=k)
-        if k == 1:
-            dist = dist[:, None]
-            idx = idx[:, None]
-        tied = dist <= dist[:, :1]      # exact ties with the closest
-        saturated = tied.all(axis=1) & (k < n_in)
-        ready = ~saturated
-        if ready.any():
-            candidates = np.where(tied[ready], idx[ready], np.iinfo(np.int64).max)
-            chosen[pending[ready]] = candidates.min(axis=1)
-        pending = pending[saturated]
-        k = min(k * 4, n_in)
-    return chosen
+    """Index (into ``inlier_rows``) of each outlier's nearest inlier;
+    distance ties resolve to the lowest index."""
+    return cKDTree(positions[inlier_rows]).query(positions[outlier_rows])
 
 
 @dataclass

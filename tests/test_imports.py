@@ -1,10 +1,11 @@
-"""Import cost: scipy stays unloaded unless a nearest-inlier search runs,
-and neither hashlib (with its OpenSSL binding and hmac) nor
-concurrent.futures is ever loaded.
+"""Import cost: scipy is never loaded, not even by a nearest-inlier
+search, and neither is hashlib (with its OpenSSL binding and hmac) or
+concurrent.futures.  Every command also runs with scipy made unimportable.
 
 Importing scipy.spatial costs about half a second per process, and every
-CLI command is a fresh process.  Each check runs in a fresh interpreter,
-since the test process itself has scipy loaded already.
+CLI command is a fresh process; scipy is only a test oracle.  Each check
+runs in a fresh interpreter, since the test process itself has scipy
+loaded already.
 """
 
 import json
@@ -42,10 +43,33 @@ print(json.dumps({"seen": seen, "codes": codes}))
 """
 
 
-def run_child(*args) -> dict:
+_BLOCKED_CHILD = """
+import json, sys
+sys.modules["scipy"] = None   # every import of scipy now fails
+import pcedit.cli
+
+cloud, boxes, palette, out = sys.argv[1:]
+edit = ["--cloud", cloud, "--boxes", boxes]
+commands = {
+    "recolor": ["recolor", *edit, "--out", out + "/recolor.ply",
+                "--radius", "30", "--outlier-mode", "nearest_inlier_spatial"],
+    "delete": ["delete", *edit, "--out", out + "/delete.ply",
+               "--radius", "30"],
+    "segment": ["segment", *edit, "--palette", palette,
+                "--out", out + "/segment.ply"],
+    "split": ["split", *edit, "--out-dir", out + "/split"],
+    "convert": ["convert", cloud, out + "/convert.pcd"],
+    "info": ["info", cloud],
+}
+print(json.dumps({name: pcedit.cli.run(argv)
+                  for name, argv in commands.items()}))
+"""
+
+
+def run_child(*args, code=_CHILD) -> dict:
     # A replaced environment: the child sees only the pcedit copy under test.
     import_root = Path(pcedit.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *map(str, args)],
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env={"PATH": "", "PYTHONPATH": str(import_root)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -91,6 +115,7 @@ def test_nearest_inlier_search_still_gives_the_nearest_inlier(tmp_path):
     out = tmp_path / "nearest.ply"
     result = run_child(cloud_path, boxes_path, NEAREST_INLIER, out)
     assert result["codes"] == {NEAREST_INLIER: 0}
+    assert result["seen"][NEAREST_INLIER] == []
     # the radius-30 sphere around the mean color keeps the cluster only
     center = cloud.colors.astype(float).mean(axis=0)
     dists = np.linalg.norm(cloud.colors - center, axis=1)
@@ -103,6 +128,16 @@ def test_nearest_inlier_search_still_gives_the_nearest_inlier(tmp_path):
         expect = oracle_nearest_index(cloud.positions, inlier_rows,
                                       cloud.positions[row])
         assert colors[row].tolist() == cloud.colors[expect].tolist(), row
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    _, cloud_path, boxes_path = write_scene(tmp_path)
+    palette = tmp_path / "palette.txt"
+    palette.write_text("all 10 200 30 1\n")
+    codes = run_child(cloud_path, boxes_path, palette, tmp_path,
+                      code=_BLOCKED_CHILD)
+    assert codes == {name: 0 for name in ("recolor", "delete", "segment",
+                                          "split", "convert", "info")}
 
 
 def test_benchmark_tracer_installs():

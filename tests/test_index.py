@@ -2,9 +2,12 @@
 
 The references here rescan every point with the trig oracle for every box
 and copy the cloud after every step, which is how the engine behaved
-before it indexed the cloud once per command.
+before it indexed the cloud once per command.  The nearest-inlier search
+on the grid is checked against scipy's k-d tree, which the tests keep as
+an oracle only.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -19,7 +22,8 @@ from pcedit import (EditStep, EmptySelection, OrientedBox,
                     split_by_boxes)
 from pcedit.boxfile import JoinedBox
 from pcedit.cloud import GridIndex
-from pcedit.recolor import NEAREST_INLIER, PROJECT_TO_SURFACE
+from pcedit.recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE,
+                            _nearest_inlier_rows)
 
 from conftest import oracle_contains, oracle_rotation, random_box, random_cloud
 
@@ -145,6 +149,98 @@ class TestGridIndex:
         index = GridIndex(positions)
         assert np.array_equal(index.rows(huge),
                               np.flatnonzero(huge.contains(positions)))
+
+
+    def test_default_density_keeps_16_bit_keys(self, rng):
+        index = GridIndex(rng.uniform(0, 100, (5000, 3)))
+        # however many points, the edit index stays radix-sortable
+        for m in (5000, 10**7):
+            counts, _ = index._cell_grid(m, GridIndex.POINTS_PER_CELL)
+            assert counts.prod() <= GridIndex.MAX_CELLS
+        sparse = GridIndex(rng.uniform(0, 100, (50_000, 3)),
+                           points_per_cell=0.25)
+        assert sparse._starts.size - 1 > GridIndex.MAX_CELLS
+        box = random_box(rng, span=100.0)
+        assert np.array_equal(sparse.rows(box),
+                              np.flatnonzero(box.contains(sparse.positions)))
+
+
+def scipy_nearest(positions, inlier_rows, outlier_rows) -> np.ndarray:
+    """Index into ``inlier_rows`` of each outlier's nearest inlier by
+    scipy's k-d tree, asked for every inlier so that the whole tie set at
+    the smallest distance shows; ties go to the lowest index."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(positions[inlier_rows])
+    dist, idx = tree.query(positions[outlier_rows], k=inlier_rows.size)
+    dist = dist.reshape(outlier_rows.size, -1)
+    idx = idx.reshape(outlier_rows.size, -1)
+    return np.where(dist == dist[:, :1], idx, inlier_rows.size).min(axis=1)
+
+
+@st.composite
+def search_scenes(draw):
+    """Inliers and outliers interleaved by row: coordinates on an integer
+    grid or rounded to 0.1 m (many exact distance ties), optionally 5e6 m
+    out, with outliers spread past the inliers' bounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(
+        ["grid", "rounded", "single", "duplicates", "planar", "linear",
+         "permuted"]))
+    n_in = 1 if layout == "single" else draw(st.integers(1, 300))
+    n = n_in + draw(st.integers(1, 100))
+    if layout == "grid":
+        positions = rng.integers(0, 6, (n, 3)).astype(float)
+    else:
+        positions = np.round(rng.uniform(-4, 4, (n, 3)), 1)
+    inlier = rng.permutation(n) < n_in
+    positions[~inlier] *= draw(st.sampled_from([1.0, 3.0, 40.0]))
+    if layout == "duplicates":
+        positions = positions[rng.integers(0, max(1, n // 4), n)]
+    elif layout == "planar":      # the inliers' z axis has a single cell
+        positions[inlier, 2] = 0.5
+    elif layout == "linear":      # so have their y and z axes
+        positions[inlier, 1:] = (-1.0, 2.0)
+    elif layout == "permuted":
+        # inliers at the six axis orders of one offset from an outlier: equal
+        # distances in exact arithmetic, whose rounded sums of squares may
+        # tell them apart only in the order the squares are added
+        offset = np.round(rng.uniform(0.1, 1.0, 3), 1)
+        orders = offset[list(itertools.permutations(range(3)))]
+        centers = positions[~inlier][rng.integers(0, n - n_in, n_in)]
+        positions[inlier] = centers + orders[rng.integers(0, 6, n_in)]
+    if draw(st.booleans()):
+        positions += UTM
+    return positions, np.flatnonzero(inlier), np.flatnonzero(~inlier)
+
+
+class TestNearestInlierSearch:
+    @given(scene=search_scenes())
+    def test_matches_scipy_with_lowest_index_ties(self, scene):
+        positions, inlier_rows, outlier_rows = scene
+        got = _nearest_inlier_rows(positions, inlier_rows, outlier_rows)
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, scipy_nearest(positions, inlier_rows, outlier_rows))
+
+    def test_clumped_inliers_far_from_their_outliers(self, rng):
+        """A single-level grid has no hierarchy inside a dense clump: the
+        outliers at the far end of a 15 m box each scan much of a 0.3 m
+        clump of inliers.  Slow for a grid, but still exact."""
+        clump = rng.uniform(0, 0.3, (5000, 3))
+        far = rng.uniform((14, 0, 0), (15, 15, 15), (1000, 3))
+        positions = np.vstack([clump, far])[rng.permutation(6000)]
+        inlier_rows = np.flatnonzero(positions[:, 0] <= 0.3)
+        outlier_rows = np.flatnonzero(positions[:, 0] > 0.3)
+        assert np.array_equal(
+            _nearest_inlier_rows(positions, inlier_rows, outlier_rows),
+            scipy_nearest(positions, inlier_rows, outlier_rows))
+
+    def test_rejects_nonfinite_queries_and_an_empty_index(self, rng):
+        index = GridIndex(rng.uniform(0, 1, (10, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            index.query(np.array([[0.5, np.nan, 0.5]]))
+        with pytest.raises(ValueError, match="empty"):
+            GridIndex(np.empty((0, 3))).query(np.zeros((1, 3)))
 
 
 # --- full-scan, copy-per-step reference engine -------------------------------

@@ -19,6 +19,7 @@ import pcedit
 from pcedit import PointCloud, read_cloud, write_cloud
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_writer,
                             resolve_descriptor)
+from pcedit.formats import _ascii, _records
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
                                  reason="needs /proc/self/status (VmHWM)")
@@ -129,3 +130,30 @@ def test_read_cloud_holds_the_cloud_plus_one_chunk(tmp_path):
     assert peak <= held + chunk, \
         f"read_cloud peaked at {peak / 2**20:.1f} MiB for a " \
         f"{held / 2**20:.1f} MiB cloud"
+
+
+def test_text_encoder_holds_one_part(tmp_path, monkeypatch):
+    # parts of 1024 rows keep the traced formatting quick; a chunk of 32
+    # parts stands for a full chunk of 8 parts at the real FORMAT_ROWS
+    rows_per_part = 1024
+    monkeypatch.setattr(_ascii, "FORMAT_ROWS", rows_per_part)
+    monkeypatch.setattr(_records, "FORMAT_ROWS", rows_per_part)
+    n = 32 * rows_per_part
+    rng = np.random.default_rng(3)
+    chunk = PointCloud(rng.uniform(0, 100, (n, 3)),
+                       rng.integers(0, 256, (n, 3), dtype=np.uint8))
+    descriptor, _ = resolve_descriptor("xyzrgb", has_color=True,
+                                       has_normals=False)
+    writer = open_writer(tmp_path / "chunk.xyzrgb", descriptor)
+    tracemalloc.start()
+    try:
+        writer.write(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        writer.close()
+    # one part in flight: its float64 matrix (48 bytes a row), its Python
+    # floats (192), its text and its bytes (about 60 each)
+    part = 400 * rows_per_part
+    assert peak <= part, \
+        f"encoding {n} rows to text peaked at {peak / 2**10:.0f} KiB"
