@@ -293,7 +293,9 @@ def _cmd_info(args) -> int:
     for chunk in reader.chunks():
         points += chunk.positions.shape[0]
         del chunk
-    precision = position_precision(descriptor)
+    scale = max(map(abs, reader.header.scales)) \
+        if descriptor.kind in ("las", "laz") else DEFAULT_LAS_SCALE
+    precision = position_precision(descriptor, scale)  # the file's own grid
     print(f"kind:      {descriptor.kind}")
     print(f"encoding:  {descriptor.encoding}")
     print(f"points:    {points}")

@@ -5,17 +5,19 @@ to "N numeric columns per line".  This module does the buffered parsing once,
 keeps physical line numbers attached to every parsed row so errors can point
 at the offending line, and formats outgoing rows deterministically.
 
-Files are read in blocks of whole lines, each parsed into rows at once.  A
-*plain* block -- number bytes only, no comment, carriage return or blank
-line -- is parsed with one ``np.loadtxt`` call; any other block is parsed
-line by line up to its first bad row.  ``np.loadtxt`` is the only number
-rule either way, and the first bad row in file order is the one reported.
+Files are read in blocks of whole lines, and every block takes one path:
+a byte scan finds each line end and which lines hold data (a character
+other than whitespace before any ``#``), and one ``np.loadtxt`` call parses
+the block, its rows being the data lines in order.  Line ends and invalid
+UTF-8 read as in text mode.  ``np.loadtxt`` is the only number rule, and
+when it rejects a block a bisection finds the first bad row in file order,
+the one reported.
 """
 
 from __future__ import annotations
 
 import io
-import re
+import warnings
 from pathlib import Path
 from typing import Iterator
 
@@ -30,24 +32,9 @@ BLOCK_BYTES = 8 << 20
 #: rows per ``%`` call in ``rows_to_text``
 FORMAT_ROWS = 32_768
 
-_NUMBER_BYTES = b"0123456789eE.+- \t\n"
-_BLANK_START = re.compile(rb"[ \t]*\n")
-_BLANK_LINE = re.compile(rb"\n[ \t]*\n")
-
-
-def _strip(line: str) -> str:
-    """Drop inline comments and surrounding whitespace."""
-    hash_at = line.find("#")
-    if hash_at >= 0:
-        line = line[:hash_at]
-    return line.strip()
-
-
-def _plain(block: bytes) -> bool:
-    """True when each line of ``block`` is number bytes with at least one
-    that is not a space or tab."""
-    return not (block.translate(None, _NUMBER_BYTES)
-                or _BLANK_START.match(block) or _BLANK_LINE.search(block))
+#: 1 for an ASCII byte that is not whitespace as ``str.split`` takes it
+_SIGNIFICANT = bytes(byte < 128 and not chr(byte).isspace()
+                     for byte in range(256))
 
 
 def _blocks(fh) -> Iterator[bytes]:
@@ -68,10 +55,38 @@ def _blocks(fh) -> Iterator[bytes]:
         yield carry + b"\n"
 
 
-def _text_lines(block: bytes):
-    """The lines of ``block`` as text mode reads them."""
-    return io.TextIOWrapper(io.BytesIO(block), encoding="utf-8",
-                            errors="replace")
+def _text(block: bytes) -> bytes:
+    """``block`` as text mode reads it: invalid UTF-8 as U+FFFD, and every
+    line end as ``\\n`` if a lone ``\\r`` ends a line (if none does, the
+    ``\\r`` of a ``\\r\\n`` is whitespace to the scan and the parse)."""
+    if b"\r" in block and block.count(b"\r") > block.count(b"\r\n"):
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not block.isascii():
+        block = block.decode("utf-8", "replace").encode("utf-8")
+    return block
+
+
+def _scan(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where the data of each line of ``_text`` output ends (at its first
+    ``#``, else at its ``\\n``), and a mask of the lines that hold data: a
+    character other than whitespace before that end."""
+    buf = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if b"#" in text:
+        hashes = np.append(np.flatnonzero(buf == ord("#")), len(text))
+        ends = np.minimum(hashes[np.searchsorted(hashes, starts)], ends)
+    # reduced over [start, end) and [end, next start) of each line; an
+    # empty span gives its first byte, so empty lines are masked out
+    spans = np.stack((starts, ends), axis=1).ravel()
+    full = starts < ends
+    data = full & np.logical_or.reduceat(
+        np.frombuffer(text.translate(_SIGNIFICANT), bool), spans)[::2]
+    if not text.isascii():  # non-ASCII characters: the decoded text decides
+        high = full & np.logical_or.reduceat(buf >= 128, spans)[::2]
+        for line in np.flatnonzero(high & ~data):
+            data[line] = bool(text[starts[line]:ends[line]].decode().split())
+    return ends, data
 
 
 class TableChunks:
@@ -131,11 +146,11 @@ class TableChunks:
         """The good rows of each block as ``(values, lines)`` arrays; raises
         after the last of them at the first failure."""
         self.rows_read = 0
-        self.line_no = sum(1 for _ in _text_lines(self.header))
+        self.line_no = len(self.header.splitlines())  # as text mode counts
         with open(self.path, "rb") as fh:
             fh.seek(len(self.header))
             for block in _blocks(fh):
-                if (yield from self._block_rows(block)):
+                if (yield from self._block_rows(_text(block))):
                     return  # max_rows reached: the rest is not read
                 del block  # not alive while the next block is read
         if self.max_rows is not None and self.rows_read < self.max_rows:
@@ -143,62 +158,42 @@ class TableChunks:
                              f"{self.rows_read}", path=self.path,
                              line=self.line_no + 1)
 
-    def _block_rows(self, block: bytes):
-        """The good rows of one block, as ``_rows`` yields them; returns
-        True when a row past ``max_rows`` was met."""
-        values = self._load(block)
-        if values is not None:
-            first = self.line_no + 1
-            self.line_no += len(values)
-            self.rows_read += len(values)
-            yield values, np.arange(first, self.line_no + 1, dtype=np.int64)
-            return False
-        texts, numbers = [], []  # data rows, their line numbers
-        full = False  # a row past max_rows was met
-        for raw in _text_lines(block):
-            self.line_no += 1
-            text = _strip(raw)
-            if not text:
-                continue
-            if self.rows_read + len(texts) == self.max_rows:
-                full = True
-                break
-            texts.append(text)
-            numbers.append(self.line_no)
-        values = self._parse(texts)
+    def _block_rows(self, text: bytes):
+        """The good rows of one ``_text`` block, as ``_rows`` yields them;
+        returns True when a row past ``max_rows`` was met."""
+        ends, data = _scan(text)
+        first = self.line_no + 1  # the line number of the block's first line
+        rows = np.flatnonzero(data)  # the data lines, counted in the block
+        room = len(rows) if self.max_rows is None \
+            else self.max_rows - self.rows_read
+        rows, extra = rows[:room], rows[room:]  # extra: past max_rows
+        values = self._parse(text, len(rows))
         good = len(values)
         self.rows_read += good
-        yield values, np.array(numbers[:good], dtype=np.int64)
-        if good < len(texts):
-            raise self._row_error(texts[good], numbers[good])
-        if full and self.forbid_extra_rows:
+        yield values, rows[:good] + first
+        if good < len(rows):
+            end = ends[rows[good]]
+            raise self._row_error(text[text.rfind(b"\n", 0, end) + 1:end],
+                                  first + int(rows[good]))
+        if not len(extra):
+            self.line_no += len(ends)
+            return False
+        self.line_no = first + int(extra[0])
+        if self.forbid_extra_rows:
             raise ParseError(f"expected {self.max_rows} data rows, found "
                              f"extra data", path=self.path, line=self.line_no)
-        return full
+        return True
 
-    def _load(self, block: bytes) -> np.ndarray | None:
-        """The rows of a plain block, one per line, parsed at once; None
-        when the block must go through the per-line path."""
-        lines = block.count(b"\n")
-        if not lines or (self.max_rows is not None
-                         and lines > self.max_rows - self.rows_read):
-            return None
-        if not _plain(block):
-            return None
-        # number bytes only, so the bytes parse as their text does, without
-        # a 4-byte-per-character str
-        return _floats(io.BytesIO(block), lines, self.n_columns)
-
-    def _parse(self, texts: list[str]) -> np.ndarray:
-        """The values of ``texts`` up to the first bad row.  Whether a
-        prefix parses is monotone in its length, so after the whole list a
-        bisection finds the longest one in O(n log n)."""
+    def _parse(self, text: bytes, rows: int) -> np.ndarray:
+        """The values of the first ``rows`` data lines of ``text`` up to the
+        first bad one.  Whether a prefix of them parses is monotone in its
+        length, so after all of them a bisection finds the longest one in
+        O(n log n)."""
         good = np.empty((0, self.n_columns))
-        lo, hi = 0, len(texts) + 1  # texts[:lo] parse, texts[:hi] do not
-        mid = len(texts)
+        lo, hi = 0, rows + 1  # [:lo] parse, [:hi] do not
+        mid = rows
         while lo < mid:
-            values = _floats(io.StringIO("\n".join(texts[:mid])), mid,
-                             self.n_columns)
+            values = _floats(text, mid, self.n_columns)
             if values is None:
                 hi = mid
             else:
@@ -206,26 +201,31 @@ class TableChunks:
             mid = (lo + hi) // 2
         return good
 
-    def _row_error(self, text: str, line: int) -> ParseError:
-        """Name what is wrong with a row ``np.loadtxt`` rejects."""
+    def _row_error(self, line: bytes, number: int) -> ParseError:
+        """Name what is wrong with a row ``np.loadtxt`` rejects, from the
+        text before its ``#``."""
+        text = line.decode("utf-8", errors="replace").strip()
         tokens = text.split()
         if len(tokens) != self.n_columns:
             return ParseError(
                 f"expected {self.n_columns} columns, found {len(tokens)}",
-                path=self.path, line=line)
+                path=self.path, line=number)
         bad = next((tok for tok in tokens
-                    if _floats(io.StringIO(tok), 1, 1) is None), text)
+                    if _floats(tok.encode(), 1, 1) is None), text)
         return ParseError(f"invalid number {bad!r}", path=self.path,
-                          line=line)
+                          line=number)
 
 
-def _floats(text: io.StringIO | io.BytesIO, rows: int,
-            width: int) -> np.ndarray | None:
-    """``text`` as a float64 ``(rows, width)`` array; None when
-    ``np.loadtxt`` rejects a token or finds another shape.  Taking a
-    stream lets the caller's ``str`` go before the parse."""
+def _floats(text: bytes, rows: int, width: int) -> np.ndarray | None:
+    """The first ``rows`` data lines of ``text`` as a float64 ``(rows,
+    width)`` array; None when ``np.loadtxt`` rejects a token in them or
+    finds another shape."""
     try:
-        values = np.loadtxt(text, dtype=np.float64, comments=None, ndmin=2)
+        with warnings.catch_warnings():  # on lines that max_rows skips
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(io.BytesIO(text), dtype=np.float64,
+                                comments="#", encoding="utf-8", ndmin=2,
+                                max_rows=rows)
     except ValueError:
         return None
     return values if values.shape == (rows, width) else None
@@ -240,15 +240,11 @@ def _join(parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def count_data_rows(path) -> int:
-    """Count non-blank, non-comment lines without parsing numbers."""
-    rows = 0
+    """Count the lines that hold data, as ``TableChunks`` finds them,
+    without parsing numbers."""
     with open(path, "rb") as fh:
-        for block in _blocks(fh):
-            if _plain(block):
-                rows += block.count(b"\n")
-            else:
-                rows += sum(1 for raw in _text_lines(block) if _strip(raw))
-    return rows
+        return sum(int(np.count_nonzero(_scan(_text(block))[1]))
+                   for block in _blocks(fh))
 
 
 def rows_to_text(matrix: np.ndarray, fmt: str) -> bytes:

@@ -43,7 +43,7 @@ class LazReader:
 
     def __init__(self, path):
         self.path = Path(path)
-        header = read_header(path)
+        self.header = header = read_header(path)
         if not header.compressed:
             raise HeaderMismatch(
                 f"{path}: .laz extension but the data is uncompressed LAS")

@@ -11,9 +11,11 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import pcedit
 from pcedit import (OrientedBox, PointCloud, RemapParams, RgbAabb,
                     SphereParams, delete_spherical_outliers,
                     fit_color_sphere, read_cloud, recolor_rgb_box_remap,
@@ -297,8 +299,13 @@ def _fsync(path):
 
 
 def _run_child(code, *args):
+    # the child imports the pcedit this process imported, installed or not
+    root = str(Path(pcedit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True,
+                          env=env)
     return json.loads(proc.stdout)
 
 

@@ -1,8 +1,8 @@
 """The two ASCII primitives: the block reader and the row formatter.
 
-``TableChunks`` parses plain blocks in one call and every other block line
-by line; its chunks and errors are compared with a per-line reference
-written here.  ``rows_to_text`` is compared byte for byte with
+``TableChunks`` parses each block in one call, whatever its line ends,
+comments and whitespace; its chunks and errors are compared with a per-line
+reference written here.  ``rows_to_text`` is compared byte for byte with
 ``np.savetxt``.  The last tests count how often ``convert`` scans a text
 input.
 """
@@ -24,8 +24,13 @@ from pcedit.formats._ascii import TableChunks, count_data_rows, rows_to_text
 
 GOOD = ["0", "-0", "7", "-12", "3.5", "+.5", "5.", "1e5", "-2.5E-3", "1e+2",
         "nan", "-inf", "inf", "NaN", "Infinity", "123456.789012"]
-BAD = ["abc", "1.2.3", "1e", "--1", "0x1f", "1,5", "é", "nan(1)"]
+#: stands for a byte that is not UTF-8; ``tables`` swaps it in as bytes
+INVALID = "\ue000"
+BAD = ["abc", "1.2.3", "1e", "--1", "0x1f", "1,5", "é", "nan(1)",
+       INVALID]
 ENDS = ["\n"] * 12 + ["\r\n", "\r"]
+#: whitespace to ``str.split`` and ``np.loadtxt``, beyond space and tab
+WIDE = ["\x0b", "\x0c", "\xa0", "\x85", "\u3000"]
 
 
 @st.composite
@@ -50,17 +55,21 @@ def tables(draw):
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.integers(0, 30))
         if kind == 0:
-            lines.append("# comment 1 2")
-        elif kind == 1:
-            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+            lines.append(draw(st.sampled_from(["# comment 1 2",
+                                               "# " + INVALID])))
+        elif kind == 1:  # no data, or one character that is not ASCII
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t ",
+                                               " \u3000 ", *WIDE, "é",
+                                               INVALID])))
         else:
             width = n_columns + (draw(st.sampled_from([-1, 1]))
                                  if kind == 2 else 0)
             tokens = [draw(numbers()) for _ in range(max(width, 1))]
-            line = "".join(tok + draw(st.sampled_from([" ", " ", "\t", "  "]))
+            line = "".join(tok + draw(st.sampled_from([" ", " ", "\t", "  ",
+                                                       *WIDE]))
                            for tok in tokens).rstrip()
             if draw(st.integers(0, 8)) == 0:
-                line = draw(st.sampled_from([" ", "\t"])) + line + " "
+                line = draw(st.sampled_from([" ", "\t", *WIDE])) + line + " "
             if draw(st.integers(0, 15)) == 0:
                 line += " # inline"
             lines.append(line)
@@ -71,7 +80,9 @@ def tables(draw):
         text = text.rstrip("\r\n")  # no final newline
     rows = sum(1 for line in lines if line.split("#")[0].strip())
     max_rows = draw(st.one_of(st.none(), st.integers(0, rows + 2)))
-    return dict(data=text.encode("utf-8"), n_columns=n_columns,
+    return dict(data=text.encode("utf-8").replace(INVALID.encode("utf-8"),
+                                                  b"\xff"),
+                n_columns=n_columns,
                 skip=len(header), max_rows=max_rows,
                 forbid=draw(st.booleans()),
                 chunk_size=draw(st.sampled_from([1, 2, 3, 5, 1000])),
@@ -185,13 +196,13 @@ class TestTableChunks:
 
     def test_plain_rows_share_a_chunk_with_a_commented_block(self, tmp_path,
                                                              monkeypatch):
-        """A chunk fed by a plain block and a per-line block: the good rows
-        come out, then the first row ``np.loadtxt`` rejects is named with
-        its token, whatever the chunk size."""
+        """A chunk fed by a block of number rows and a block with a
+        comment: the good rows come out, then the first row ``np.loadtxt``
+        rejects is named with its token, whatever the chunk size."""
         monkeypatch.setattr(_ascii, "BLOCK_BYTES", 16)
         path = tmp_path / "mixed.xyz"
-        path.write_text("1 2 3\n4 5 6\n7 8 9\n"   # plain: lines 1-3
-                        "# note\n1_0 2 3\n")       # per line: lines 4-5
+        path.write_text("1 2 3\n4 5 6\n7 8 9\n"   # one block: lines 1-3
+                        "# note\n1_0 2 3\n")       # the next: lines 4-5
         for chunk_size in (10, 2):
             lines = []
             # float() takes "1_0", loadtxt does not

@@ -432,6 +432,20 @@ class TestInfo:
         assert "points:    60" in out
         assert "color:     yes" in out
 
+    @pytest.mark.parametrize("scale, shown", [(None, "5e-05"),
+                                              ("0.01", "0.005")])
+    def test_precision_is_half_the_file_scale(self, tmp_path, capsys, scale,
+                                             shown):
+        _, cloud_path, *_ = write_scene(tmp_path)
+        las = tmp_path / "cloud.las"
+        flags = [] if scale is None else ["--las-scale", scale]
+        assert run(["convert", str(cloud_path), str(las), *flags]) == 0
+        capsys.readouterr()
+        report = tmp_path / "info.json"
+        assert run(["info", str(las), "--report", str(report)]) == 0
+        assert f"precision: {shown} m" in capsys.readouterr().out
+        assert json.loads(report.read_text())["report"]["precision_m"] == \
+            float(shown)
 
     def test_parses_the_header_once(self, tmp_path, monkeypatch):
         _, cloud_path, *_ = write_scene(tmp_path)

@@ -157,3 +157,39 @@ def test_text_encoder_holds_one_part(tmp_path, monkeypatch):
     part = 400 * rows_per_part
     assert peak <= part, \
         f"encoding {n} rows to text peaked at {peak / 2**10:.0f} KiB"
+
+
+@pytest.mark.parametrize("variant", ["plain", "crlf", "commented"])
+def test_text_table_read_holds_one_block(variant, tmp_path, monkeypatch):
+    """Line ends and comments do not change what a text read holds: each
+    table is one block, scanned and then parsed in one call."""
+    monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 19)
+    n = 8_000  # about 330 KB of text, so every variant is one block
+    rng = np.random.default_rng(4)
+    plain = tmp_path / "plain.xyzrgb"
+    write_cloud(PointCloud(rng.uniform(-100, 100, (n, 3)),
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                plain)
+    text = plain.read_bytes()
+    path = tmp_path / f"{variant}.xyzrgb"
+    if variant == "crlf":
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+    elif variant == "commented":
+        lines = text.splitlines(keepends=True)
+        path.write_bytes(b"".join(b"# c\n" * (i % 1000 == 0) + line
+                                  for i, line in enumerate(lines)))
+    assert path.stat().st_size < _ascii.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        cloud = read_cloud(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cloud.count == n
+    held = cloud.positions.nbytes + cloud.colors.nbytes
+    # the bound of the plain table: the read buffer, then the block's scan
+    # or its parsed values and line numbers, each about the text's size
+    bound = held + _ascii.BLOCK_BYTES + 2 * len(text)
+    assert peak <= bound, \
+        f"reading a {variant} table of {len(text) / 2**10:.0f} KiB peaked " \
+        f"at {(peak - held) / 2**10:.0f} KiB above the cloud"
