@@ -12,11 +12,22 @@ the block, its rows being the data lines in order.  Line ends and invalid
 UTF-8 read as in text mode.  ``np.loadtxt`` is the only number rule, and
 when it rejects a block a bisection finds the first bad row in file order,
 the one reported.
+
+Rows are written by ``rows_to_text``, the bytes ``np.savetxt`` gives: a
+``%.6f`` value correctly rounded, half-to-even on its exact binary value,
+as ``printf("%.6f")`` prints it.  Each part of ``FORMAT_ROWS`` rows is
+built in numpy from integer digits, a fixed-width record per row whose
+unused leading characters are NUL and deleted at the end.  A value whose
+scaled millionths are a float64 half takes its digits from Python's
+``%``, and a part holding NaN, ±inf or a value too large for exact
+integer digits is formatted by ``%`` as a whole.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import re
 import warnings
 from pathlib import Path
 from typing import Iterator
@@ -29,7 +40,7 @@ from ._base import DEFAULT_CHUNK_POINTS
 #: bytes read at a time; a block ends after the last line end read so far
 BLOCK_BYTES = 8 << 20
 
-#: rows per ``%`` call in ``rows_to_text``
+#: rows per part that ``rows_to_text`` formats at once
 FORMAT_ROWS = 32_768
 
 #: 1 for an ASCII byte that is not whitespace as ``str.split`` takes it
@@ -250,15 +261,142 @@ def count_data_rows(path) -> int:
 def rows_to_text(matrix: np.ndarray, fmt: str) -> bytes:
     """Format a numeric matrix as encoded lines (one row per line).
 
-    The bytes ``np.savetxt`` would write: it applies ``fmt % tuple(row)``
-    to each float64 row, and this applies the same format to the same
-    values, ``FORMAT_ROWS`` rows per ``%`` call."""
-    line = fmt + "\n"
+    The bytes ``np.savetxt`` would write, which applies ``fmt % tuple(row)``
+    to each row: a ``%.6f`` value is correctly rounded to 6 decimals,
+    half-to-even on its exact binary value, as ``printf("%.6f")`` prints
+    it, with a ``-`` whenever its sign bit is set (``-0.000000``); ``%d``
+    and ``%u`` print the value truncated to an integer.  Each part of
+    ``FORMAT_ROWS`` rows is built as text in numpy (``_format_part``); a
+    part it cannot build (NaN, ±inf, a value too large for exact integer
+    digits, another conversion) goes through ``%``, which writes ``nan``
+    and ``inf`` as Python does."""
+    pieces = _CONVERSION.split(fmt + "\n")
+    literals, conversions = pieces[::2], pieces[1::2]
+    known = (matrix.shape[1:] == (len(conversions),)
+             and matrix.dtype.kind in "biuf"
+             and all(text.isascii() and not set(text) & set("%\0")
+                     for text in literals))
     parts = []
     for lo in range(0, len(matrix), FORMAT_ROWS):
         rows = matrix[lo:lo + FORMAT_ROWS]
-        parts.append((line * len(rows)) % tuple(rows.ravel().tolist()))
-    return "".join(parts).encode("ascii")
+        text = _format_part(rows, literals, conversions) if known else None
+        if text is None:
+            text = (((fmt + "\n") * len(rows))
+                    % tuple(rows.ravel().tolist())).encode("ascii")
+        parts.append(text)
+    return b"".join(parts)
+
+
+#: a ``rows_to_text`` conversion that ``_format_part`` builds
+_CONVERSION = re.compile(r"%(\.6f|[du])")
+
+#: below this, every float64 integer is exact
+_EXACT = 2.0 ** 53
+
+
+@functools.cache
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """4-character texts as little-endian uint32, for an index ``i`` below
+    10,000: ``i`` zero-padded at ``i``; ``i`` NUL-padded at ``10_000 + i``
+    (``0`` for 0); and four NULs at 20,000.  Then the 2-digit zero-padded
+    texts as uint16, the last half of the first 100 groups.  Built on first
+    use, so a process that writes no text does not hold them."""
+    n = np.arange(10_000, dtype=np.int16)[:, None]
+    digits = (n // np.array([1000, 100, 10, 1], np.int16) % 10
+              + ord("0")).astype(np.uint8)
+    padded = np.where(n >= np.array([1000, 100, 10, 0], np.int16), digits,
+                      np.uint8(0))
+    groups = np.concatenate([digits, padded, np.zeros((1, 4), np.uint8)]) \
+        .view("<u4").ravel()
+    return groups, groups[:100].view("<u2")[1::2].copy()
+
+
+def _units(values: np.ndarray, fixed: bool) -> np.ndarray | None:
+    """|values| as the integer a conversion prints: millionths rounded as
+    ``%.6f`` rounds them when ``fixed``, else truncated as ``%d``.  None
+    when one of them is not finite or not below 2**53, where float64
+    integers stop being exact."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values) * 1e6 if fixed else np.abs(np.trunc(values))
+        if not (scaled < _EXACT).all():  # NaN compares False too
+            return None
+    units = np.rint(scaled)
+    if fixed:
+        # scaled is |value|·10**6 rounded to the nearest float64.  Below
+        # 2**52 every half integer is a float64, so the exact product lies
+        # on the same side of each half as scaled and rint rounds it as
+        # ``%`` does, unless scaled is a half itself: there Python's ``%``
+        # decides.  From 2**52 on, float64 holds only integers, and the
+        # product's rounding to one (half-to-even) is the one ``%`` makes.
+        for i in np.flatnonzero(np.abs(scaled - units) == 0.5).tolist():
+            units[i] = int(("%.6f" % values[i]).replace(".", "")
+                           .lstrip("-"))
+    return units.astype(np.int64)
+
+
+def _integer_text(units: np.ndarray) -> np.ndarray:
+    """Non-negative int64 ``units`` as right-aligned decimal text, one
+    ``S`` string per value as wide as the largest, NUL for each leading
+    zero (a zero keeps one ``0``).  Built from groups of 4 digits."""
+    digits = len(str(int(units.max(initial=0))))
+    width = -(-digits // 4)
+    text = np.empty((len(units), width), np.uint32)
+    groups, _ = _digit_groups()
+    for g in range(width - 1, -1, -1):  # the last group first
+        rest = units // 10_000 if g else 0  # the digits above this group
+        # NUL-padded when no digit is above it, and all NUL when it is 0
+        # too, unless it is the last group
+        index = units - rest * 10_000 + 10_000 * (rest == 0)
+        if g < width - 1:
+            index += 10_000 * (units == 0)
+        text[:, g] = groups[index]
+        units = rest
+    return text.view(np.uint8)[:, 4 * width - digits:].view(f"S{digits}")
+
+
+def _format_part(rows: np.ndarray, literals: list[str],
+                 conversions: list[str]) -> bytes | None:
+    """The text of ``rows`` with one conversion per column between the
+    ``literals``, or None when a value has no exact integer digits.
+
+    Every row is one record of fixed-width fields: each literal, and per
+    column a sign (when one is negative), the integer digits and, for
+    ``%.6f``, ``.`` and 6 decimals.  A field's unused leading characters
+    are NUL, so one ``translate`` that deletes NUL joins the records into
+    the text."""
+    values = rows.astype(np.float64, copy=False)
+    fields: list[tuple[str, object, object]] = []  # (name, type, content)
+
+    def add(kind, content):
+        fields.append((f"f{len(fields)}", kind, content))
+
+    for column, conversion in enumerate(conversions):
+        if literals[column]:
+            add(f"S{len(literals[column])}", literals[column].encode())
+        x = values[:, column]
+        fixed = conversion == ".6f"
+        units = _units(x, fixed)
+        if units is None:
+            return None
+        # %.6f signs -0.0 and -1e-7; %d truncates -0.5 to 0, unsigned
+        negative = np.signbit(x) if fixed else x <= -1
+        if negative.any():
+            add("u1", negative.view(np.uint8) * np.uint8(ord("-")))
+        whole = units // 1_000_000 if fixed else units
+        text = _integer_text(whole)
+        add(text.dtype, text[:, 0])
+        if fixed:
+            decimals = units - whole * 1_000_000
+            high = decimals // 10_000
+            add("u1", ord("."))
+            groups, pairs = _digit_groups()
+            add("<u2", pairs[high])
+            add("<u4", groups[decimals - high * 10_000])
+    add(f"S{len(literals[-1])}", literals[-1].encode())
+    records = np.empty(len(values), [(name, kind) for name, kind, _ in fields])
+    for name, _, content in fields:
+        records[name] = content
+    return records.tobytes().translate(None, b"\0")
 
 
 def check_colors(values: np.ndarray, lines: np.ndarray, top: int, path,

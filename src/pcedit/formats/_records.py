@@ -3,10 +3,11 @@
 Every native writer is a header followed by the encoded buffers of each
 ``PointCloud`` chunk (``FileWriter``).  PLY, PCD, pts and the xyz family
 describe their rows as groups of fields (``Fields``), so one encoder turns
-a chunk into either packed little-endian records or ``%``-formatted text
-rows.  On the read side, the binary readers (PLY, PCD, LAS) pull records
-with one ``np.fromfile`` loop that reports where a short file ends, and
-PLY/PCD read either encoding through ``record_columns``.
+a chunk into either packed little-endian records or text rows in their
+printf formats (``rows_to_text``).  On the read side, the binary readers
+(PLY, PCD, LAS) pull records with one ``np.fromfile`` loop that reports
+where a short file ends, and PLY/PCD read either encoding through
+``record_columns``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 assert _HEADER_SIZE == 227
 
 _LEGACY_COUNT_OFFSET = 107
+_SCALE_OFFSET = 131
+_OFFSET_OFFSET = 155
 _MINMAX_OFFSET = 179
 _EXTENDED_COUNT_OFFSET = 247
 
@@ -82,6 +84,7 @@ def read_header(path) -> _Header:
         if header_size < _HEADER_SIZE:
             raise ParseError(f"header size {header_size} below LAS minimum",
                              path=path, offset=94)
+        _check_grid(scales, offsets, path)
         count = legacy_count
         if (ver_major, ver_minor) >= (1, 4) and header_size >= 255:
             fh.seek(_EXTENDED_COUNT_OFFSET)
@@ -94,6 +97,22 @@ def read_header(path) -> _Header:
                    compressed=compressed, record_length=record_length,
                    offset_to_points=offset_to_points, count=count,
                    scales=scales, offsets=offsets)
+
+
+def _check_grid(scales, offsets, path) -> None:
+    """Fail at the first x/y/z scale that is not finite and > 0, then at
+    the first offset that is not finite: either would turn every position
+    on that axis into NaN, infinity or the offset."""
+    for axis, scale in enumerate(scales):
+        if not (math.isfinite(scale) and scale > 0):
+            raise ParseError(f"{'xyz'[axis]} scale must be finite and > 0, "
+                             f"got {scale:g}", path=path,
+                             offset=_SCALE_OFFSET + 8 * axis)
+    for axis, offset in enumerate(offsets):
+        if not math.isfinite(offset):
+            raise ParseError(f"{'xyz'[axis]} offset must be finite, got "
+                             f"{offset:g}", path=path,
+                             offset=_OFFSET_OFFSET + 8 * axis)
 
 
 def _record_dtype(point_format: int, record_length: int,

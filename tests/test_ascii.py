@@ -273,6 +273,7 @@ def savetxt_bytes(matrix: np.ndarray, fmt: str) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRowsToText:
     @settings(max_examples=300)
     @given(data=st.data(), fmt=st.sampled_from(FORMATS),
@@ -306,6 +307,102 @@ class TestRowsToText:
         matrix = np.hstack([positions, colors])
         assert rows_to_text(matrix, FORMATS[0]) == \
             savetxt_bytes(matrix, FORMATS[0])
+
+
+def float_rows(values: list, width: int) -> np.ndarray:
+    return np.array(values, dtype=np.float64).reshape(-1, width)
+
+
+def ulps_from(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` float64 neighbours up (down if < 0)."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
+#: any float64, drawn as its 64 bits: NaNs with payloads, subnormals, ±0
+BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+#: UTM-sized coordinates with fractions
+UTM = st.builds(lambda whole, micro, sign: sign * (whole + micro / 1e6),
+                st.integers(10 ** 5, 10 ** 7), st.integers(0, 10 ** 6),
+                st.sampled_from([1, -1])) | st.floats(-1e7, 1e7)
+#: within a few ulps of a rounding boundary k·1e-6 ± 5e-7
+NEAR_HALF = st.builds(lambda k, half, steps: ulps_from(k * 1e-6 + half,
+                                                       steps),
+                      st.integers(-10 ** 13, 10 ** 13),
+                      st.sampled_from([5e-7, -5e-7]), st.integers(-4, 4))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFormatterProperties:
+    """``rows_to_text`` against ``np.savetxt`` (``%`` on each row) where a
+    numpy formatter is most likely to go wrong; a numpy warning fails."""
+
+    @settings(max_examples=400)
+    @given(values=st.lists(BIT_PATTERNS, min_size=3, max_size=60)
+           .map(lambda v: v[:len(v) // 3 * 3]))
+    def test_any_bit_pattern(self, values):
+        matrix = float_rows(values, 3)
+        assert rows_to_text(matrix, FORMATS[3]) == \
+            savetxt_bytes(matrix, FORMATS[3])
+
+    @settings(max_examples=200)
+    @given(values=st.lists(UTM | NEAR_HALF, min_size=3, max_size=60)
+           .map(lambda v: v[:len(v) // 3 * 3]))
+    def test_utm_and_near_half(self, values):
+        matrix = float_rows(values, 3)
+        assert rows_to_text(matrix, FORMATS[3]) == \
+            savetxt_bytes(matrix, FORMATS[3])
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(st.tuples(UTM, NEAR_HALF, BIT_PATTERNS,
+                                   st.integers(0, 2 ** 24 - 1)),
+                         min_size=1, max_size=40))
+    def test_pcd_packed_rgb(self, rows):
+        fmt = "%.6f %.6f %.6f %u"
+        positions = float_rows([row[:3] for row in rows], 3)
+        rgb = np.array([row[3] for row in rows], np.uint32)[:, None]
+        matrix = np.hstack([positions, rgb])  # as the PCD encoder stacks it
+        assert rows_to_text(matrix, fmt) == savetxt_bytes(matrix, fmt)
+
+    @settings(max_examples=200)
+    @given(values=st.lists(st.floats(-2.0 ** 60, 2.0 ** 60), min_size=2,
+                           max_size=40).map(lambda v: v[:len(v) // 2 * 2]))
+    def test_integer_conversions_truncate(self, values):
+        matrix = float_rows(values, 2)
+        assert rows_to_text(matrix, "%d %u") == savetxt_bytes(matrix,
+                                                              "%d %u")
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0078125, b"0.007812"), (0.0234375, b"0.023438"),
+        (-0.0078125, b"-0.007812"), (0.0000005, b"0.000000"),
+        (0.0000015, b"0.000002"), (2.5, b"2.500000"),
+        (-0.0, b"-0.000000"), (-1e-7, b"-0.000000"),
+        (8589934592.5, b"8589934592.500000"),
+        (1e22, b"10000000000000000000000.000000"),
+        (np.nan, b"nan"), (-np.inf, b"-inf")])
+    def test_pinned_strings(self, value, text):
+        assert rows_to_text(np.array([[value]]), "%.6f") == text + b"\n"
+
+    @pytest.mark.parametrize("fmt", ["%.3f %.6f", "%5d|%.6f", "%.6f%% %d",
+                                     "x%.6f\t%u;"])
+    def test_other_conversions_and_literals(self, fmt, rng):
+        matrix = np.column_stack([rng.uniform(-1e3, 1e3, 50),
+                                  rng.integers(-300, 300, 50)])
+        # np.savetxt miscounts the conversions of a format with ``%%``
+        assert rows_to_text(matrix, fmt) == "".join(
+            fmt % tuple(row) + "\n" for row in matrix.tolist()).encode()
+
+    def test_convert_of_unprintable_values_warns_nothing(self, tmp_path):
+        positions = np.array([[np.nan, np.inf, -np.inf], [1e300, -1e300, 0.5],
+                              [1.0, 2.0, 3.0]])
+        source = tmp_path / "in.ply"
+        write_cloud(PointCloud(positions), source)
+        assert run(["convert", str(source), str(tmp_path / "out.xyz")]) == 0
+        assert (tmp_path / "out.xyz").read_bytes() == \
+            savetxt_bytes(positions, FORMATS[3])
 
 
 @pytest.fixture

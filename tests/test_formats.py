@@ -290,6 +290,57 @@ class TestLas:
             convert(src, tmp_path / "out.las")
         assert not (tmp_path / "out.las").exists()
 
+    #: (byte, value, message) of a scale or offset the reader rejects
+    BAD_GRID = [
+        (131, np.nan, "x scale must be finite and > 0, got nan"),
+        (139, 0.0, "y scale must be finite and > 0, got 0"),
+        (147, -0.001, "z scale must be finite and > 0, got -0.001"),
+        (131, np.inf, "x scale must be finite and > 0, got inf"),
+        (155, np.inf, "x offset must be finite, got inf"),
+        (163, np.nan, "y offset must be finite, got nan"),
+        (171, -np.inf, "z offset must be finite, got -inf"),
+    ]
+
+    def _patched(self, tmp_path, name, byte, value, compressed=False):
+        """A 2-point file from ``write_cloud`` with one header double
+        replaced (and the LAZ bit set when ``compressed``)."""
+        path = tmp_path / "good.las"
+        write_cloud(PointCloud(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                               np.array([[1, 2, 3], [4, 5, 6]])), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, byte, value)
+        if compressed:
+            data[104] |= 0x80
+        return write_tmp(tmp_path, name, bytes(data))
+
+    @pytest.mark.parametrize("byte, value, message", BAD_GRID)
+    def test_bad_scale_or_offset_is_parse_error(self, tmp_path, byte, value,
+                                                message):
+        path = self._patched(tmp_path, "g.las", byte, value)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: byte {byte}: {message}")):
+            read_cloud(path)
+
+    @pytest.mark.parametrize("byte, value, message", BAD_GRID)
+    @pytest.mark.parametrize("command", ["convert", "info"])
+    def test_bad_scale_or_offset_in_cli(self, tmp_path, capsys, byte, value,
+                                        message, command):
+        path = self._patched(tmp_path, "g.las", byte, value)
+        out = tmp_path / "out.ply"
+        argv = [command, str(path)] + ([str(out)] if command == "convert"
+                                       else [])
+        assert run(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: byte {byte}: {message}\n"
+        assert not out.exists()
+
+    def test_laz_header_shares_the_check(self, tmp_path):
+        # the header is read before any codec is needed
+        path = self._patched(tmp_path, "g.laz", 139, 0.0, compressed=True)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: byte 139: y scale must be finite and > 0")):
+            read_cloud(path)
+
 
 class TestPly:
     def test_ascii_two_vertices_verbatim_colors(self, tmp_path):

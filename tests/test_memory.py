@@ -152,8 +152,9 @@ def test_text_encoder_holds_one_part(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
         writer.close()
-    # one part in flight: its float64 matrix (48 bytes a row), its Python
-    # floats (192), its text and its bytes (about 60 each)
+    # one part in flight: its float64 matrix (48 bytes a row), a few int64
+    # columns and digit groups per column, its fixed-width records, their
+    # bytes and its text (about 45 each)
     part = 400 * rows_per_part
     assert peak <= part, \
         f"encoding {n} rows to text peaked at {peak / 2**10:.0f} KiB"
