@@ -211,7 +211,7 @@ def _output_descriptor(kind: str, cloud, args):
     store of it is printed as a warning, as ``convert`` does."""
     descriptor, notes = resolve_descriptor(
         kind, has_color=cloud.has_color,
-        has_normals=cloud.normals is not None, encoding=_encoding(args))
+        has_normals=cloud.has_normals, encoding=_encoding(args))
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
     return descriptor

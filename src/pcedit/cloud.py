@@ -12,6 +12,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -22,6 +23,7 @@ from .errors import EmptySelection
 
 __all__ = [
     "PointCloud",
+    "Selection",
     "OrientedBox",
     "GridIndex",
     "ColorSphere",
@@ -35,7 +37,8 @@ __all__ = [
 
 def quantize_colors(values: np.ndarray) -> np.ndarray:
     """Round float color math back to uint8, half-to-even, clipped to [0, 255]."""
-    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
+    rounded = np.rint(values)
+    return np.clip(rounded, 0, 255, out=rounded).astype(np.uint8)
 
 
 def _as_points(a, name: str) -> np.ndarray:
@@ -86,6 +89,10 @@ class PointCloud:
     def count(self) -> int:
         return len(self.positions)
 
+    @property
+    def has_normals(self) -> bool:
+        return self.normals is not None
+
     def __len__(self) -> int:
         return self.count
 
@@ -106,6 +113,73 @@ class PointCloud:
             None if self.normals is None else self.normals[selector],
             has_color=self.has_color,
         )
+
+    def chunks(self, chunk_size: int) -> Iterator["PointCloud"]:
+        """The cloud as consecutive batches of ``chunk_size`` rows, each a
+        view into its arrays: the reader protocol of ``formats``."""
+        for lo in range(0, self.count, chunk_size):
+            part = slice(lo, lo + chunk_size)
+            yield PointCloud(self.positions[part], self.colors[part],
+                             None if self.normals is None
+                             else self.normals[part],
+                             has_color=self.has_color)
+
+
+class Selection(PointCloud):
+    """The rows ``rows`` of ``source`` in source order, gathered when used.
+
+    ``rows`` is either ascending source rows or a boolean mask over them.
+    ``chunks`` gathers one batch of rows at a time with ``take``, so that
+    writing a selection holds one batch rather than a copy of it.  The
+    ``positions``, ``colors`` and ``normals`` arrays are gathered whole on
+    first use and kept.
+    """
+
+    def __init__(self, source: PointCloud, rows: np.ndarray):
+        self.source = source
+        self.rows = rows
+        self.has_color = source.has_color
+        self._count = int(np.count_nonzero(rows)) if rows.dtype == bool \
+            else rows.size
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._whole.positions
+
+    @property
+    def colors(self) -> np.ndarray:
+        return self._whole.colors
+
+    @property
+    def normals(self) -> np.ndarray | None:
+        return self._whole.normals if self.has_normals else None
+
+    @property
+    def has_normals(self) -> bool:
+        return self.source.has_normals
+
+    @functools.cached_property
+    def _whole(self) -> PointCloud:
+        return self.source.take(self.rows)
+
+    def indices(self) -> np.ndarray:
+        """The ascending source rows of the selection."""
+        return np.flatnonzero(self.rows) if self.rows.dtype == bool \
+            else self.rows
+
+    def chunks(self, chunk_size: int) -> Iterator[PointCloud]:
+        """Batches of at most ``chunk_size`` selected rows, gathered from
+        ``chunk_size`` entries of ``rows`` at a time."""
+        for lo in range(0, self.rows.size, chunk_size):
+            part = self.rows[lo:lo + chunk_size]
+            if part.dtype == bool:
+                part = lo + np.flatnonzero(part)
+            if part.size:
+                yield self.source.take(part)
 
 
 def _axis_quat(axis: int, degrees: float) -> list[float]:
@@ -208,51 +282,97 @@ class GridIndex:
     MAX_CELLS = (1 << 16) - 1
     POINTS_PER_CELL = 32
     #: candidate pairs a query batch measures at once
-    BATCH = 1 << 17
+    BATCH = 1 << 15
+    #: rows whose cell keys are computed, and then placed, at once
+    SLICE = 1 << 16
     #: relative margin on the stopping distance, far above rounding error
     SLACK = 1e-9
 
     def __init__(self, positions: np.ndarray,
                  points_per_cell: float = POINTS_PER_CELL):
         self.positions = positions = _as_points(positions, "positions")
+        # row numbers, cell starts included, in the narrowest type that
+        # holds them: 4 bytes a point below 2**31 rows
+        row_type = np.int32 if len(positions) < np.iinfo(np.int32).max \
+            else np.int64
         self._finite_rows = None
         if not np.isfinite(positions).all():
             self._finite_rows = np.flatnonzero(
-                np.isfinite(positions).all(axis=1))
+                np.isfinite(positions).all(axis=1)).astype(row_type)
         m = len(positions) if self._finite_rows is None \
             else self._finite_rows.size
 
-        self._lo = np.zeros(3)
-        self._hi = np.zeros(3)
-        if m:
+        slices = [(a, min(a + self.SLICE, m))
+                  for a in range(0, m, self.SLICE)]
+        self._lo = np.full(3, np.inf) if m else np.zeros(3)
+        self._hi = np.full(3, -np.inf) if m else np.zeros(3)
+        for a, b in slices:
             for k in range(3):
-                column = self._column(k)
-                self._lo[k], self._hi[k] = column.min(), column.max()
+                column = self._column(k, a, b)
+                self._lo[k] = min(self._lo[k], column.min())
+                self._hi[k] = max(self._hi[k], column.max())
         self._counts, self._scale = self._cell_grid(m, points_per_cell)
 
         cells = int(self._counts.prod())
         key_type = np.uint16 if cells <= self.MAX_CELLS else np.uint32
         key = np.zeros(m, dtype=key_type)
-        stride = 1
-        for k in range(3):
-            if self._counts[k] > 1:
-                key += self._cells(self._column(k), k).astype(key_type) \
-                    * key_type(stride)
-            stride *= int(self._counts[k])
+        for a, b in slices:
+            stride = 1
+            for k in range(3):
+                if self._counts[k] > 1:
+                    key[a:b] += self._cells(self._column(k, a, b), k) \
+                        .astype(key_type) * key_type(stride)
+                stride *= int(self._counts[k])
+        self._starts, self._order = self._sort_rows(key, cells, row_type)
+
+    def _sort_rows(self, key: np.ndarray, cells: int, row_type
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The first slot of each cell (and the end of the last), and the
+        indexed rows grouped by cell key.
+
+        A counting sort: ``starts[c + 1]`` begins as the first slot of
+        cell ``c`` and, as the cell's next free slot, ends as the first
+        slot of cell ``c + 1``.  Keys are placed ``SLICE`` at a time, so
+        that no temporary but the cell counts is as long as the index."""
+        # bincount copies its input as intp, so it counts a slice at a
+        # time; a slice of at least one key per cell keeps it O(keys)
+        step = max(self.SLICE, cells)
+        ends = np.bincount(key[:step], minlength=cells)
+        for a in range(step, key.size, step):
+            ends += np.bincount(key[a:a + step], minlength=cells)
+        np.cumsum(ends, out=ends)   # in place: a cast would copy it
+        starts = np.zeros(cells + 1, dtype=row_type)
+        starts[2:] = ends[:-1]
+        del ends
+        free = starts[1:]
         # numpy radix-sorts 16-bit keys; wider ones sort faster unstably,
         # and no caller needs the order of the rows inside a cell
-        order = np.argsort(key, kind="stable" if key_type is np.uint16
-                           else "quicksort")
-        if self._finite_rows is not None:
-            order = self._finite_rows[order]
-        self._order = order
-        self._starts = np.zeros(cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=cells), out=self._starts[1:])
+        kind = "stable" if key.dtype == np.uint16 else "quicksort"
+        order = np.empty(key.size, dtype=row_type)
+        for a in range(0, key.size, self.SLICE):
+            part = key[a:a + self.SLICE]
+            sort = np.argsort(part, kind=kind)
+            part = part[sort]
+            # each run of equal keys fills its cell's next free slots
+            first = np.empty(part.size, dtype=bool)
+            first[0] = True
+            np.not_equal(part[1:], part[:-1], out=first[1:])
+            first = np.flatnonzero(first)
+            runs = np.diff(first, append=part.size)
+            cell = part[first]
+            slots = np.repeat(free[cell] - first, runs)
+            slots += np.arange(part.size)
+            sort += a
+            order[slots] = sort if self._finite_rows is None \
+                else self._finite_rows[sort]
+            free[cell] += runs.astype(row_type)
+        return starts, order
 
-    def _column(self, k: int) -> np.ndarray:
+    def _column(self, k: int, a: int, b: int) -> np.ndarray:
+        """Axis ``k`` of the indexed rows ``a`` to ``b``."""
         if self._finite_rows is None:
-            return self.positions[:, k]
-        return self.positions[self._finite_rows, k]
+            return self.positions[a:b, k]
+        return self.positions[self._finite_rows[a:b], k]
 
     def _cell_grid(self, m: int, points_per_cell: float
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -321,8 +441,12 @@ class GridIndex:
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             return np.flatnonzero(box.contains(self.positions))
         candidates = self._candidates(lo, hi)
-        inside = box.contains(np.take(self.positions, candidates, axis=0))
-        return np.sort(candidates[inside])
+        inside = np.empty(candidates.size, dtype=bool)
+        for a in range(0, candidates.size, self.SLICE):
+            part = slice(a, a + self.SLICE)
+            inside[part] = box.contains(
+                np.take(self.positions, candidates[part], axis=0))
+        return np.sort(candidates[inside]).astype(np.intp)
 
     def query(self, x: np.ndarray) -> np.ndarray:
         """Row of the indexed position nearest to each finite query point.
@@ -411,9 +535,10 @@ class GridIndex:
                 seg = np.flatnonzero(first)
                 low = np.minimum.reduceat(dist, seg)
                 tied = dist == low[np.cumsum(first) - 1]
+                # the sentinel in the rows' own type: a wider one would wrap
                 pick = np.minimum.reduceat(
-                    np.where(tied, self._order[slots], np.iinfo(np.int64).max),
-                    seg)
+                    np.where(tied, self._order[slots],
+                             np.iinfo(self._order.dtype).max), seg)
                 q = who[seg]
                 better = (low < best[q]) | ((low == best[q])
                                             & (pick < rows[q]))
@@ -458,8 +583,13 @@ class ColorSphere:
         object.__setattr__(self, "radius", float(self.radius))
 
     def distances(self, colors: np.ndarray) -> np.ndarray:
+        """Euclidean distance of each color to the center, summed and
+        rooted as ``np.linalg.norm(delta, axis=-1)`` does it, with the
+        squares made in place."""
         delta = np.asarray(colors, dtype=np.float64) - np.asarray(self.center)
-        return np.linalg.norm(delta, axis=-1)
+        np.square(delta, out=delta)
+        dist = delta.sum(axis=-1)
+        return np.sqrt(dist, out=dist)
 
 
 @dataclass(frozen=True)
@@ -520,6 +650,6 @@ def rgb_color_aabb(colors: Iterable) -> RgbAabb:
     if arr.size == 0:
         raise EmptySelection("rgb_color_aabb of an empty color set")
     # one reduction per column: ten times faster than min(axis=0)
-    columns = arr.reshape(-1, 3).astype(np.float64).T
+    columns = arr.reshape(-1, 3).astype(np.float64, copy=False).T
     return RgbAabb(min=tuple(column.min() for column in columns),
                    max=tuple(column.max() for column in columns))

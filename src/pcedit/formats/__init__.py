@@ -20,7 +20,6 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -179,16 +178,6 @@ def read_cloud(source) -> PointCloud:
     return PointCloud(has_color=desc.has_color, **columns)
 
 
-def _cloud_chunks(cloud: PointCloud, chunk_size: int):
-    """``cloud`` as chunks of views into its arrays."""
-    normals = cloud.normals
-    for lo in range(0, cloud.count, chunk_size):
-        part = slice(lo, lo + chunk_size)
-        yield PointCloud(cloud.positions[part], cloud.colors[part],
-                         None if normals is None else normals[part],
-                         has_color=cloud.has_color)
-
-
 def write_cloud(cloud: PointCloud, sink,
                 descriptor: FormatDescriptor | None = None, *,
                 encoding: str | None = None,
@@ -203,10 +192,10 @@ def write_cloud(cloud: PointCloud, sink,
     if descriptor is None:
         descriptor, _ = resolve_descriptor(
             kind_of(sink), has_color=cloud.has_color,
-            has_normals=cloud.normals is not None, encoding=encoding)
+            has_normals=cloud.has_normals, encoding=encoding)
     written, _ = _write_chunks(
-        sink, descriptor, cloud.count, partial(_cloud_chunks, cloud),
-        DEFAULT_CHUNK_POINTS, las_scale=las_scale, las_offset=las_offset)
+        sink, descriptor, cloud.count, cloud.chunks, DEFAULT_CHUNK_POINTS,
+        las_scale=las_scale, las_offset=las_offset)
     return written
 
 

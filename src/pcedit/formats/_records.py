@@ -12,6 +12,7 @@ where a short file ends, and PLY/PCD read either encoding through
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -114,13 +115,19 @@ def read_records(path, dtype: np.dtype, offset: int, count: int,
                  chunk_size: int,
                  noun: str = "points") -> Iterator[np.ndarray]:
     """Structured arrays of at most ``chunk_size`` records from byte
-    ``offset``; a file that ends early fails at the byte where data stops."""
+    ``offset``; a file that ends early fails at the byte where data stops.
+
+    numpy allocates all the records it is asked for before it reads any,
+    so no read asks for more than the rest of the file holds: a header
+    count no file backs fails as a short file, not as a huge allocation."""
     done = 0
     with open(path, "rb") as fh:
         fh.seek(offset)
+        size = os.fstat(fh.fileno()).st_size
         while done < count:
             want = min(count - done, chunk_size)
-            records = np.fromfile(fh, dtype=dtype, count=want)
+            held = max(0, size - fh.tell()) // dtype.itemsize
+            records = np.fromfile(fh, dtype=dtype, count=min(want, held))
             done += records.shape[0]
             if records.shape[0] < want:
                 raise ParseError(

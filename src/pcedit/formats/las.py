@@ -12,6 +12,7 @@ point data.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,7 @@ class _Header:
     record_length: int
     offset_to_points: int
     count: int
+    count_offset: int   # the byte of the count field in use
     scales: tuple[float, float, float]
     offsets: tuple[float, float, float]
 
@@ -85,18 +87,18 @@ def read_header(path) -> _Header:
             raise ParseError(f"header size {header_size} below LAS minimum",
                              path=path, offset=94)
         _check_grid(scales, offsets, path)
-        count = legacy_count
+        count, count_offset = legacy_count, _LEGACY_COUNT_OFFSET
         if (ver_major, ver_minor) >= (1, 4) and header_size >= 255:
             fh.seek(_EXTENDED_COUNT_OFFSET)
             extended = struct.unpack("<Q", fh.read(8))[0]
             if extended:
-                count = extended
+                count, count_offset = extended, _EXTENDED_COUNT_OFFSET
     compressed = bool(point_format_raw & 0x80)
     point_format = point_format_raw & 0x3F
     return _Header(version=(ver_major, ver_minor), point_format=point_format,
                    compressed=compressed, record_length=record_length,
                    offset_to_points=offset_to_points, count=count,
-                   scales=scales, offsets=offsets)
+                   count_offset=count_offset, scales=scales, offsets=offsets)
 
 
 def _check_grid(scales, offsets, path) -> None:
@@ -142,6 +144,13 @@ class LasReader:
                 f"{path}: data is LAZ-compressed; use the .laz format")
         self._dtype = _record_dtype(self.header.point_format,
                                     self.header.record_length, path)
+        held = max(0, os.path.getsize(path) - self.header.offset_to_points)
+        if self.header.count * self._dtype.itemsize > held:
+            raise ParseError(
+                f"{self.header.count} points of {self._dtype.itemsize} "
+                f"bytes do not fit in the {held} bytes after byte "
+                f"{self.header.offset_to_points}", path=path,
+                offset=self.header.count_offset)
         self.descriptor = FormatDescriptor(
             kind="las", encoding=BINARY,
             has_color=self.header.point_format in _COLOR_FORMATS,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .boxfile import JoinedBox
 from .cloud import (ColorSphere, GridIndex, OrientedBox, PointCloud,
-                    RgbAabb, mean_color, quantize_colors, rgb_color_aabb)
+                    RgbAabb, Selection, mean_color, quantize_colors,
+                    rgb_color_aabb)
 from .errors import (EmptySelection, NoEnabledBoxes, PipelineStepError)
 
 PROJECT_TO_SURFACE = "project_to_surface"
@@ -100,7 +101,8 @@ class _Edit:
     The cloud is indexed once; every step works on ascending source rows.
     Deleted points are cleared from ``alive`` and recolors write into one
     color buffer, copied from the source on the first write.  ``result``
-    materializes the survivors once, with the ``has_color`` flag the
+    names the survivors as a ``Selection`` of the edited cloud, which a
+    writer gathers a batch at a time, with the ``has_color`` flag the
     step-by-step chain of clouds would carry.
     """
 
@@ -133,7 +135,7 @@ class _Edit:
             return self.source
         edited = PointCloud(self.source.positions, self.colors,
                             self.source.normals, has_color=self.has_color)
-        return edited if all_alive else edited.take(self.alive)
+        return edited if all_alive else Selection(edited, self.alive)
 
 
 def cKDTree(data):
@@ -221,14 +223,14 @@ class EditStep:
 
     def apply(self, edit: _Edit) -> StepReport:
         rows = edit.rows(self.box)
-        colors_in = np.take(edit.colors, rows, axis=0).astype(np.float64)
         report = StepReport(op=self.op, box_label=self.box.label,
                             points_examined=rows.size, points_recolored=0,
                             points_deleted=0)
-        if isinstance(self.params, SphereParams):
-            self._sphere(edit, rows, colors_in, report)
-        else:
-            self._remap(edit, rows, colors_in, report)
+        model = self._sphere if isinstance(self.params, SphereParams) \
+            else self._remap
+        # the in-box colors belong to the model alone, which may free them
+        model(edit, rows,
+              np.take(edit.colors, rows, axis=0).astype(np.float64), report)
         return report
 
     def _sphere(self, edit: _Edit, rows, colors_in, report) -> None:
@@ -254,6 +256,7 @@ class EditStep:
                 projected = center + delta * scale[:, None]
             edit.recolor(out_rows, quantize_colors(projected))
         else:
+            del colors_in, dists   # not held through the search
             in_rows = rows[~outlier]
             if in_rows.size == 0:
                 edit.recolor(out_rows, quantize_colors(
@@ -277,7 +280,9 @@ class EditStep:
         s_ext = np.asarray(source.extent)
         t_ext = np.asarray(target.extent)
         gain = np.divide(t_ext, s_ext, out=np.zeros(3), where=s_ext > 0)
-        mapped = np.asarray(target.centroid) + (colors_in - s_cent) * gain
+        mapped = colors_in - s_cent   # t + (c - s) * g, in place
+        mapped *= gain
+        mapped += target.centroid
         edit.recolor(rows, quantize_colors(mapped))
         report.points_recolored = rows.size
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import GridIndex, OrientedBox, PointCloud
+from .cloud import GridIndex, OrientedBox, PointCloud, Selection
 from .errors import NoBoxes, UnknownFormat
 from .formats import CAPS, DEFAULT_LAS_SCALE, write_cloud
 
@@ -37,9 +37,16 @@ class Fragment:
 
 @dataclass
 class SplitResult:
+    """Fragments and remainder are ``Selection``s of the input cloud, so
+    they are gathered a batch at a time as they are written."""
+
     fragments: list[Fragment] = field(default_factory=list)
-    remainder: PointCloud | None = None
-    remainder_indices: np.ndarray | None = None
+    remainder: Selection | None = None
+
+    @property
+    def remainder_indices(self) -> np.ndarray | None:
+        """Original indices of the remainder's points, ascending."""
+        return None if self.remainder is None else self.remainder.indices()
 
 
 def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
@@ -65,15 +72,15 @@ def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
         assigned[rows] = True
 
     result = SplitResult()
-    for label, parts in label_rows.items():
-        rows = np.unique(np.concatenate(parts))
+    for label in list(label_rows):
+        parts = label_rows.pop(label)   # not held with the label's rows
+        rows = parts[0] if len(parts) == 1 \
+            else np.unique(np.concatenate(parts))
         result.fragments.append(Fragment(label=label,
-                                         cloud=cloud.take(rows),
+                                         cloud=Selection(cloud, rows),
                                          indices=rows))
     if emit_remainder:
-        rows = np.flatnonzero(~assigned)
-        result.remainder = cloud.take(rows)
-        result.remainder_indices = rows
+        result.remainder = Selection(cloud, ~assigned)
     return result
 
 

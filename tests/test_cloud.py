@@ -1,6 +1,7 @@
 """Core data model: containment, color statistics, validation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from pcedit import (ColorSphere, EmptySelection, OrientedBox, PointCloud,
-                    RgbAabb, mean_color, quantize_colors, rgb_color_aabb)
+                    RgbAabb, formats, mean_color, quantize_colors,
+                    read_cloud, rgb_color_aabb, write_cloud)
+from pcedit.cloud import Selection
 
 from conftest import oracle_contains, random_box
 
@@ -223,3 +226,62 @@ class TestSphereAndAabbTypes:
         inside = aabb.contains(np.array([[10, 10, 10], [0, 0, 0],
                                          [10.001, 0, 0]]))
         assert inside.tolist() == [True, True, False]
+
+
+class TestSelection:
+    """A selection is the source rows it names, gathered only when used."""
+
+    @pytest.fixture
+    def cloud(self, rng):
+        n = 1000
+        return PointCloud(rng.uniform(size=(n, 3)),
+                          rng.integers(0, 256, (n, 3)),
+                          normals=rng.normal(size=(n, 3)), has_color=True)
+
+    @pytest.mark.parametrize("kind", ["mask", "rows"])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 333, 5000])
+    def test_chunks_and_arrays_match_take(self, cloud, rng, kind,
+                                          chunk_size):
+        mask = rng.random(cloud.count) < 0.6
+        rows = np.flatnonzero(mask)
+        selection = Selection(cloud, mask if kind == "mask" else rows)
+        assert selection.count == len(selection) == rows.size
+        assert selection.has_normals and selection.has_color
+        chunks = list(selection.chunks(chunk_size))
+        assert all(0 < chunk.count <= chunk_size for chunk in chunks)
+        assert "_whole" not in vars(selection)   # nothing gathered whole
+        want = cloud.take(rows)
+        for name in ("positions", "colors", "normals"):
+            assert np.array_equal(
+                np.concatenate([getattr(c, name) for c in chunks]),
+                getattr(want, name))
+            assert np.array_equal(getattr(selection, name),
+                                  getattr(want, name))
+        assert np.array_equal(selection.indices(), rows)
+
+    def test_empty_and_normal_free(self, rng):
+        cloud = PointCloud(rng.uniform(size=(5, 3)))
+        selection = Selection(cloud, np.zeros(5, dtype=bool))
+        assert selection.count == 0 and list(selection.chunks(2)) == []
+        assert not selection.has_normals and selection.normals is None
+        assert not selection.has_color
+        assert selection.positions.shape == (0, 3)
+
+    def test_write_holds_one_batch(self, cloud, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "DEFAULT_CHUNK_POINTS", 50)
+        big = PointCloud(np.tile(cloud.positions, (100, 1)),
+                         np.tile(cloud.colors, (100, 1)),
+                         np.tile(cloud.normals, (100, 1)))
+        selection = Selection(big, np.arange(big.count) % 10 != 0)
+        tracemalloc.start()
+        try:
+            write_cloud(selection, tmp_path / "s.ply")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole copy would take 51 bytes a point, 4.6 MB here
+        assert peak < 2**20, f"writing peaked at {peak / 2**20:.1f} MiB"
+        assert "_whole" not in vars(selection)
+        back = read_cloud(tmp_path / "s.ply")
+        assert np.array_equal(back.positions, selection.positions)
+        assert np.array_equal(back.normals, selection.normals)

@@ -342,6 +342,100 @@ class TestLas:
             read_cloud(path)
 
 
+class TestCountsTheFileBacks:
+    """A header count or record size the file cannot back is a data error
+    at its byte, and sizes no allocation: exit 2, not a MemoryError."""
+
+    #: (name, record length or None, point count) patched into a 2-point
+    #: LAS file of 279 bytes
+    LAS_CASES = [("count", None, 1_000_000),
+                 ("record-length", 65_535, None),
+                 ("both", 65_535, 1_000_000)]
+
+    def _las(self, tmp_path, record_length, count):
+        path = tmp_path / "in.las"
+        write_cloud(PointCloud(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                               np.array([[1, 2, 3], [4, 5, 6]])), path)
+        data = bytearray(path.read_bytes())
+        assert len(data) == 279
+        if record_length is not None:
+            struct.pack_into("<H", data, 105, record_length)
+        if count is not None:
+            struct.pack_into("<I", data, 107, count)
+        path.write_bytes(bytes(data))
+        return path
+
+    def _ply(self, tmp_path, properties=990, count=10**9):
+        header = ["ply", "format binary_little_endian 1.0",
+                  f"element vertex {count}", "property double x",
+                  "property double y", "property double z"]
+        header += [f"property double p{i}" for i in range(properties)]
+        header.append("end_header")
+        path = tmp_path / "in.ply"
+        path.write_bytes(("\n".join(header) + "\n").encode("ascii")
+                         + bytes(2 * 8 * (properties + 3)))
+        return path, len("\n".join(header)) + 1
+
+    def _check_cli(self, capsys, tmp_path, path, message):
+        for command in ("info", "convert"):
+            out = tmp_path / "out.pcd"
+            argv = [command, str(path)] + ([str(out)] if command == "convert"
+                                           else [])
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert not out.exists()
+            assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("name, record_length, count", LAS_CASES,
+                             ids=[case[0] for case in LAS_CASES])
+    def test_las(self, tmp_path, capsys, name, record_length, count):
+        path = self._las(tmp_path, record_length, count)
+        size = record_length or 26
+        message = (f"byte 107: {count or 2} points of {size} bytes do not "
+                   f"fit in the 52 bytes after byte 227")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_cloud(path)
+        self._check_cli(capsys, tmp_path, path, message)
+
+    def test_las14_extended_count_names_its_byte(self, tmp_path):
+        path = self._las(tmp_path, None, 0)
+        data = bytearray(path.read_bytes())
+        data[25] = 4                        # version 1.4
+        struct.pack_into("<H", data, 94, 375)
+        struct.pack_into("<I", data, 96, 375)
+        extension = bytearray(375 - 227)
+        struct.pack_into("<Q", extension, 247 - 227, 2**40)
+        data[227:227] = extension
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=re.escape(
+                f"byte 247: {2**40} points of 26 bytes do not fit in the "
+                f"52 bytes after byte 375")):
+            read_cloud(path)
+
+    def test_ply_many_properties(self, tmp_path, capsys):
+        path, data_at = self._ply(tmp_path)
+        message = f"byte {data_at + 2 * 7944}: unexpected end of data: " \
+            f"2 of {10**9} vertices"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                read_cloud(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two records the file holds, not a chunk of 262,144
+        assert peak < 2**20, f"reading peaked at {peak / 2**20:.0f} MiB"
+        self._check_cli(capsys, tmp_path, path, message)
+
+    def test_short_binary_reads_stop_where_the_file_ends(self, tmp_path):
+        path, data_at = self._ply(tmp_path, properties=0, count=5)
+        chunks = open_reader(path).chunks(chunk_size=1)
+        assert [next(chunks).count for _ in range(2)] == [1, 1]
+        with pytest.raises(ParseError, match=re.escape(
+                f"byte {data_at + 48}: unexpected end of data: 2 of 5")):
+            next(chunks)
+
+
 class TestPly:
     def test_ascii_two_vertices_verbatim_colors(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 2\n"
@@ -1027,3 +1121,79 @@ def test_mutated_headers_raise_only_cloud_errors(tmp_path, case):
         read_cloud(path)
     except (CloudError, OSError):
         pass
+
+
+#: (file name, encoding) of every format pcedit writes, for the byte fuzz
+_FUZZ_SOURCES = [("a.ply", "ascii"), ("b.ply", "binary_little_endian"),
+                 ("a.pcd", "ascii"), ("b.pcd", "binary_little_endian"),
+                 ("c.las", None), ("d.pts", None), ("e.xyzrgb", None),
+                 ("f.xyz", None), ("g.xyzn", None)]
+
+#: values written over 1, 2, 4 or 8 bytes: the edges of every width
+_FUZZ_VALUES = [0, 1, 0x7F, 0xFF, 0x7FFF, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF,
+                2**63 - 1, 2**64 - 1]
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    """One to three seeded byte mutations, weighted to the first 400 bytes,
+    where every format keeps its header."""
+    data = bytearray(data)
+    for _ in range(rng.integers(1, 4)):
+        at = int(rng.integers(0, min(len(data), 400) if rng.random() < 0.7
+                              else len(data)))
+        op = rng.integers(0, 6)
+        if op == 0:                                   # one random byte
+            data[at] = rng.integers(0, 256)
+        elif op == 1:                                 # an integer field edge
+            width = int(rng.choice([1, 2, 4, 8]))
+            value = int(rng.choice(_FUZZ_VALUES)) % 256**width
+            data[at:at + width] = value.to_bytes(width, "little")
+        elif op == 2:                                 # the file ends early
+            del data[at:]
+        elif op == 3:                                 # bytes go missing
+            del data[at:at + int(rng.integers(1, 9))]
+        elif op == 4:                                 # bytes appear
+            data[at:at] = rng.integers(0, 256, rng.integers(1, 9),
+                                       dtype=np.uint8).tobytes()
+        else:                                         # a number in the text
+            token = rng.choice([b"-1", b"0", b"1e9", b"4294967297", b"nan",
+                                b"-inf", b"99999999999999999999", b"x"])
+            data[at:at + int(rng.integers(1, 4))] = token
+        if not data:
+            break
+    return bytes(data)
+
+
+def test_byte_mutations_raise_only_cloud_errors(tmp_path):
+    """A seeded byte fuzz over every writable format: whatever the bytes,
+    ``read_cloud`` and ``convert`` either work or raise a ``CloudError``
+    or an ``OSError``, never a raw exception or a huge allocation."""
+    rng = np.random.default_rng(16)
+    cloud = random_cloud(rng, 6, normals=True)
+    sources = {}
+    for name, encoding in _FUZZ_SOURCES:
+        write_cloud(cloud, tmp_path / name, encoding=encoding)
+        sources[name] = (tmp_path / name).read_bytes()
+    outputs = ["out.ply", "out.pcd", "out.las", "out.xyzrgb"]
+    cases = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN is read as is
+        for round_ in range(300):
+            for name, data in sources.items():
+                mutated = _mutate(data, rng)
+                path = tmp_path / f"m{name}"
+                path.write_bytes(mutated)
+                for step in ("read_cloud", "convert"):
+                    try:
+                        if step == "read_cloud":
+                            read_cloud(path)
+                        else:
+                            convert(path, tmp_path / outputs[round_ % 4])
+                    except (CloudError, OSError):
+                        pass
+                    except Exception as exc:
+                        pytest.fail(f"{step} of {name} mutated in round "
+                                    f"{round_} raised {exc!r}; bytes: "
+                                    f"{mutated[:120]!r}")
+                cases += 1
+    assert cases == 300 * len(_FUZZ_SOURCES)

@@ -243,6 +243,71 @@ class TestNearestInlierSearch:
             GridIndex(np.empty((0, 3))).query(np.zeros((1, 3)))
 
 
+class TestBatchBoundaries:
+    """``BATCH`` (query candidates at once) and ``SLICE`` (keys computed,
+    counted and placed at once, candidates tested at once) only cut the
+    work: any size gives the rows of the full scan and of scipy."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rng = np.random.default_rng(23)
+        # coordinates on a 0.5 m lattice: many exact distance ties
+        positions = np.round(rng.uniform(-4, 4, (400, 3)) * 2) / 2
+        positions[::37] = [np.nan, 0.0, 0.0]   # rows the index leaves out
+        finite = np.isfinite(positions).all(axis=1)
+        inlier = finite & (rng.random(400) < 0.8)
+        boxes = [random_box(rng, span=8.0) for _ in range(6)]
+        return (positions, boxes, np.flatnonzero(inlier),
+                np.flatnonzero(finite & ~inlier))
+
+    @pytest.mark.parametrize("size", [1, 7, None], ids=["1", "7", "default"])
+    @pytest.mark.parametrize("name", ["BATCH", "SLICE"])
+    def test_rows_and_nearest_rows(self, monkeypatch, scene, name, size):
+        positions, boxes, inlier_rows, outlier_rows = scene
+        if size is not None:
+            monkeypatch.setattr(GridIndex, name, size)
+        index = GridIndex(positions)
+        for box in boxes:
+            with np.errstate(invalid="ignore"):
+                want = np.flatnonzero(box.contains(positions))
+            assert np.array_equal(index.rows(box), want)
+        assert np.array_equal(
+            _nearest_inlier_rows(positions, inlier_rows, outlier_rows),
+            scipy_nearest(positions, inlier_rows, outlier_rows))
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_sparse_grid_slices(self, monkeypatch, rng, size):
+        """Keys counted in slices of at least one key per cell."""
+        positions = rng.uniform(0, 10, (300, 3))
+        monkeypatch.setattr(GridIndex, "SLICE", size)
+        sparse = GridIndex(positions, points_per_cell=0.25)
+        assert sparse._starts.size - 1 > size   # more cells than a slice
+        for _ in range(5):
+            box = random_box(rng, span=10.0)
+            assert np.array_equal(sparse.rows(box),
+                                  np.flatnonzero(box.contains(positions)))
+        starts = np.asarray(sparse._starts)
+        assert starts[0] == 0 and starts[-1] == 300
+        assert np.all(np.diff(starts) >= 0)
+
+    def test_index_arrays_are_narrow(self, rng):
+        index = GridIndex(rng.uniform(0, 10, (5000, 3)))
+        assert index._order.dtype == np.int32
+        assert index._starts.dtype == np.int32
+        assert index.rows(random_box(rng)).dtype == np.intp
+
+    def test_tie_sentinel_keeps_its_type(self):
+        """The tie break takes the lowest row among the tied candidates and
+        a sentinel for the others; in int64 the sentinel would wrap to -1
+        in the int32 rows and win every minimum."""
+        inliers = np.array([[2.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
+                            [0, 0, 3.0]])
+        index = GridIndex(inliers, points_per_cell=0.25)
+        assert index._order.dtype == np.int32
+        assert index.query(np.zeros((1, 3))).tolist() == [1]
+        assert index.query(np.array([[1.0, 1.0, 0]])).tolist() == [1]
+
+
 # --- full-scan, copy-per-step reference engine -------------------------------
 
 def _reference_step(cloud: PointCloud, step):

@@ -1,5 +1,6 @@
-"""Streaming memory: a conversion's peak does not grow with the file, and
-a whole-cloud read holds the cloud plus one chunk.
+"""Streaming memory: a conversion's peak does not grow with the file, a
+whole-cloud read holds the cloud plus one chunk, and an edit holds the
+cloud, one index and the scratch of one box or one batch.
 
 Each command runs in a fresh interpreter that prints its own ``VmHWM`` (the
 peak resident set of the process since its ``exec``).  ``ru_maxrss`` would
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import pcedit
-from pcedit import PointCloud, read_cloud, write_cloud
+from pcedit import BoxFile, OrientedBox, PointCloud, read_cloud, write_cloud
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
@@ -109,6 +110,84 @@ def test_peak_does_not_grow_with_the_file(command, suffix, las_files,
         assert peak - import_peak <= WORKING_SET_MB, \
             f"{what} on {n} points peaks at {peak} MB, " \
             f"{peak - import_peak} MB above an import-only process"
+
+
+#: the two sizes of the edit scenes
+EDIT_SIZES = (500_000, 2_000_000)
+
+#: each edit's arguments and the most its peak may grow per point between
+#: the two sizes.  The cloud takes 27 bytes a point and the edit index 6
+#: (4 for its rows, 2 for the cell keys it is built from); the rest is the
+#: scratch of one box (15% of the points here) or one batch.  A whole copy
+#: of the survivors or of the remainder adds another 27 bytes for each
+#: copied point, which the bounds of delete, segment and split leave no
+#: room for.  The remap and the nearest-inlier search add float64 work on
+#: the box's colors and positions.
+EDIT_COMMANDS = {
+    "delete": (["delete", "--percentile", "90"], 48),
+    "segment": (["segment", "--palette", "{root}/palette.txt"], 48),
+    "remap": (["recolor", "--mode", "remap",
+               "--target", "20", "60", "20", "110", "210", "110"], 59),
+    "nearest": (["recolor", "--outlier-mode", "nearest_inlier_spatial"], 63),
+    "split": (["split"], 48),
+}
+
+
+def write_edit_scene(root: Path, n: int) -> Path:
+    """``n`` points: four 15% blobs, each in its own rotated box, on a
+    ground plane, written as binary PLY with a box and a palette file."""
+    rng = np.random.default_rng(16)
+    per_box = round(0.15 * n)
+    boxes, parts = [], []
+    for k in range(4):
+        centroid = (15.0 + 30.0 * k, 0.0, 6.0)
+        boxes.append(OrientedBox(f"tree_{k}", centroid, (14.0, 14.0, 12.0),
+                                 (0.0, 0.0, 20.0 * k)))
+        direction = rng.normal(size=(per_box, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        radius = 5.0 * rng.random(per_box) ** (1 / 3)
+        parts.append(centroid + direction * radius[:, None])
+    ground = n - 4 * per_box
+    parts.append(np.column_stack([rng.uniform(0, 120, ground),
+                                  rng.uniform(-30, 30, ground),
+                                  rng.uniform(-0.1, -0.01, ground)]))
+    positions = np.concatenate(parts)
+    order = rng.permutation(n)
+    root.mkdir()
+    write_cloud(PointCloud(positions[order],
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                root / "scan.ply")
+    (root / "boxes.json").write_text(BoxFile("scan.ply", boxes).to_json(),
+                                     encoding="utf-8")
+    (root / "palette.txt").write_text(
+        "".join(f"tree_{k} {40 * k} 200 {255 - 40 * k} 1\n"
+                for k in range(4)), encoding="utf-8")
+    return root
+
+
+@pytest.fixture(scope="module")
+def edit_scenes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edits")
+    return {n: write_edit_scene(root / f"scene{n}", n) for n in EDIT_SIZES}
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("name", list(EDIT_COMMANDS))
+def test_edit_peak_grows_by_the_cloud_and_its_index(name, edit_scenes):
+    argv, bound = EDIT_COMMANDS[name]
+    peaks = {}
+    for n, root in edit_scenes.items():
+        out = ["--out-dir", root / "fragments"] if name == "split" \
+            else ["--out", root / f"{name}.ply"]
+        peaks[n] = cli_peak_mb(argv[0], "--cloud", root / "scan.ply",
+                               "--boxes", root / "boxes.json",
+                               *(arg.format(root=root) for arg in argv[1:]),
+                               *out)
+    small, big = (peaks[n] for n in EDIT_SIZES)
+    slope = (big - small) * 2**20 / (EDIT_SIZES[1] - EDIT_SIZES[0])
+    assert slope <= bound, \
+        f"{name}: peak {small} MB at {EDIT_SIZES[0]} points, {big} MB at " \
+        f"{EDIT_SIZES[1]}: {slope:.1f} bytes a point, bound {bound}"
 
 
 def test_read_cloud_holds_the_cloud_plus_one_chunk(tmp_path):
