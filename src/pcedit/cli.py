@@ -103,23 +103,24 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("convert", help="convert between cloud formats")
+    p.set_defaults(func=_cmd_convert)
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--to", dest="kind", help="override output kind")
     _add_output_format(p)
     _add_common(p)
 
-    p = sub.add_parser("recolor", help="recolor box contents in RGB space")
-    _add_edit_flags(p, ["spherical", "remap"])
-    _add_common(p)
-
-    p = sub.add_parser("delete", help="delete color outliers inside boxes")
-    _add_edit_flags(p, ["spherical", "remap"])
-    _add_common(p)
+    for name, text in (("recolor", "recolor box contents in RGB space"),
+                       ("delete", "delete color outliers inside boxes")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=_cmd_edit)
+        _add_edit_flags(p, ["spherical", "remap"])
+        _add_common(p)
 
     p = sub.add_parser("segment",
                        help="substitute semantic class colors; points "
                             "outside enabled boxes are removed")
+    p.set_defaults(func=_cmd_edit)
     p.add_argument("--cloud", required=True)
     p.add_argument("--boxes", required=True)
     p.add_argument("--palette", required=True)
@@ -128,6 +129,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("split", help="split into per-label fragment files")
+    p.set_defaults(func=_cmd_split)
     p.add_argument("--cloud", required=True)
     p.add_argument("--boxes", required=True)
     p.add_argument("--out-dir", required=True)
@@ -141,6 +143,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("info", help="print format, count and precision")
+    p.set_defaults(func=_cmd_info)
     p.add_argument("input")
     _add_common(p)
 
@@ -148,28 +151,21 @@ def build_parser() -> _Parser:
 
 
 def _sphere_params(args) -> SphereParams:
-    try:
-        if args.radius is not None:
-            return SphereParams(radius_mode="absolute", radius=args.radius,
-                                outlier_mode=args.outlier_mode)
-        return SphereParams(radius_mode="percentile",
-                            percentile=args.percentile,
+    if args.radius is not None:
+        return SphereParams(radius_mode="absolute", radius=args.radius,
                             outlier_mode=args.outlier_mode)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return SphereParams(radius_mode="percentile", percentile=args.percentile,
+                        outlier_mode=args.outlier_mode)
 
 
 def _remap_params(args) -> RemapParams:
     if args.target is None:
         raise _UsageError("--mode remap requires --target R0 G0 B0 R1 G1 B1")
     t = args.target
-    try:
-        return RemapParams(target=RgbAabb(min=tuple(t[:3]), max=tuple(t[3:])))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return RemapParams(target=RgbAabb(min=tuple(t[:3]), max=tuple(t[3:])))
 
 
-def _edit_steps(args, command: str):
+def _edit_steps(args):
     box_file = load_box_file(args.boxes)
     palette = load_palette_file(args.palette) if args.palette else None
     joined = join_boxes_palette(box_file, palette)
@@ -178,12 +174,15 @@ def _edit_steps(args, command: str):
         if not j.enabled:
             log.info("box %r disabled by palette; skipped", j.box.label)
 
-    if command == "segment":
+    if args.command == "segment":
         return [SubstituteStep(joined=tuple(joined))]
 
-    params = _sphere_params(args) if args.mode == "spherical" \
-        else _remap_params(args)
-    steps = [EditStep(j.box, params, delete=command == "delete")
+    try:  # the parameter classes reject bad flag values with ValueError
+        params = _sphere_params(args) if args.mode == "spherical" \
+            else _remap_params(args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    steps = [EditStep(j.box, params, delete=args.command == "delete")
              for j in enabled]
     if not steps:
         raise _UsageError("no enabled boxes to operate on")
@@ -200,10 +199,21 @@ def _echo_flags(args) -> dict:
     return flags
 
 
-def _write_report(args, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_report(args, report: dict):
+    """The one ``--report`` envelope: the command, its flags, its report."""
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        payload = {"command": args.command, "flags": _echo_flags(args),
+                   "report": report}
+        Path(args.report).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+
+
+_ENCODINGS = {"ascii": "ascii", "binary": "binary_little_endian"}
+
+
+def _encoding(args):
+    return _ENCODINGS.get(args.encoding)
 
 
 def _output_descriptor(kind: str, cloud, args):
@@ -217,7 +227,7 @@ def _output_descriptor(kind: str, cloud, args):
     return descriptor
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> dict:
     report = convert(args.input, args.output, kind=args.kind,
                      encoding=_encoding(args), las_scale=args.las_scale,
                      dry_run=args.dry_run)
@@ -226,21 +236,11 @@ def _cmd_convert(args) -> int:
     action = "would write" if args.dry_run else "wrote"
     print(f"{action} {report.points_written} points "
           f"({report.source_kind} -> {report.dest_kind})")
-    _write_report(args, {"command": "convert", "flags": _echo_flags(args),
-                         "report": json.loads(report.to_json())})
-    return _EXIT_OK
+    return json.loads(report.to_json())
 
 
-def _encoding(args):
-    if getattr(args, "encoding", None) == "ascii":
-        return "ascii"
-    if getattr(args, "encoding", None) == "binary":
-        return "binary_little_endian"
-    return None
-
-
-def _cmd_edit(args, command: str) -> int:
-    steps = _edit_steps(args, command)
+def _cmd_edit(args) -> dict:
+    steps = _edit_steps(args)
     cloud = read_cloud(args.cloud)
     edited, report = apply_pipeline(cloud, steps)
     print(report.to_table())
@@ -250,23 +250,15 @@ def _cmd_edit(args, command: str) -> int:
     else:
         write_cloud(edited, args.out, descriptor, las_scale=args.las_scale)
         print(f"wrote {edited.count} points to {args.out}")
-    _write_report(args, {"command": command, "flags": _echo_flags(args),
-                         "report": json.loads(report.to_json())})
-    return _EXIT_OK
+    return json.loads(report.to_json())
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> dict:
     box_file = load_box_file(args.boxes)
     cloud = read_cloud(args.cloud)
     result = split_by_boxes(cloud, box_file.boxes,
                             duplicates=args.duplicates,
                             emit_remainder=not args.no_remainder)
-    summary = {
-        "fragments": [{"label": f.label, "count": f.cloud.count}
-                      for f in result.fragments],
-        "remainder": None if result.remainder is None
-        else result.remainder.count,
-    }
     for f in result.fragments:
         print(f"{f.label}: {f.cloud.count} points")
     if result.remainder is not None:
@@ -279,12 +271,13 @@ def _cmd_split(args) -> int:
                                 encoding=_encoding(args),
                                 las_scale=args.las_scale)
         print(f"wrote {len(paths)} files to {args.out_dir}")
-    _write_report(args, {"command": "split", "flags": _echo_flags(args),
-                         "report": summary})
-    return _EXIT_OK
+    return {"fragments": [{"label": f.label, "count": f.cloud.count}
+                          for f in result.fragments],
+            "remainder": None if result.remainder is None
+            else result.remainder.count}
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> dict:
     # one open and one header parse; counting the decoded records checks
     # the whole file while holding one chunk
     reader = formats.open_reader(args.input)
@@ -302,14 +295,9 @@ def _cmd_info(args) -> int:
     print(f"color:     {'yes' if descriptor.has_color else 'no'}")
     print(f"normals:   {'yes' if descriptor.has_normals else 'no'}")
     print(f"precision: {precision:g} m")
-    _write_report(args, {"command": "info", "flags": _echo_flags(args),
-                         "report": {"kind": descriptor.kind,
-                                    "encoding": descriptor.encoding,
-                                    "points": points,
-                                    "has_color": descriptor.has_color,
-                                    "has_normals": descriptor.has_normals,
-                                    "precision_m": precision}})
-    return _EXIT_OK
+    return {"kind": descriptor.kind, "encoding": descriptor.encoding,
+            "points": points, "has_color": descriptor.has_color,
+            "has_normals": descriptor.has_normals, "precision_m": precision}
 
 
 def run(argv=None) -> int:
@@ -325,15 +313,7 @@ def run(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command in ("recolor", "delete", "segment"):
-            return _cmd_edit(args, args.command)
-        if args.command == "split":
-            return _cmd_split(args)
-        if args.command == "info":
-            return _cmd_info(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        _write_report(args, args.func(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -343,6 +323,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    return _EXIT_OK
 
 
 def main() -> None:

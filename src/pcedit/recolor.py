@@ -371,8 +371,6 @@ def apply_pipeline(cloud: PointCloud,
     for i, step in enumerate(steps):
         try:
             report.steps.append(step.apply(edit))
-        except PipelineStepError:
-            raise
         except Exception as exc:
             raise PipelineStepError(i, step.op, exc) from exc
     result = edit.result()

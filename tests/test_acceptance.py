@@ -268,13 +268,10 @@ def peak_gb():
 """
 
 _CHILD_CONVERT = _PEAK_GB + """
-import json, sys, time
+import json, sys
 from pcedit.formats import convert
-t0 = time.perf_counter()
 report = convert(sys.argv[1], sys.argv[2])
-dt = time.perf_counter() - t0
-print(json.dumps({"seconds": dt, "rss_gb": peak_gb(),
-                  "points": report.points_written}))
+print(json.dumps({"rss_gb": peak_gb(), "points": report.points_written}))
 """
 
 _CHILD_RECOLOR = _PEAK_GB + """
@@ -321,24 +318,33 @@ def test_criterion_7_scale_proxy(tmp_path):
         _fsync(big_ply)
 
         def timed_convert(src, dst):
+            dst.unlink(missing_ok=True)  # not inside the next timing
             t0 = time.perf_counter()
             convert(src, dst)
             seconds = time.perf_counter() - t0
             _fsync(dst)
             return seconds
 
-        t_small = min(timed_convert(small_ply, tmp_path / "s1.las"),
-                      timed_convert(small_ply, tmp_path / "s2.las"))
         child = _run_child(_CHILD_CONVERT, big_ply, tmp_path / "b1.las")
         _fsync(tmp_path / "b1.las")
         assert child["points"] == 10_000_000
         assert child["rss_gb"] < 1.5, f"convert peak {child['rss_gb']:.2f} GB"
-        t_big = min(child["seconds"],
-                    timed_convert(big_ply, tmp_path / "b2.las"))
-        assert t_big < 120.0, f"10M convert took {t_big:.0f}s"
-        ratio = t_big / t_small
-        print(f"\ncriterion 7: 1M {t_small:.2f} s, 10M {t_big:.2f} s, "
-              f"ratio {ratio:.1f}")
+        # the sizes alternate, each round starting with the other one, so
+        # drift in the host's speed moves both sides of a round's ratio
+        t_small, t_big = [], []
+        for round_no in range(5):
+            sizes = [(small_ply, t_small), (big_ply, t_big)]
+            if round_no % 2:
+                sizes.reverse()
+            for src, times in sizes:
+                times.append(timed_convert(src, src.with_suffix(".las")))
+        ratios = np.divide(t_big, t_small)
+        ratio = float(np.median(ratios))
+        print(f"\ncriterion 7: 1M {np.median(t_small):.2f} s, "
+              f"10M {np.median(t_big):.2f} s, ratio {ratio:.1f} (rounds "
+              f"{', '.join(f'{r:.1f}' for r in ratios)})")
+        assert np.median(t_big) < 120.0, \
+            f"10M convert took {np.median(t_big):.0f}s"
         assert 7.0 <= ratio <= 13.0, f"scaling ratio {ratio:.1f}"
 
         recolor = _run_child(_CHILD_RECOLOR, big_ply)

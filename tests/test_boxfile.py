@@ -79,6 +79,34 @@ class TestParseBoxFile:
         with pytest.raises(SchemaError, match="filename"):
             parse_box_file(json.dumps({"objects": []}))
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "top level must be a JSON object"),
+        ({"filename": "c.ply"}, "missing top-level 'objects' list"),
+        ({"filename": "c.ply", "objects": [object_dict(), 7]},
+         "object 1: not a JSON object"),
+    ])
+    def test_bad_document_shape(self, doc, message):
+        with pytest.raises(SchemaError) as caught:
+            parse_box_file(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_missing_coordinate_names_object_and_field(self):
+        obj = object_dict()
+        del obj["centroid"]["z"]
+        with pytest.raises(SchemaError) as caught:
+            parse_box_file(box_json(obj))
+        assert str(caught.value) == "object 0: missing centroid.z"
+
+    def test_integer_beyond_float_range_is_not_finite(self):
+        huge = "1" + "0" * 400
+        obj = object_dict()
+        obj["dimensions"]["length"] = "SENTINEL"
+        text = box_json(obj).replace('"SENTINEL"', huge)
+        with pytest.raises(SchemaError) as caught:
+            parse_box_file(text)
+        assert str(caught.value) == \
+            f"object 0: dimensions.length must be finite, got {huge}"
+
     def test_invalid_json_reports_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_box_file("{not json")

@@ -545,6 +545,27 @@ class TestPly:
                            match=r"line 7: repeated 'element vertex'"):
             read_cloud(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("element face 1\nproperty list uchar int vertex_indices\n"
+         "element vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\n", "element 'face' precedes vertex"),
+        ("element vertex 1\nproperty int x\nproperty float y\n"
+         "property float z\n", "property 'x' must be float or double"),
+        ("element vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nproperty uchar red\nproperty ushort green\n"
+         "property uchar blue\n",
+         "red/green/blue must all be uchar or all ushort"),
+    ])
+    def test_header_layout_checked_at_end_header(self, tmp_path, header,
+                                                 message):
+        text = f"ply\nformat ascii 1.0\n{header}end_header\n"
+        path = write_tmp(tmp_path, "h.ply", text)
+        with pytest.raises(ParseError) as caught:
+            read_cloud(path)
+        assert caught.value.line == text.count("\n")  # end_header
+        assert str(caught.value) == \
+            f"{path}: line {caught.value.line}: {message}"
+
     def test_fractional_ascii_colors_round_like_other_text_formats(
             self, tmp_path):
         header = ("ply\nformat ascii 1.0\nelement vertex 1\n"
@@ -692,6 +713,16 @@ class TestPcd:
         with pytest.raises(ParseError, match="COUNT"):
             read_cloud(write_tmp(tmp_path, "c.pcd",
                                  text.encode() + bytes(16)))
+
+    def test_header_without_data_line_stops_at_100_lines(self, tmp_path):
+        text = "VERSION 0.7\n" + "# comment\n" * 150 + \
+            ("FIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nWIDTH 1\nHEIGHT 1\n"
+             "POINTS 1\nDATA ascii\n0 0 0\n")
+        path = write_tmp(tmp_path, "long.pcd", text)
+        with pytest.raises(ParseError) as caught:
+            read_cloud(path)
+        assert caught.value.line == 100
+        assert str(caught.value) == f"{path}: line 100: header too large"
 
 
 class TestAsciiFamily:
@@ -955,6 +986,26 @@ class TestConvert:
         assert payload["dest_kind"] == "pts"
         assert payload["points_written"] == 4
 
+    def test_cli_unknown_output_kind(self, tmp_path, rng, capsys):
+        src = tmp_path / "in.ply"
+        write_cloud(random_cloud(rng, 4), src)
+        out = tmp_path / "o.ply"
+        assert run(["convert", str(src), str(out), "--to", "nosuch"]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown format kind 'nosuch'\n"
+        assert not out.exists()
+
+    def test_cli_binary_encoding(self, tmp_path, rng):
+        src = tmp_path / "in.ply"
+        write_cloud(random_cloud(rng, 4), tmp_path / "b.ply")
+        convert(tmp_path / "b.ply", src, encoding="ascii")
+        out = tmp_path / "o.ply"
+        assert run(["convert", str(src), str(out), "--encoding",
+                    "binary"]) == 0
+        assert detect_format(out).encoding == "binary_little_endian"
+        convert(src, tmp_path / "want.ply", encoding="binary_little_endian")
+        assert out.read_bytes() == (tmp_path / "want.ply").read_bytes()
+
 
 class TestLaz:
     def _fake_laz(self, tmp_path, rng):
@@ -984,6 +1035,19 @@ class TestLaz:
             pass
         with pytest.raises(CodecUnavailable):
             read_cloud(self._fake_laz(tmp_path, rng))
+
+    def test_info_exits_2_with_codec_unavailable(self, tmp_path, rng,
+                                                 capsys):
+        try:
+            import laspy  # noqa: F401
+            pytest.skip("laspy installed; CodecUnavailable not reachable")
+        except ImportError:
+            pass
+        assert run(["info", str(self._fake_laz(tmp_path, rng))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: LAZ compression requires the optional laspy codec")
+        assert captured.out == ""
 
     def test_write_raises_codec_unavailable(self, tmp_path, rng):
         try:
