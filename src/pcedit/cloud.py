@@ -265,7 +265,8 @@ class OrientedBox:
 
 
 class GridIndex:
-    """Uniform-grid index over the finite rows of an (n,3) position array.
+    """Uniform-grid index over the finite rows of an (n,3) position array,
+    or over the finite ones of ascending ``rows`` of it.
 
     Points are sorted by their cell key, with about ``points_per_cell``
     points to a cell (32 by default).  A grid of at most 65,535 cells keeps
@@ -273,10 +274,11 @@ class GridIndex:
     over more points widens them.  ``rows(box)`` gathers the cells under
     ``box.world_bounds()`` and runs the exact predicate,
     ``OrientedBox.contains``, on those candidates only, so it returns
-    exactly ``np.flatnonzero(box.contains(positions))``.  ``query(x)``
-    gives each query's nearest indexed row.  Rows with a NaN or infinite
-    coordinate are never inside a box with finite bounds and are left out
-    of the index.
+    exactly ``np.flatnonzero(box.contains(positions))`` (those of ``rows``
+    only, when given).  ``query(x)`` gives each query's nearest indexed
+    row.  Rows with a NaN or infinite coordinate are never inside a box
+    with finite bounds and are left out of the index.  Indexed rows are
+    read in place, never copied out of ``positions``.
     """
 
     MAX_CELLS = (1 << 16) - 1
@@ -289,38 +291,45 @@ class GridIndex:
     SLACK = 1e-9
 
     def __init__(self, positions: np.ndarray,
-                 points_per_cell: float = POINTS_PER_CELL):
+                 points_per_cell: float = POINTS_PER_CELL, rows=None):
         self.positions = positions = _as_points(positions, "positions")
         # row numbers, cell starts included, in the narrowest type that
         # holds them: 4 bytes a point below 2**31 rows
         row_type = np.int32 if len(positions) < np.iinfo(np.int32).max \
             else np.int64
-        self._finite_rows = None
-        if not np.isfinite(positions).all():
-            self._finite_rows = np.flatnonzero(
-                np.isfinite(positions).all(axis=1)).astype(row_type)
-        m = len(positions) if self._finite_rows is None \
-            else self._finite_rows.size
-
-        slices = [(a, min(a + self.SLICE, m))
-                  for a in range(0, m, self.SLICE)]
-        self._lo = np.full(3, np.inf) if m else np.zeros(3)
-        self._hi = np.full(3, -np.inf) if m else np.zeros(3)
-        for a, b in slices:
-            for k in range(3):
-                column = self._column(k, a, b)
-                self._lo[k] = min(self._lo[k], column.min())
-                self._hi[k] = max(self._hi[k], column.max())
+        self._given = None if rows is None else np.asarray(rows)
+        # the indexed rows, when they are not all of 0..n-1
+        self._subset = self._given
+        m = len(positions) if rows is None else self._given.size
+        # one pass finds the bounds of the finite rows, and which they are
+        lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
+        finite = np.ones(m, dtype=bool)
+        for a in range(0, m, self.SLICE):
+            block = self._block(a, a + self.SLICE)
+            ok = np.isfinite(block)
+            if not ok.all():
+                finite[a:a + self.SLICE] = ok = ok.all(axis=1)
+                block = block[ok]
+            for k in range(3 if len(block) else 0):
+                lo[k] = min(lo[k], block[:, k].min())
+                hi[k] = max(hi[k], block[:, k].max())
+        if not finite.all():
+            self._subset = np.flatnonzero(finite).astype(row_type) \
+                if rows is None else self._given[finite]
+            m = self._subset.size
+        del finite
+        self._lo, self._hi = (lo, hi) if m else (np.zeros(3), np.zeros(3))
         self._counts, self._scale = self._cell_grid(m, points_per_cell)
 
         cells = int(self._counts.prod())
         key_type = np.uint16 if cells <= self.MAX_CELLS else np.uint32
         key = np.zeros(m, dtype=key_type)
-        for a, b in slices:
+        for a in range(0, m, self.SLICE):
+            block = self._block(a, a + self.SLICE)
             stride = 1
             for k in range(3):
                 if self._counts[k] > 1:
-                    key[a:b] += self._cells(self._column(k, a, b), k) \
+                    key[a:a + self.SLICE] += self._cells(block[:, k], k) \
                         .astype(key_type) * key_type(stride)
                 stride *= int(self._counts[k])
         self._starts, self._order = self._sort_rows(key, cells, row_type)
@@ -363,16 +372,16 @@ class GridIndex:
             slots = np.repeat(free[cell] - first, runs)
             slots += np.arange(part.size)
             sort += a
-            order[slots] = sort if self._finite_rows is None \
-                else self._finite_rows[sort]
+            order[slots] = sort if self._subset is None \
+                else self._subset[sort]
             free[cell] += runs.astype(row_type)
         return starts, order
 
-    def _column(self, k: int, a: int, b: int) -> np.ndarray:
-        """Axis ``k`` of the indexed rows ``a`` to ``b``."""
-        if self._finite_rows is None:
-            return self.positions[a:b, k]
-        return self.positions[self._finite_rows[a:b], k]
+    def _block(self, a: int, b: int) -> np.ndarray:
+        """The positions of the indexed rows ``a`` to ``b``."""
+        if self._subset is None:
+            return self.positions[a:b]
+        return np.take(self.positions, self._subset[a:b], axis=0)
 
     def _cell_grid(self, m: int, points_per_cell: float
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +448,9 @@ class GridIndex:
         """Ascending rows of the indexed positions inside ``box``."""
         lo, hi = box.world_bounds()
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            return np.flatnonzero(box.contains(self.positions))
+            inside = box.contains(self.positions)
+            return np.flatnonzero(inside) if self._given is None \
+                else self._given[inside[self._given]].astype(np.intp)
         candidates = self._candidates(lo, hi)
         inside = np.empty(candidates.size, dtype=bool)
         for a in range(0, candidates.size, self.SLICE):
@@ -478,7 +489,9 @@ class GridIndex:
         ring = np.maximum(np.maximum(-cell, cell - counts + 1).max(axis=0), 1)
         best = np.full(n, np.inf)
         rows = np.full(n, -1, dtype=np.int64)
-        columns = [np.take(column, self._order) for column in self.positions.T]
+        # one gather of whole rows: np.take of a column would first copy
+        # the strided column of all of ``positions``
+        columns = np.take(self.positions, self._order, axis=0).T
         queries = [np.ascontiguousarray(column) for column in x.T]
         finest = self._scale[axes].max(initial=0.0)
         todo = np.arange(n)

@@ -52,18 +52,25 @@ def _blocks(fh) -> Iterator[bytes]:
     """The rest of binary ``fh`` as blocks of whole lines (one ``\\n`` is
     added to a last line that has none).  A block ends after its last
     ``\\n``, or after its last ``\\r`` that is not the final byte read,
-    since that one may be half of a ``\\r\\n``."""
+    since that one may be half of a ``\\r\\n``.  No frame of the iterator
+    holds a block once it is returned, so the caller decides how long it
+    lives."""
     carry = b""
-    while data := fh.read(BLOCK_BYTES):
-        data = carry + data
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-        block, carry = data[:cut], data[cut:]
-        del data  # one copy of the block is alive while it is parsed
-        if block:
-            yield block
-        del block  # and none while the next one is read
-    if carry:
-        yield carry + b"\n"
+
+    def read() -> bytes:
+        nonlocal carry
+        while data := fh.read(BLOCK_BYTES):
+            data = carry + data
+            cut = max(data.rfind(b"\n"),
+                      data.rfind(b"\r", 0, len(data) - 1)) + 1
+            if cut:
+                block, carry = data[:cut], data[cut:]
+                return block
+            carry = data
+        block, carry = (carry + b"\n" if carry else b""), b""
+        return block
+
+    return iter(read, b"")  # an empty block is the end
 
 
 def _text(block: bytes) -> bytes:
@@ -146,6 +153,8 @@ class TableChunks:
                         yield _join(parts)
                         parts, filled = [], 0
                 del values, lines  # an empty view keeps its block alive
+                if filled:  # so does a part of the next chunk: copy it out
+                    parts = [_join(parts, copy=True)]
         except ParseError:
             if filled:
                 yield _join(parts)  # the good rows before the failure
@@ -155,23 +164,32 @@ class TableChunks:
 
     def _rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The good rows of each block as ``(values, lines)`` arrays; raises
-        after the last of them at the first failure."""
+        after the last of them at the first failure.  Each block's bytes,
+        text and scan are gone before its rows are yielded."""
         self.rows_read = 0
         self.line_no = len(self.header.splitlines())  # as text mode counts
         with open(self.path, "rb") as fh:
             fh.seek(len(self.header))
             for block in _blocks(fh):
-                if (yield from self._block_rows(_text(block))):
+                values, lines, end = self._block_rows(_text(block))
+                del block  # its text and scan went with _block_rows
+                yield values, lines
+                del values, lines  # not alive while the next block is read
+                if isinstance(end, ParseError):
+                    raise end
+                if end:
                     return  # max_rows reached: the rest is not read
-                del block  # not alive while the next block is read
         if self.max_rows is not None and self.rows_read < self.max_rows:
             raise ParseError(f"{self.declared} but file ends after "
                              f"{self.rows_read}", path=self.path,
                              line=self.line_no + 1)
 
-    def _block_rows(self, text: bytes):
-        """The good rows of one ``_text`` block, as ``_rows`` yields them;
-        returns True when a row past ``max_rows`` was met."""
+    def _block_rows(self, text: bytes
+                    ) -> tuple[np.ndarray, np.ndarray, bool | ParseError]:
+        """The good rows of one ``_text`` block as ``(values, lines)``
+        arrays, and what ends the read after them: the ParseError of the
+        first failure (its row's bytes cut out of ``text``), True when a
+        row past ``max_rows`` was met, else False."""
         ends, data = _scan(text)
         first = self.line_no + 1  # the line number of the block's first line
         rows = np.flatnonzero(data)  # the data lines, counted in the block
@@ -181,19 +199,21 @@ class TableChunks:
         values = self._parse(text, len(rows))
         good = len(values)
         self.rows_read += good
-        yield values, rows[:good] + first
+        lines = rows[:good] + first
         if good < len(rows):
             end = ends[rows[good]]
-            raise self._row_error(text[text.rfind(b"\n", 0, end) + 1:end],
-                                  first + int(rows[good]))
+            return values, lines, self._row_error(
+                text[text.rfind(b"\n", 0, end) + 1:end],
+                first + int(rows[good]))
         if not len(extra):
             self.line_no += len(ends)
-            return False
+            return values, lines, False
         self.line_no = first + int(extra[0])
         if self.forbid_extra_rows:
-            raise ParseError(f"expected {self.max_rows} data rows, found "
-                             f"extra data", path=self.path, line=self.line_no)
-        return True
+            return values, lines, ParseError(
+                f"expected {self.max_rows} data rows, found extra data",
+                path=self.path, line=self.line_no)
+        return values, lines, True
 
     def _parse(self, text: bytes, rows: int) -> np.ndarray:
         """The values of the first ``rows`` data lines of ``text`` up to the
@@ -242,9 +262,10 @@ def _floats(text: bytes, rows: int, width: int) -> np.ndarray | None:
     return values if values.shape == (rows, width) else None
 
 
-def _join(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk from its ``(values, lines)`` parts."""
-    if len(parts) == 1:
+def _join(parts: list, copy: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk from its ``(values, lines)`` parts; with ``copy``, arrays
+    of its own that keep no block's arrays alive."""
+    if len(parts) == 1 and not copy:
         return parts[0]
     return (np.concatenate([values for values, _ in parts]),
             np.concatenate([lines for _, lines in parts]))

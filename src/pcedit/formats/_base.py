@@ -10,10 +10,11 @@ from ..errors import UnknownFormat
 ASCII = "ascii"
 BINARY = "binary_little_endian"
 
-#: points per streaming batch: a las->ply conversion peaks about 20 MB
-#: above an import-only process, whatever the file size (the raw records,
-#: 6 MB of float64 positions and the encoded output of one batch)
-DEFAULT_CHUNK_POINTS = 262_144
+#: points per streaming batch, the same as ``GridIndex.SLICE``: a batch's
+#: raw records, 1.5 MB of float64 positions and its encoded output, so a
+#: las->ply conversion peaks about 6 MB above an import-only process,
+#: whatever the file size
+DEFAULT_CHUNK_POINTS = 65_536
 
 #: default LAS quantization step in meters (0.1 mm)
 DEFAULT_LAS_SCALE = 1e-4

@@ -138,23 +138,26 @@ class _Edit:
         return edited if all_alive else Selection(edited, self.alive)
 
 
-def cKDTree(data):
-    """The nearest-inlier search index over ``data``: a ``GridIndex`` with
-    about one inlier to four cells, so that the first ring of cells around
-    a query settles nearly every query; its ``query(x)`` gives each query's
-    nearest row.
+def cKDTree(data, rows=None):
+    """The nearest-inlier search index over ``data`` (its ``rows`` only,
+    when given): a ``GridIndex`` with about one inlier to four cells, so
+    that the first ring of cells around a query settles nearly every
+    query; its ``query(x)`` gives each query's nearest row of ``data``.
 
     Only the name is scipy's.  The benchmark's tracer
     (``perfbench/tracer.py``) wraps ``recolor.cKDTree`` to time the search,
     so the name stays until the program records its own spans."""
-    return GridIndex(data, points_per_cell=0.25)
+    return GridIndex(data, points_per_cell=0.25, rows=rows)
 
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
                          outlier_rows: np.ndarray) -> np.ndarray:
-    """Index (into ``inlier_rows``) of each outlier's nearest inlier;
-    distance ties resolve to the lowest index."""
-    return cKDTree(positions[inlier_rows]).query(positions[outlier_rows])
+    """Index (into the ascending ``inlier_rows``) of each outlier's nearest
+    inlier; distance ties resolve to the lowest index.  The inliers are
+    indexed where they lie in ``positions``, not copied out of it."""
+    nearest = cKDTree(positions, inlier_rows).query(positions[outlier_rows])
+    # the lowest of tied rows is the lowest index, as the rows ascend
+    return np.searchsorted(inlier_rows, nearest)
 
 
 @dataclass

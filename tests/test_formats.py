@@ -423,7 +423,7 @@ class TestCountsTheFileBacks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the two records the file holds, not a chunk of 262,144
+        # the two records the file holds, not a chunk of 65,536
         assert peak < 2**20, f"reading peaked at {peak / 2**20:.0f} MiB"
         self._check_cli(capsys, tmp_path, path, message)
 

@@ -150,6 +150,26 @@ class TestGridIndex:
         assert np.array_equal(index.rows(huge),
                               np.flatnonzero(huge.contains(positions)))
 
+    def test_a_row_subset_indexes_only_its_rows(self, rng):
+        """``rows=`` indexes those rows where they lie: a box, finite or
+        not, gives the subset's rows inside it, and a query the nearest of
+        its finite rows, by row number."""
+        positions = rng.uniform(-1, 1, (400, 3))
+        positions[::29] = [np.nan, 0.0, np.inf]
+        subset = np.flatnonzero(rng.random(400) < 0.5)
+        index = GridIndex(positions, rows=subset)
+        huge = OrientedBox(label="huge", centroid=(0, 0, 0),
+                           dimensions=(np.inf, 1, 1))
+        for box in [huge] + [random_box(rng, span=2.0) for _ in range(5)]:
+            with np.errstate(invalid="ignore"):
+                inside = box.contains(positions)
+            assert np.array_equal(index.rows(box), subset[inside[subset]])
+        finite = subset[np.isfinite(positions[subset]).all(axis=1)]
+        queries = rng.uniform(-1.5, 1.5, (50, 3))
+        dist = np.linalg.norm(queries[:, None] - positions[finite], axis=2)
+        assert np.array_equal(index.query(queries),
+                              finite[dist.argmin(axis=1)])
+
 
     def test_default_density_keeps_16_bit_keys(self, rng):
         index = GridIndex(rng.uniform(0, 100, (5000, 3)))

@@ -21,18 +21,19 @@ from pcedit import BoxFile, OrientedBox, PointCloud, read_cloud, write_cloud
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
+from pcedit.formats._ascii import TableChunks
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
                                  reason="needs /proc/self/status (VmHWM)")
 
-#: the sizes whose peaks must agree; 2M points span 8 default chunks
+#: the sizes whose peaks must agree; 2M points span 31 default chunks
 SIZES = (500_000, 2_000_000)
 
 #: how far two sizes' peaks may differ
 SPREAD_MB = 8
 
 #: the most a command may hold above an import-only process
-WORKING_SET_MB = 48
+WORKING_SET_MB = 16
 
 _CHILD = """
 import re, sys
@@ -273,3 +274,36 @@ def test_text_table_read_holds_one_block(variant, tmp_path, monkeypatch):
     assert peak <= bound, \
         f"reading a {variant} table of {len(text) / 2**10:.0f} KiB peaked " \
         f"at {(peak - held) / 2**10:.0f} KiB above the cloud"
+
+
+def test_text_read_yields_no_batch_while_its_block_is_alive(tmp_path,
+                                                            monkeypatch):
+    """A block's bytes, its text and its scan are freed before the first of
+    its rows is yielded, and the rows of a chunk that waits for the next
+    block are copied out of theirs: at every yield the read holds one
+    block's parsed values and line numbers besides the chunk."""
+    monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 18)
+    n, chunk_size = 40_000, 1000   # about 7 blocks of 6,000 rows each
+    rng = np.random.default_rng(8)
+    path = tmp_path / "cloud.xyzrgb"
+    write_cloud(PointCloud(rng.uniform(-100, 100, (n, 3)),
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                path)
+    with open(path, "rb") as fh:
+        rows = max(block.count(b"\n") for block in _ascii._blocks(fh))
+    assert chunk_size < rows < n // 4
+    tracemalloc.start()
+    try:
+        held = []   # above the chunk at each yield
+        for values, lines in TableChunks(path, 6, chunk_size=chunk_size):
+            current, _ = tracemalloc.get_traced_memory()
+            held.append(current - values.nbytes - lines.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == n // chunk_size
+    # a block's float64 values and line numbers, and the slack of the
+    # chunk's copied part and small objects; the text alone is 256 KiB
+    bound = rows * (6 * 8 + 8) + (128 << 10)
+    assert max(held) <= bound, \
+        f"a text read held {max(held) / 2**10:.0f} KiB besides its chunk " \
+        f"at a yield; a block's rows take {rows * 56 / 2**10:.0f} KiB"
