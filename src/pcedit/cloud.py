@@ -271,14 +271,13 @@ class GridIndex:
     Points are sorted by their cell key, with about ``points_per_cell``
     points to a cell (32 by default).  A grid of at most 65,535 cells keeps
     16-bit keys, which numpy sorts with a radix sort; only a denser grid
-    over more points widens them.  ``rows(box)`` gathers the cells under
-    ``box.world_bounds()`` and runs the exact predicate,
-    ``OrientedBox.contains``, on those candidates only, so it returns
-    exactly ``np.flatnonzero(box.contains(positions))`` (those of ``rows``
-    only, when given).  ``query(x)`` gives each query's nearest indexed
-    row.  Rows with a NaN or infinite coordinate are never inside a box
-    with finite bounds and are left out of the index.  Indexed rows are
-    read in place, never copied out of ``positions``.
+    over more points widens them.  ``rows(box, among)`` runs the exact
+    predicate, ``OrientedBox.contains``, a slice at a time on the indexed
+    rows under ``box.world_bounds()`` (all of them when those bounds are
+    not finite) that the boolean mask ``among`` keeps.  ``query(x)`` gives
+    each query's nearest indexed row.  Rows with a NaN or infinite
+    coordinate are left out of the index, so they are inside no box.
+    Indexed rows are read in place, never copied out of ``positions``.
     """
 
     MAX_CELLS = (1 << 16) - 1
@@ -297,10 +296,9 @@ class GridIndex:
         # holds them: 4 bytes a point below 2**31 rows
         row_type = np.int32 if len(positions) < np.iinfo(np.int32).max \
             else np.int64
-        self._given = None if rows is None else np.asarray(rows)
         # the indexed rows, when they are not all of 0..n-1
-        self._subset = self._given
-        m = len(positions) if rows is None else self._given.size
+        self._subset = None if rows is None else np.asarray(rows)
+        m = len(positions) if rows is None else self._subset.size
         # one pass finds the bounds of the finite rows, and which they are
         lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
         finite = np.ones(m, dtype=bool)
@@ -315,7 +313,7 @@ class GridIndex:
                 hi[k] = max(hi[k], block[:, k].max())
         if not finite.all():
             self._subset = np.flatnonzero(finite).astype(row_type) \
-                if rows is None else self._given[finite]
+                if rows is None else self._subset[finite]
             m = self._subset.size
         del finite
         self._lo, self._hi = (lo, hi) if m else (np.zeros(3), np.zeros(3))
@@ -444,14 +442,16 @@ class GridIndex:
         begin = self._starts[yz + x0]
         return self._order[_runs(begin, self._starts[yz + x1 + 1] - begin)]
 
-    def rows(self, box: OrientedBox) -> np.ndarray:
-        """Ascending rows of the indexed positions inside ``box``."""
+    def rows(self, box: OrientedBox, among: np.ndarray | None = None
+             ) -> np.ndarray:
+        """Ascending indexed rows inside ``box``, of those the boolean mask
+        ``among`` over source rows keeps when it is given.  A row with a NaN
+        or infinite coordinate is inside no box, however large."""
         lo, hi = box.world_bounds()
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            inside = box.contains(self.positions)
-            return np.flatnonzero(inside) if self._given is None \
-                else self._given[inside[self._given]].astype(np.intp)
-        candidates = self._candidates(lo, hi)
+        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
+        candidates = self._candidates(lo, hi) if finite else self._order
+        if among is not None:
+            candidates = candidates[among[candidates]]
         inside = np.empty(candidates.size, dtype=bool)
         for a in range(0, candidates.size, self.SLICE):
             part = slice(a, a + self.SLICE)

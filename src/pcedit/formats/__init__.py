@@ -290,9 +290,10 @@ def convert(in_path, out_path, *, kind: str | None = None,
             dry_run: bool = False) -> ConversionReport:
     """Stream a point-cloud file into another format.
 
-    Runs in fixed-size batches; the only whole-file passes are cheap scans
-    (row counts for headerless ASCII, the coordinate minimum when a LAS
-    offset must be derived, the xyzrgb color-convention scan).
+    Runs in fixed-size batches.  The whole-file passes before the batches
+    are a line scan that counts the rows of a headerless ASCII table, the
+    coordinate minimum when a LAS offset must be derived, and for .xyzrgb
+    a full parse that settles the color convention.
     """
     reader = open_reader(in_path)
     in_desc = reader.descriptor

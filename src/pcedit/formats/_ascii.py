@@ -274,9 +274,12 @@ def _join(parts: list, copy: bool = False) -> tuple[np.ndarray, np.ndarray]:
 def count_data_rows(path) -> int:
     """Count the lines that hold data, as ``TableChunks`` finds them,
     without parsing numbers."""
+    count = 0
     with open(path, "rb") as fh:
-        return sum(int(np.count_nonzero(_scan(_text(block))[1]))
-                   for block in _blocks(fh))
+        for block in _blocks(fh):
+            count += int(np.count_nonzero(_scan(_text(block))[1]))
+            del block  # not alive while the next block is read
+    return count
 
 
 def rows_to_text(matrix: np.ndarray, fmt: str) -> bytes:

@@ -75,12 +75,8 @@ def nearest_rank(percentile: float, n: int) -> int:
     The percentile is taken as the decimal it prints as, so 7 (or 7.0) of
     100 is rank 7, where float math gives ``7/100*100 = 7.000000000000001``.
     """
-    mantissa, _, exponent = repr(float(percentile)).partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    digits = int(whole + fraction)  # percentile == digits * 10**power
-    power = int(exponent or 0) - len(fraction)
-    numerator = digits * n * 10 ** max(power, 0)
-    return -(-numerator // (100 * 10 ** max(-power, 0)))
+    from fractions import Fraction   # not loaded by every command
+    return math.ceil(Fraction(repr(float(percentile))) * n / 100)
 
 
 def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
@@ -116,8 +112,7 @@ class _Edit:
     def rows(self, box: OrientedBox) -> np.ndarray:
         """Ascending source rows of the surviving points inside ``box``;
         raises EmptySelection when there are none."""
-        rows = self.index.rows(box)
-        rows = rows[self.alive[rows]]
+        rows = self.index.rows(box, self.alive)
         if not rows.size:
             raise EmptySelection(f"box {box.label!r} contains no points")
         return rows
@@ -308,13 +303,12 @@ class SubstituteStep:
                 "substitution needs at least one enabled box with a "
                 "palette color")
         examined = int(np.count_nonzero(edit.alive))
-        assigned = ~edit.alive
+        free = edit.alive.copy()   # first box wins: a point taken is not free
         for j in active:
-            rows = edit.index.rows(j.box)
-            rows = rows[~assigned[rows]]
+            rows = edit.index.rows(j.box, free)
             edit.recolor(rows, np.asarray(j.color, dtype=np.uint8))
-            assigned[rows] = True
-        edit.alive &= assigned
+            free[rows] = False
+        edit.alive ^= free   # the untaken survivors are removed
         survivors = int(np.count_nonzero(edit.alive))
         return StepReport(op=self.op, box_label=None,
                           points_examined=examined,

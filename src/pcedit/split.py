@@ -63,13 +63,11 @@ def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
         raise NoBoxes("split requires at least one box")
     index = GridIndex(cloud.positions)
     label_rows: dict[str, list[np.ndarray]] = {}
-    assigned = np.zeros(cloud.count, dtype=bool)
+    free = np.ones(cloud.count, dtype=bool)   # in no box so far
     for box in boxes:
-        rows = index.rows(box)
-        if not duplicates:
-            rows = rows[~assigned[rows]]
+        rows = index.rows(box, None if duplicates else free)
         label_rows.setdefault(box.label, []).append(rows)
-        assigned[rows] = True
+        free[rows] = False
 
     result = SplitResult()
     for label in list(label_rows):
@@ -80,7 +78,7 @@ def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
                                          cloud=Selection(cloud, rows),
                                          indices=rows))
     if emit_remainder:
-        result.remainder = Selection(cloud, ~assigned)
+        result.remainder = Selection(cloud, free)
     return result
 
 

@@ -1,6 +1,7 @@
 """Import cost: scipy is never loaded, not even by a nearest-inlier
 search, and neither is hashlib (with its OpenSSL binding and hmac) or
-concurrent.futures.  Every command also runs with scipy made unimportable.
+concurrent.futures; fractions and decimal wait for a percentile fit.
+Every command also runs with scipy made unimportable.
 
 Importing scipy.spatial costs about half a second per process, and every
 CLI command is a fresh process; scipy is only a test oracle.  Each check
@@ -29,7 +30,8 @@ def loaded(prefix):
     return sorted(m for m in sys.modules if m.startswith(prefix))
 
 hashing = sorted({"hashlib", "_hashlib", "hmac", "secrets"} & set(sys.modules))
-seen = {"import": loaded("scipy"), "hashing": hashing,
+exact = sorted({"fractions", "decimal"} & set(sys.modules))
+seen = {"import": loaded("scipy"), "hashing": hashing, "exact": exact,
         "concurrent": loaded("concurrent")}
 codes = {}
 for mode, out in zip(sys.argv[3::2], sys.argv[4::2]):
@@ -103,6 +105,8 @@ def test_import_and_surface_recolor_leave_scipy_unloaded(tmp_path):
                        PROJECT_TO_SURFACE, tmp_path / "surface.ply")
     assert result["seen"]["import"] == []
     assert result["seen"]["hashing"] == []
+    # nearest_rank imports fractions when a percentile radius is fitted
+    assert result["seen"]["exact"] == []
     assert result["codes"] == {PROJECT_TO_SURFACE: 0}
     assert result["seen"][PROJECT_TO_SURFACE] == []
     # no thread pool, even with --threads 2

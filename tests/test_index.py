@@ -101,17 +101,23 @@ def _near_surface(positions: np.ndarray, box: OrientedBox) -> np.ndarray:
 
 
 class TestGridIndex:
-    @given(scene=scenes())
-    def test_rows_match_full_scan_and_oracle(self, scene):
+    @given(scene=scenes(), seed=st.none() | st.integers(0, 2**32 - 1))
+    def test_rows_match_full_scan_and_oracle(self, scene, seed):
+        """``among`` is None or a random mask; rows it drops are never
+        returned."""
         positions, boxes = scene
+        among = None if seed is None else \
+            np.random.default_rng(seed).random(len(positions)) < 0.5
+        keep = np.ones(len(positions), dtype=bool) if among is None \
+            else among
         index = GridIndex(positions)
         for box in boxes:
-            rows = index.rows(box)
+            rows = index.rows(box, among)
             with np.errstate(invalid="ignore"):
                 full = box.contains(positions)
-                want = oracle_contains(positions, box)
+                want = oracle_contains(positions, box) & keep
             # the same predicate on every point: bit-identical rows
-            assert np.array_equal(rows, np.flatnonzero(full))
+            assert np.array_equal(rows, np.flatnonzero(full & keep))
             lo, hi = box.world_bounds()
             assert np.all((positions[full] >= lo) & (positions[full] <= hi))
             assert rows.dtype == np.intp
@@ -142,13 +148,32 @@ class TestGridIndex:
         candidates = index._candidates(*box.world_bounds())
         assert len(candidates) < len(positions) // 50
 
-    def test_nonfinite_box_falls_back_to_full_scan(self, rng):
+    def test_nonfinite_box_falls_back_to_full_scan(self, monkeypatch, rng):
+        """A box without finite world bounds tests every indexed row, a
+        slice at a time, with the rows ``among`` drops left out."""
+        monkeypatch.setattr(GridIndex, "SLICE", 7)
         positions = rng.uniform(-1, 1, (100, 3))
         huge = OrientedBox(label="huge", centroid=(0, 0, 0),
                            dimensions=(np.inf, 1, 1))
         index = GridIndex(positions)
-        assert np.array_equal(index.rows(huge),
-                              np.flatnonzero(huge.contains(positions)))
+        full = np.flatnonzero(huge.contains(positions))
+        assert 0 < full.size < len(positions)
+        for among in (None, rng.random(len(positions)) < 0.5):
+            want = full if among is None else full[among[full]]
+            assert np.array_equal(index.rows(huge, among), want)
+
+    def test_a_nonfinite_row_is_inside_no_box(self):
+        """``(inf, 0, 0)`` maps to infinite local coordinates in a rotated
+        box of infinite size, which ``contains`` accepts; the index leaves
+        the row out, so no box holds it."""
+        positions = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+                              [1e300, -1e300, 5.0]])
+        box = OrientedBox(label="all", centroid=(0, 0, 0),
+                          dimensions=(np.inf, np.inf, np.inf),
+                          rotations=(30, 40, 50))
+        with np.errstate(invalid="ignore"):
+            assert box.contains(positions).tolist() == [True, True, True]
+        assert GridIndex(positions).rows(box).tolist() == [1, 2]
 
     def test_a_row_subset_indexes_only_its_rows(self, rng):
         """``rows=`` indexes those rows where they lie: a box, finite or
@@ -163,7 +188,10 @@ class TestGridIndex:
         for box in [huge] + [random_box(rng, span=2.0) for _ in range(5)]:
             with np.errstate(invalid="ignore"):
                 inside = box.contains(positions)
-            assert np.array_equal(index.rows(box), subset[inside[subset]])
+            full = subset[inside[subset]]
+            for among in (None, rng.random(400) < 0.5):
+                want = full if among is None else full[among[full]]
+                assert np.array_equal(index.rows(box, among), want)
         finite = subset[np.isfinite(positions[subset]).all(axis=1)]
         queries = rng.uniform(-1.5, 1.5, (50, 3))
         dist = np.linalg.norm(queries[:, None] - positions[finite], axis=2)

@@ -21,7 +21,8 @@ from pcedit import BoxFile, OrientedBox, PointCloud, read_cloud, write_cloud
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
-from pcedit.formats._ascii import TableChunks
+from pcedit.cloud import GridIndex
+from pcedit.formats._ascii import TableChunks, count_data_rows
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
                                  reason="needs /proc/self/status (VmHWM)")
@@ -307,3 +308,53 @@ def test_text_read_yields_no_batch_while_its_block_is_alive(tmp_path,
     assert max(held) <= bound, \
         f"a text read held {max(held) / 2**10:.0f} KiB besides its chunk " \
         f"at a yield; a block's rows take {rows * 56 / 2**10:.0f} KiB"
+
+
+def test_row_count_holds_one_block(tmp_path, monkeypatch):
+    """The row count of a headerless table drops each block before it reads
+    the next, so a file of many blocks peaks as one of a single block."""
+    monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 18)
+    n = 100_000   # about 19 blocks
+    rng = np.random.default_rng(6)
+    many = tmp_path / "many.xyzrgb"
+    write_cloud(PointCloud(rng.uniform(-1e5, 1e5, (n, 3)),
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                many)
+    with open(many, "rb") as fh:
+        first = next(_ascii._blocks(fh))
+    one = tmp_path / "one.xyzrgb"
+    one.write_bytes(first)
+    peaks = {}
+    for path in (one, many):
+        tracemalloc.start()
+        try:
+            rows = count_data_rows(path)
+            _, peaks[path] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == (first.count(b"\n") if path == one else n)
+    excess = (peaks[many] - peaks[one]) / _ascii.BLOCK_BYTES
+    assert excess <= 0.1, \
+        f"counting rows peaked {excess:.2f} blocks above a one-block file"
+
+
+def test_a_box_without_finite_bounds_is_tested_a_slice_at_a_time():
+    """A box whose world bounds are not finite tests every indexed row, a
+    slice at a time, rather than the whole position array at once (48
+    bytes a point of float64 temporaries)."""
+    n = 1_000_000
+    rng = np.random.default_rng(5)
+    positions = rng.uniform(0, 100, (n, 3))
+    index = GridIndex(positions)
+    box = OrientedBox(label="strip", centroid=(50, 50, 50),
+                      dimensions=(np.inf, 20, 20))
+    tracemalloc.start()
+    try:
+        rows = index.rows(box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < rows.size < n // 10
+    # its result, one mask byte a point and one slice's scratch
+    assert peak <= 8 * n, \
+        f"rows of an unbounded box peaked at {peak / n:.1f} bytes a point"
