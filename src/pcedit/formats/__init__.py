@@ -26,7 +26,7 @@ import numpy as np
 
 from ..cloud import PointCloud
 from ..errors import HeaderMismatch, MissingAttribute, UnknownFormat
-from . import las, laz, pcd, ply, pts, xyz
+from . import las, pcd, ply, pts, xyz
 from ._base import (ASCII, ASCII_DECIMALS, BINARY, CAPS, DEFAULT_CHUNK_POINTS,
                     DEFAULT_LAS_SCALE, FormatDescriptor, position_precision)
 
@@ -41,8 +41,10 @@ __all__ = [
 #: extension.  Every module has FAMILY (what ``_sniff_family`` must find in
 #: the content; None for plain text tables), open_reader(path, kind), which
 #: parses the header once, and
-#: open_writer(path, descriptor, count, *, las_scale, las_offset).
-_MODULES = {"las": las, "laz": laz, "xyz": xyz, "xyzn": xyz, "xyzrgb": xyz,
+#: open_writer(path, descriptor, count, *, las_scale, las_offset).  ``las``
+#: serves ``.laz`` too: the header is LAS, and only the points need the
+#: codec, which ``las`` imports from ``laz`` when they are read or written.
+_MODULES = {"las": las, "laz": las, "xyz": xyz, "xyzn": xyz, "xyzrgb": xyz,
             "pts": pts, "ply": ply, "pcd": pcd}
 
 

@@ -1,9 +1,13 @@
-"""Native LAS reader/writer built on struct + numpy.
+"""Native LAS reader/writer built on struct + numpy, and the LAS header
+of LAZ files.
 
 Reading handles LAS 1.0-1.4 point record formats 0-3 (anything beyond the
 standard record length is skipped as opaque extra bytes); writing emits
 LAS 1.2 with point format 0 (no color) or 2 (RGB).  Colors widen to 16 bit
 on write (x257) and narrow on read (>>8), matching common LAS tooling.
+A ``.laz`` file has the same header and gets the same checks; only its
+points go through the codec in ``laz.py``, imported when they are read or
+written.
 
 File creation day/year are written as 0 so output bytes depend only on the
 point data.
@@ -70,6 +74,7 @@ class _Header:
 
 def read_header(path) -> _Header:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         raw = fh.read(_HEADER_SIZE)
         if len(raw) < _HEADER_SIZE:
             raise ParseError("file shorter than a LAS header", path=path,
@@ -86,6 +91,13 @@ def read_header(path) -> _Header:
         if header_size < _HEADER_SIZE:
             raise ParseError(f"header size {header_size} below LAS minimum",
                              path=path, offset=94)
+        if header_size > size:
+            raise ParseError(f"header size {header_size} exceeds the "
+                             f"{size}-byte file", path=path, offset=94)
+        if offset_to_points < header_size:
+            raise ParseError(f"point data offset {offset_to_points} lies "
+                             f"inside the {header_size}-byte header",
+                             path=path, offset=96)
         _check_grid(scales, offsets, path)
         count, count_offset = legacy_count, _LEGACY_COUNT_OFFSET
         if (ver_major, ver_minor) >= (1, 4) and header_size >= 255:
@@ -136,45 +148,59 @@ def _record_dtype(point_format: int, record_length: int,
 
 
 class LasReader:
-    def __init__(self, path):
+    """The reader of both kinds: everything but the points comes from the
+    LAS header, so a ``.laz`` file opens and counts without its codec, and
+    only its ``chunks`` import ``laz``."""
+
+    def __init__(self, path, kind: str):
         self.path = Path(path)
         self.header = read_header(path)
-        if self.header.compressed:
+        if self.header.compressed != (kind == "laz"):
             raise HeaderMismatch(
-                f"{path}: data is LAZ-compressed; use the .laz format")
+                f"{path}: data is LAZ-compressed; use the .laz format"
+                if self.header.compressed else
+                f"{path}: .laz extension but the data is uncompressed LAS")
         self._dtype = _record_dtype(self.header.point_format,
                                     self.header.record_length, path)
         held = max(0, os.path.getsize(path) - self.header.offset_to_points)
-        if self.header.count * self._dtype.itemsize > held:
+        # compressed points take fewer bytes than their records
+        if kind == "las" and self.header.count * self._dtype.itemsize > held:
             raise ParseError(
                 f"{self.header.count} points of {self._dtype.itemsize} "
                 f"bytes do not fit in the {held} bytes after byte "
                 f"{self.header.offset_to_points}", path=path,
                 offset=self.header.count_offset)
         self.descriptor = FormatDescriptor(
-            kind="las", encoding=BINARY,
+            kind=kind, encoding=BINARY,
             has_color=self.header.point_format in _COLOR_FORMATS,
             has_normals=False)
         self.count = self.header.count
         self.narrows_colors = self.descriptor.has_color
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        for records in read_records(self.path, self._dtype,
-                                    self.header.offset_to_points, self.count,
-                                    chunk_size):
-            yield self._decode(records)
-            del records  # the caller's chunk goes before the next is read
+        if self.descriptor.kind == "laz":
+            from .laz import read_points
+            batches = read_points(self.path, chunk_size)
+        else:
+            batches = read_records(self.path, self._dtype,
+                                   self.header.offset_to_points, self.count,
+                                   chunk_size)
+        for batch in batches:
+            yield self._decode(batch)
+            del batch  # the caller's chunk goes before the next is read
 
-    def _decode(self, records: np.ndarray) -> PointCloud:
-        positions = np.empty((records.shape[0], 3))
+    def _decode(self, batch) -> PointCloud:
+        """Positions and colors of LAS records or laspy points, both of
+        which give their raw fields by name."""
+        positions = np.empty((len(batch), 3))
         for axis, name in enumerate("XYZ"):
-            positions[:, axis] = records[name]
+            positions[:, axis] = batch[name]
             positions[:, axis] *= self.header.scales[axis]
             positions[:, axis] += self.header.offsets[axis]
         colors = None
         if self.descriptor.has_color:
             colors = np.column_stack(
-                [narrow_16bit(records[c]) for c in ("red", "green", "blue")])
+                [narrow_16bit(batch[c]) for c in ("red", "green", "blue")])
         return PointCloud(positions, colors)
 
 
@@ -286,9 +312,13 @@ class LasWriter(FileWriter):
 
 
 def open_reader(path, kind: str) -> LasReader:
-    return LasReader(path)
+    return LasReader(path, kind)
 
 
 def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
-                las_scale, las_offset) -> LasWriter:
-    return LasWriter(path, descriptor, scale=las_scale, offset=las_offset)
+                las_scale, las_offset):
+    if descriptor.kind == "laz":
+        from .laz import LazWriter as writer
+    else:
+        writer = LasWriter
+    return writer(path, descriptor, scale=las_scale, offset=las_offset)

@@ -1,8 +1,11 @@
-"""LAZ support, delegated to laspy + a LAZ backend when installed.
+"""The laspy calls behind LAZ: decompressing points for ``las.LasReader``
+and compressing them in ``LazWriter``.
 
 Compression is the one piece of the format layer that leans on an external
-codec; everything else in this package reads and writes bytes directly.
-Install the ``laz`` extra (``pip install pcedit[laz]``) to enable it.
+codec; everything else in this package, the LAZ header included, reads and
+writes bytes directly.  ``las.py`` imports this module only when LAZ points
+are read or written.  Install the ``laz`` extra (``pip install pcedit[laz]``)
+to enable it.
 """
 
 from __future__ import annotations
@@ -12,12 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from ..cloud import PointCloud
-from ..errors import CodecUnavailable, HeaderMismatch, UnsupportedPointRecord
-from ._base import (BINARY, DEFAULT_CHUNK_POINTS, DEFAULT_LAS_SCALE,
-                    FormatDescriptor, narrow_16bit, widen_8bit)
-from .las import _COLOR_FORMATS, check_finite, check_scale, read_header
-
-FAMILY = "las"
+from ..errors import CodecUnavailable
+from ._base import DEFAULT_LAS_SCALE, FormatDescriptor, widen_8bit
+from .las import check_finite, check_scale
 
 _MISSING = ("LAZ compression requires the optional laspy codec; install "
             "the 'laz' extra (pip install pcedit[laz])")
@@ -37,42 +37,10 @@ def _require_laspy():
     return laspy
 
 
-class LazReader:
-    """Everything but the points comes from the LAS header, so a LAZ file
-    opens and counts without laspy; ``chunks`` needs it."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.header = header = read_header(path)
-        if not header.compressed:
-            raise HeaderMismatch(
-                f"{path}: .laz extension but the data is uncompressed LAS")
-        if header.point_format not in (0, 1, 2, 3):
-            raise UnsupportedPointRecord(
-                f"LAS point record format {header.point_format} is not "
-                f"supported (supported: 0-3)")
-        self.descriptor = FormatDescriptor(
-            kind="laz", encoding=BINARY,
-            has_color=header.point_format in _COLOR_FORMATS,
-            has_normals=False)
-        self.count = header.count
-        self.narrows_colors = self.descriptor.has_color
-
-    def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        with _require_laspy().open(str(self.path)) as fh:
-            for points in fh.chunk_iterator(chunk_size):
-                yield self._decode(points)
-                del points  # the caller's chunk goes before the next
-
-    def _decode(self, points) -> PointCloud:
-        positions = np.column_stack([np.asarray(points.x),
-                                     np.asarray(points.y),
-                                     np.asarray(points.z)])
-        colors = None
-        if self.descriptor.has_color:
-            colors = np.column_stack([narrow_16bit(np.asarray(points[c]))
-                                      for c in ("red", "green", "blue")])
-        return PointCloud(positions, colors)
+def read_points(path, chunk_size: int):
+    """laspy's points of ``path``, ``chunk_size`` at a time."""
+    with _require_laspy().open(str(path)) as fh:
+        yield from fh.chunk_iterator(chunk_size)
 
 
 class LazWriter:
@@ -111,12 +79,3 @@ class LazWriter:
     def close(self) -> int:
         self._writer.close()
         return self.path.stat().st_size
-
-
-def open_reader(path, kind: str) -> LazReader:
-    return LazReader(path)
-
-
-def open_writer(path, descriptor: FormatDescriptor, count: int | None, *,
-                las_scale, las_offset) -> LazWriter:
-    return LazWriter(path, descriptor, scale=las_scale, offset=las_offset)

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -411,6 +412,42 @@ class TestCountsTheFileBacks:
                 f"byte 247: {2**40} points of 26 bytes do not fit in the "
                 f"52 bytes after byte 375")):
             read_cloud(path)
+
+    def _las_header(self, tmp_path, suffix, points, edits):
+        """A colorless ``points``-point file from ``write_cloud`` named
+        ``in.<suffix>``, with each (byte, struct format, value) of ``edits``
+        packed into its header; a .laz file gets the compression bit."""
+        plain = tmp_path / "plain.las"
+        write_cloud(PointCloud(np.arange(3.0 * points).reshape(-1, 3)), plain)
+        data = bytearray(plain.read_bytes())
+        plain.unlink()
+        for byte, fmt, value in edits:
+            struct.pack_into(fmt, data, byte, value)
+        if suffix == "laz":
+            data[104] |= 0x80
+        return write_tmp(tmp_path, f"in.{suffix}", bytes(data))
+
+    @pytest.mark.parametrize("suffix", ["las", "laz"])
+    def test_header_larger_than_the_file(self, tmp_path, capsys, suffix):
+        # a LAS 1.4 header of 375 bytes would hold the 64-bit count at
+        # byte 247, past the end of this 227-byte file
+        path = self._las_header(tmp_path, suffix, 0,
+                                [(25, "B", 4), (94, "<H", 375)])
+        message = "byte 94: header size 375 exceeds the 227-byte file"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_cloud(path)
+        self._check_cli(capsys, tmp_path, path, message)
+
+    @pytest.mark.parametrize("offset", [0, 100, 226])
+    @pytest.mark.parametrize("suffix", ["las", "laz"])
+    def test_points_starting_inside_the_header(self, tmp_path, capsys,
+                                               suffix, offset):
+        path = self._las_header(tmp_path, suffix, 2, [(96, "<I", offset)])
+        message = (f"byte 96: point data offset {offset} lies inside the "
+                   f"227-byte header")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_cloud(path)
+        self._check_cli(capsys, tmp_path, path, message)
 
     def test_ply_many_properties(self, tmp_path, capsys):
         path, data_at = self._ply(tmp_path)
@@ -1027,6 +1064,15 @@ class TestLaz:
         assert (report.source_kind, report.points_written) == ("laz", 3)
         assert not (tmp_path / "o.ply").exists()
 
+    def test_short_record_length_fails_on_open(self, tmp_path, rng):
+        path = self._fake_laz(tmp_path, rng)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, 105, 19)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=re.escape(
+                "byte 105: record length 19 too small for point format 2")):
+            detect_format(path)
+
     def test_read_raises_codec_unavailable(self, tmp_path, rng):
         try:
             import laspy  # noqa: F401
@@ -1055,6 +1101,64 @@ class TestLaz:
             pytest.skip("laspy installed; CodecUnavailable not reachable")
         except ImportError:
             pass
+        with pytest.raises(CodecUnavailable):
+            write_cloud(random_cloud(rng, 3), tmp_path / "o.laz")
+
+
+@pytest.fixture
+def stub_laspy(monkeypatch):
+    """``laspy_stub`` in place of laspy, for one test."""
+    import laspy_stub
+    monkeypatch.setitem(sys.modules, "laspy", laspy_stub)
+    return laspy_stub
+
+
+class TestLazPoints:
+    """The LAZ point path against a stand-in codec that stores plain LAS
+    records behind a compressed header."""
+
+    def test_round_trip(self, tmp_path, rng, stub_laspy):
+        cloud = random_cloud(rng, 300)
+        path = tmp_path / "a.laz"
+        write_cloud(cloud, path)
+        assert path.read_bytes()[104] & 0x80
+        back = read_cloud(path)
+        assert np.array_equal(back.colors, cloud.colors)
+        tol = position_precision(detect_format(path))
+        assert np.abs(back.positions - cloud.positions).max() <= tol
+
+    def test_convert_to_ply_in_chunks(self, tmp_path, rng, stub_laspy):
+        src, out = tmp_path / "a.laz", tmp_path / "o.ply"
+        write_cloud(random_cloud(rng, 300), src)
+        report = convert(src, out, chunk_size=64)
+        assert (report.source_kind, report.points_written) == ("laz", 300)
+        want, got = read_cloud(src), read_cloud(out)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.colors, want.colors)
+
+    def test_info(self, tmp_path, rng, capsys, stub_laspy):
+        path = tmp_path / "a.laz"
+        write_cloud(random_cloud(rng, 5), path)
+        assert run(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "kind:      laz\n" in out and "points:    5\n" in out
+
+    def test_nan_position_is_range_error(self, tmp_path, stub_laspy):
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0]]))
+        # from the derived offset, and from the points with a given one
+        for offset in (None, (0.0, 0.0, 0.0)):
+            with pytest.raises(RangeError, match="NaN or infinite"):
+                write_cloud(cloud, tmp_path / "o.laz", las_offset=offset)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_backend_is_codec_unavailable(self, tmp_path, rng,
+                                             monkeypatch, stub_laspy):
+        path = tmp_path / "a.laz"
+        write_cloud(random_cloud(rng, 3), path)
+        monkeypatch.setattr(stub_laspy.LazBackend, "detect_available",
+                            lambda: ())
+        with pytest.raises(CodecUnavailable):
+            read_cloud(path)
         with pytest.raises(CodecUnavailable):
             write_cloud(random_cloud(rng, 3), tmp_path / "o.laz")
 
@@ -1261,3 +1365,62 @@ def test_byte_mutations_raise_only_cloud_errors(tmp_path):
                                     f"{mutated[:120]!r}")
                 cases += 1
     assert cases == 300 * len(_FUZZ_SOURCES)
+
+
+#: LAS header fields for the structured fuzz: (byte, struct format, edge
+#: values); None stands for the file's size and one byte past it
+_LAS_FIELDS = [
+    (24, "BB", [(1, 0), (1, 2), (1, 3), (1, 4), (1, 255), (2, 0)]),
+    (94, "<H", [0, 226, 227, 228, 254, 255, 375, 65535, None]),
+    (96, "<I", [0, 100, 226, 227, 228, 255, 375, 2**32 - 1, None]),
+    (104, "B", [0, 1, 2, 3, 4, 6, 0x3F, 0x40, 0x80, 0x82, 0xFF]),
+    (105, "<H", [0, 19, 20, 25, 26, 27, 34, 65535]),
+    (107, "<I", [0, 1, 2, 3, 4, 2**31, 2**32 - 1]),
+]
+
+
+def test_las_header_fields_raise_only_cloud_errors(tmp_path, monkeypatch):
+    """A seeded fuzz of the LAS header fields that size and place the
+    points, over 0-, 1- and 3-point .las and .laz files: whatever their
+    values, ``read_cloud`` works or raises a ``CloudError`` or an
+    ``OSError``, and no point is read from inside the header."""
+    monkeypatch.setitem(sys.modules, "laspy", None)  # no codec, anywhere
+    rng = np.random.default_rng(20)
+    sources = {}
+    for points in (0, 1, 3):
+        path = tmp_path / "s.las"
+        write_cloud(random_cloud(rng, points), path)
+        sources[f"{points}.las"] = path.read_bytes()
+        data = bytearray(sources[f"{points}.las"])
+        data[104] |= 0x80
+        sources[f"{points}.laz"] = bytes(data)
+    escapes, inside = [], []
+    for case in range(500):
+        for name, data in sources.items():
+            data = bytearray(data)
+            picks = rng.choice(len(_LAS_FIELDS), rng.integers(1, 4),
+                               replace=False)
+            for pick in picks:
+                byte, fmt, values = _LAS_FIELDS[pick]
+                value = values[rng.integers(len(values))]
+                if value is None:
+                    value = len(data) + int(rng.integers(2))
+                struct.pack_into(fmt, data, byte,
+                                 *(value if fmt == "BB" else (value,)))
+            if rng.random() < 0.2:
+                del data[int(rng.integers(len(data) + 1)):]
+            path = tmp_path / f"m{name}"
+            path.write_bytes(bytes(data))
+            try:
+                read_cloud(path)
+            except (CloudError, OSError):
+                continue
+            except Exception as exc:
+                escapes.append(f"case {case} of {name}: {exc!r}")
+                continue
+            header_size, offset = struct.unpack_from("<HI", data, 94)
+            if offset < header_size:
+                inside.append(f"case {case} of {name}: points at byte "
+                              f"{offset} of a {header_size}-byte header")
+    assert escapes == [] and inside == [], (len(escapes), len(inside),
+                                             (escapes + inside)[:5])

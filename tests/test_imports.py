@@ -1,6 +1,7 @@
 """Import cost: scipy is never loaded, not even by a nearest-inlier
 search, and neither is hashlib (with its OpenSSL binding and hmac) or
-concurrent.futures; fractions and decimal wait for a percentile fit.
+concurrent.futures; fractions and decimal wait for a percentile fit, and
+the LAZ codec glue (pcedit.formats.laz) for a LAZ point.
 Every command also runs with scipy made unimportable.
 
 Importing scipy.spatial costs about half a second per process, and every
@@ -32,7 +33,8 @@ def loaded(prefix):
 hashing = sorted({"hashlib", "_hashlib", "hmac", "secrets"} & set(sys.modules))
 exact = sorted({"fractions", "decimal"} & set(sys.modules))
 seen = {"import": loaded("scipy"), "hashing": hashing, "exact": exact,
-        "concurrent": loaded("concurrent")}
+        "concurrent": loaded("concurrent"),
+        "laz": loaded("pcedit.formats.laz")}
 codes = {}
 for mode, out in zip(sys.argv[3::2], sys.argv[4::2]):
     codes[mode] = pcedit.cli.run(
@@ -107,6 +109,7 @@ def test_import_and_surface_recolor_leave_scipy_unloaded(tmp_path):
     assert result["seen"]["hashing"] == []
     # nearest_rank imports fractions when a percentile radius is fitted
     assert result["seen"]["exact"] == []
+    assert result["seen"]["laz"] == []
     assert result["codes"] == {PROJECT_TO_SURFACE: 0}
     assert result["seen"][PROJECT_TO_SURFACE] == []
     # no thread pool, even with --threads 2
