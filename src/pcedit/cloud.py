@@ -282,8 +282,9 @@ class GridIndex:
 
     MAX_CELLS = (1 << 16) - 1
     POINTS_PER_CELL = 32
-    #: candidate pairs a query batch measures at once
-    BATCH = 1 << 15
+    #: candidate pairs a query batch measures at once: its scratch takes
+    #: 130-150 bytes a pair, about 1.2 MB a batch
+    BATCH = 1 << 13
     #: rows whose cell keys are computed, and then placed, at once
     SLICE = 1 << 16
     #: relative margin on the stopping distance, far above rounding error

@@ -5,13 +5,17 @@ to "N numeric columns per line".  This module does the buffered parsing once,
 keeps physical line numbers attached to every parsed row so errors can point
 at the offending line, and formats outgoing rows deterministically.
 
-Files are read in blocks of whole lines, and every block takes one path:
-a byte scan finds each line end and which lines hold data (a character
-other than whitespace before any ``#``), and one ``np.loadtxt`` call parses
-the block, its rows being the data lines in order.  Line ends and invalid
-UTF-8 read as in text mode.  ``np.loadtxt`` is the only number rule, and
-when it rejects a block a bisection finds the first bad row in file order,
-the one reported.
+Files are read in blocks of whole lines, at most ``BLOCK_BYTES`` each
+(longer only for a longer line).  A block's end is found in its last few
+KiB before the block is read, so each block is read once, into bytes of
+its own size.  Every block takes one path: a byte scan finds each line end
+and which lines hold data (a character other than whitespace before any
+``#``), and one ``np.loadtxt`` call parses the block, its rows being the
+data lines in order.  Line ends and invalid UTF-8 read as in text mode.
+``np.loadtxt`` is the only number rule, and when it rejects a block a
+bisection finds the first bad row in file order, the one reported.  A
+chunk is a view of one block's rows, or one buffer its blocks' rows are
+copied into.
 
 Rows are written by ``rows_to_text``, the bytes ``np.savetxt`` gives: a
 ``%.6f`` value correctly rounded, half-to-even on its exact binary value,
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 import re
 import warnings
 from pathlib import Path
@@ -37,11 +42,18 @@ import numpy as np
 from ..errors import ParseError
 from ._base import DEFAULT_CHUNK_POINTS
 
-#: bytes read at a time; a block ends after the last line end read so far
-BLOCK_BYTES = 8 << 20
+#: the most bytes a block takes unless one line is longer: 1 MiB holds
+#: about 26,000 rows of xyzrgb, whose text, scan and float64 values are
+#: each about 1 MB
+BLOCK_BYTES = 1 << 20
 
-#: rows per part that ``rows_to_text`` formats at once
-FORMAT_ROWS = 32_768
+#: bytes searched at a time, from a block's end back, for its last line end
+_TAIL_BYTES = 4096
+
+#: rows per part that ``rows_to_text`` formats at once: 8,192 rows of six
+#: columns take about 0.4 MB as float64, and as much again as records and
+#: as text
+FORMAT_ROWS = 8_192
 
 #: 1 for an ASCII byte that is not whitespace as ``str.split`` takes it
 _SIGNIFICANT = bytes(byte < 128 and not chr(byte).isspace()
@@ -51,26 +63,42 @@ _SIGNIFICANT = bytes(byte < 128 and not chr(byte).isspace()
 def _blocks(fh) -> Iterator[bytes]:
     """The rest of binary ``fh`` as blocks of whole lines (one ``\\n`` is
     added to a last line that has none).  A block ends after its last
-    ``\\n``, or after its last ``\\r`` that is not the final byte read,
-    since that one may be half of a ``\\r\\n``.  No frame of the iterator
-    holds a block once it is returned, so the caller decides how long it
-    lives."""
-    carry = b""
+    ``\\n`` within ``BLOCK_BYTES``, or after its last ``\\r`` before the
+    final byte there, since that one may be half of a ``\\r\\n``; a line
+    longer than that is extended by ``BLOCK_BYTES`` at a time.  Each block
+    is read once, at its own size, and no frame of the iterator holds it
+    once it is returned, so the caller decides how long it lives."""
+    start = fh.tell()
+    size = os.fstat(fh.fileno()).st_size
+    while start < size:
+        stop = min(start + BLOCK_BYTES, size)
+        end = _line_end(fh, start, stop)
+        while end is None and stop < size:  # a line longer than a block
+            low, stop = stop - 1, min(stop + BLOCK_BYTES, size)
+            end = _line_end(fh, low, stop)
+        fh.seek(start)
+        if end is None:  # the last line, which has no line end
+            start = size
+            yield fh.read() + b"\n"
+        else:
+            yield fh.read(end - start)
+            start = end
 
-    def read() -> bytes:
-        nonlocal carry
-        while data := fh.read(BLOCK_BYTES):
-            data = carry + data
-            cut = max(data.rfind(b"\n"),
-                      data.rfind(b"\r", 0, len(data) - 1)) + 1
-            if cut:
-                block, carry = data[:cut], data[cut:]
-                return block
-            carry = data
-        block, carry = (carry + b"\n" if carry else b""), b""
-        return block
 
-    return iter(read, b"")  # an empty block is the end
+def _line_end(fh, low: int, stop: int) -> int | None:
+    """The offset after the last line end in bytes ``[low, stop)`` of
+    ``fh``, a ``\\r`` at ``stop - 1`` not counted; None if there is none.
+    Searched ``_TAIL_BYTES`` at a time from ``stop`` back."""
+    high = stop
+    while high > low:
+        lo = max(low, high - _TAIL_BYTES)
+        fh.seek(lo)
+        tail = fh.read(high - lo)
+        cut = max(tail.rfind(b"\n"), tail.rfind(b"\r", 0, stop - 1 - lo))
+        if cut >= 0:
+            return lo + cut + 1
+        high = lo
+    return None
 
 
 def _text(block: bytes) -> bytes:
@@ -140,27 +168,20 @@ class TableChunks:
         self.line_no = 0
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        parts: list = []  # (values, lines) arrays of the chunk being built
-        filled = 0
+        chunk = _Chunk(self.chunk_size)
         try:
             for values, lines in self._rows():
                 while len(values):
-                    take = self.chunk_size - filled
-                    parts.append((values[:take], lines[:take]))
-                    filled += len(parts[-1][0])
-                    values, lines = values[take:], lines[take:]
-                    if filled == self.chunk_size:
-                        yield _join(parts)
-                        parts, filled = [], 0
+                    values, lines = chunk.add(values, lines)
+                    if chunk.filled == self.chunk_size:
+                        yield chunk.take()
                 del values, lines  # an empty view keeps its block alive
-                if filled:  # so does a part of the next chunk: copy it out
-                    parts = [_join(parts, copy=True)]
         except ParseError:
-            if filled:
-                yield _join(parts)  # the good rows before the failure
+            if chunk.filled:
+                yield chunk.take()  # the good rows before the failure
             raise
-        if filled:
-            yield _join(parts)
+        if chunk.filled:
+            yield chunk.take()
 
     def _rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The good rows of each block as ``(values, lines)`` arrays; raises
@@ -262,13 +283,43 @@ def _floats(text: bytes, rows: int, width: int) -> np.ndarray | None:
     return values if values.shape == (rows, width) else None
 
 
-def _join(parts: list, copy: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk from its ``(values, lines)`` parts; with ``copy``, arrays
-    of its own that keep no block's arrays alive."""
-    if len(parts) == 1 and not copy:
-        return parts[0]
-    return (np.concatenate([values for values, _ in parts]),
-            np.concatenate([lines for _, lines in parts]))
+class _Chunk:
+    """The rows of the chunk being built.  Its first part is a view of its
+    block's arrays; a second part moves them into one buffer of the chunk's
+    size, which every later part is copied into.  So a chunk inside one
+    block is not copied, and no chunk is copied twice."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.values = self.lines = None
+        self.filled = 0
+
+    def add(self, values: np.ndarray, lines: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+        """Take the leading rows of ``(values, lines)`` that fit; returns
+        the rest."""
+        take = min(self.size - self.filled, len(values))
+        if self.values is None:
+            self.values, self.lines = values[:take], lines[:take]
+        else:
+            if len(self.values) < self.size:  # a view: move it to a buffer
+                held = self.values, self.lines
+                self.values = np.empty((self.size, held[0].shape[1]))
+                self.lines = np.empty(self.size, np.int64)
+                self.values[:self.filled], self.lines[:self.filled] = held
+                del held
+            end = self.filled + take
+            self.values[self.filled:end] = values[:take]
+            self.lines[self.filled:end] = lines[:take]
+        self.filled += take
+        return values[take:], lines[take:]
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk's ``(values, lines)``, which this object lets go of."""
+        chunk = self.values[:self.filled], self.lines[:self.filled]
+        self.values = self.lines = None
+        self.filled = 0
+        return chunk
 
 
 def count_data_rows(path) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -196,29 +197,28 @@ class RecordLayout:
 
 
 def record_columns(path, layout: RecordLayout, chunk_size: int,
-                   declared: str, noun: str):
-    """Yield ``(block, lines)`` per chunk of a PLY/PCD data section.
+                   declared: str, noun: str,
+                   decode: Callable[[Callable, np.ndarray | None], PointCloud]
+                   ) -> Iterator[PointCloud]:
+    """``decode(block, lines)`` for each chunk of a PLY/PCD data section.
 
     ``block(names)`` stacks those fields into a (k, len(names)) array, read
     from the parsed text columns or straight from the binary record fields
-    in their stored type; it fails once the next chunk is asked for, so no
-    caller keeps a chunk alive by accident.  ``lines`` holds the text rows'
-    line numbers; it is None for binary data.
+    in their stored type.  ``lines`` holds the text rows' line numbers; it
+    is None for binary data.  No parsed text values are held while the
+    caller has the decoded chunk.
     """
     if layout.encoding == ASCII:
         table = TableChunks(path, sum(n for _, _, n in layout.fields),
                             header=layout.header,
                             max_rows=layout.count, declared=declared,
                             chunk_size=chunk_size)
-        for values, lines in table:
-            yield (lambda names: values[:, [layout.column(name)
-                                            for name in names]]), lines
-            del values, lines
-        return
+        return starmap(lambda values, lines: decode(
+            lambda names: values[:, [layout.column(name) for name in names]],
+            lines), table)
     dtype = np.dtype([(f"f{i}", f"<{code}", (n,) if n > 1 else ())
                       for i, (_, code, n) in enumerate(layout.fields)])
-    for records in read_records(path, dtype, len(layout.header),
-                                layout.count, chunk_size, noun):
-        yield (lambda names: np.column_stack(
-            [records[f"f{layout.first(name)}"] for name in names])), None
-        del records
+    return map(lambda records: decode(lambda names: np.column_stack(
+        [records[f"f{layout.first(name)}"] for name in names]), None),
+        read_records(path, dtype, len(layout.header), layout.count,
+                     chunk_size, noun))

@@ -132,10 +132,8 @@ class PcdReader:
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
         declared = f"POINTS declares {self.count} rows"
-        for block, lines in record_columns(self.path, self._layout,
-                                           chunk_size, declared, "points"):
-            yield self._decode(block, lines)
-            del block, lines  # the caller's chunk goes before the next
+        yield from record_columns(self.path, self._layout, chunk_size,
+                                  declared, "points", self._decode)
 
     def _decode(self, block, lines) -> PointCloud:
         colors = None if self._rgb is None \

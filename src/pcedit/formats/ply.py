@@ -149,10 +149,8 @@ class PlyReader:
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
         declared = f"vertex element declares {self.count} rows"
-        for block, lines in record_columns(self.path, self._layout,
-                                           chunk_size, declared, "vertices"):
-            yield self._decode(block, lines)
-            del block, lines  # the caller's chunk goes before the next
+        yield from record_columns(self.path, self._layout, chunk_size,
+                                  declared, "vertices", self._decode)
 
     def _decode(self, block, lines) -> PointCloud:
         colors = None

@@ -9,6 +9,7 @@ first surplus row.
 from __future__ import annotations
 
 import re
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +71,13 @@ class PtsReader:
                             max_rows=self.count, forbid_extra_rows=True,
                             declared=f"header declares {self.count} points",
                             chunk_size=chunk_size)
-        for values, lines in table:
-            check_colors(values[:, 4:7], lines, 255, self.path)
-            yield PointCloud(np.ascontiguousarray(values[:, :3]),
-                             quantize_colors(values[:, 4:7]))
-            del values, lines  # the caller's chunk goes before the next
+        # starmap holds no chunk's values while the caller has its cloud
+        yield from starmap(self._decode, table)
+
+    def _decode(self, values, lines) -> PointCloud:
+        check_colors(values[:, 4:7], lines, 255, self.path)
+        return PointCloud(np.ascontiguousarray(values[:, :3]),
+                          quantize_colors(values[:, 4:7]))
 
 
 def open_reader(path, kind: str) -> PtsReader:

@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +75,9 @@ class XyzReader:
         scale_colors = self.kind == "xyzrgb" and self._float_convention()
         table = TableChunks(self.path, _COLUMNS[self.kind],
                             chunk_size=chunk_size)
-        for values, lines in table:
-            yield self._decode(values, lines, scale_colors)
-            del values, lines  # the caller's chunk goes before the next
+        # starmap holds no chunk's values while the caller has its cloud
+        yield from starmap(partial(self._decode, scale_colors=scale_colors),
+                           table)
         self._count = table.rows_read
 
     def _decode(self, values, lines, scale_colors: bool) -> PointCloud:

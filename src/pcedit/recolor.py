@@ -74,9 +74,14 @@ def nearest_rank(percentile: float, n: int) -> int:
 
     The percentile is taken as the decimal it prints as, so 7 (or 7.0) of
     100 is rank 7, where float math gives ``7/100*100 = 7.000000000000001``.
+    That decimal is ``digits / 10**places``, read from its ``repr``.
     """
-    from fractions import Fraction   # not loaded by every command
-    return math.ceil(Fraction(repr(float(percentile))) * n / 100)
+    mantissa, _, exponent = repr(float(percentile)).partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    digits = int(whole + decimals)
+    places = len(decimals) - int(exponent or 0)
+    numerator = digits * n * 10 ** max(-places, 0)
+    return -(-numerator // (100 * 10 ** max(places, 0)))
 
 
 def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:

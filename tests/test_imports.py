@@ -1,7 +1,7 @@
 """Import cost: scipy is never loaded, not even by a nearest-inlier
-search, and neither is hashlib (with its OpenSSL binding and hmac) or
-concurrent.futures; fractions and decimal wait for a percentile fit, and
-the LAZ codec glue (pcedit.formats.laz) for a LAZ point.
+search, and neither is hashlib (with its OpenSSL binding and hmac),
+concurrent.futures, or fractions and decimal, not even by a percentile
+fit; the LAZ codec glue (pcedit.formats.laz) waits for a LAZ point.
 Every command also runs with scipy made unimportable.
 
 Importing scipy.spatial costs about half a second per process, and every
@@ -107,7 +107,6 @@ def test_import_and_surface_recolor_leave_scipy_unloaded(tmp_path):
                        PROJECT_TO_SURFACE, tmp_path / "surface.ply")
     assert result["seen"]["import"] == []
     assert result["seen"]["hashing"] == []
-    # nearest_rank imports fractions when a percentile radius is fitted
     assert result["seen"]["exact"] == []
     assert result["seen"]["laz"] == []
     assert result["codes"] == {PROJECT_TO_SURFACE: 0}
@@ -135,6 +134,19 @@ def test_nearest_inlier_search_still_gives_the_nearest_inlier(tmp_path):
         expect = oracle_nearest_index(cloud.positions, inlier_rows,
                                       cloud.positions[row])
         assert colors[row].tolist() == cloud.colors[expect].tolist(), row
+
+
+def test_a_percentile_fit_loads_no_exact_arithmetic():
+    """``nearest_rank`` reads the percentile's decimal digits itself: the
+    ``fractions`` import would load ``decimal`` too."""
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "from pcedit.recolor import SphereParams, fit_color_sphere\n"
+            "fit_color_sphere(np.arange(300).reshape(100, 3),\n"
+            "                 SphereParams(percentile=7.0))\n"
+            "print(json.dumps(sorted({'fractions', 'decimal'}\n"
+            "                        & set(sys.modules))))\n")
+    assert run_child(code=code) == []
 
 
 def test_every_command_runs_without_scipy(tmp_path):

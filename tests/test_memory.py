@@ -18,7 +18,7 @@ import pytest
 
 import pcedit
 from pcedit import BoxFile, OrientedBox, PointCloud, read_cloud, write_cloud
-from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_writer,
+from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_reader, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
 from pcedit.cloud import GridIndex
@@ -89,6 +89,19 @@ def import_peak():
     return peak_mb("import pcedit.cli")
 
 
+def check_peaks(what: str, peaks: dict, sizes: tuple, import_peak: int):
+    """Two sizes' peaks agree within ``SPREAD_MB`` and stay within
+    ``WORKING_SET_MB`` of an import-only process."""
+    small, big = (peaks[n] for n in sizes)
+    assert abs(big - small) <= SPREAD_MB, \
+        f"{what}: peak {small} MB at {sizes[0]} points, {big} MB at " \
+        f"{sizes[1]}"
+    for n, peak in peaks.items():
+        assert peak - import_peak <= WORKING_SET_MB, \
+            f"{what} on {n} points peaks at {peak} MB, " \
+            f"{peak - import_peak} MB above an import-only process"
+
+
 @needs_vmhwm
 @pytest.mark.parametrize(
     "command, suffix",
@@ -104,14 +117,42 @@ def test_peak_does_not_grow_with_the_file(command, suffix, las_files,
         if suffix:
             argv.append(tmp_path / f"out{n}{suffix}")
         peaks[n] = cli_peak_mb(*argv)
-    small, big = (peaks[n] for n in SIZES)
-    assert abs(big - small) <= SPREAD_MB, \
-        f"{what}: peak {small} MB at {SIZES[0]} points, {big} MB at " \
-        f"{SIZES[1]}"
-    for n, peak in peaks.items():
-        assert peak - import_peak <= WORKING_SET_MB, \
-            f"{what} on {n} points peaks at {peak} MB, " \
-            f"{peak - import_peak} MB above an import-only process"
+    check_peaks(what, peaks, SIZES, import_peak)
+
+
+#: the sizes of the text inputs whose peaks must agree: about 4 and 16 MB
+TEXT_SIZES = (100_000, 400_000)
+
+
+@pytest.fixture(scope="module")
+def xyzrgb_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("text")
+    rng = np.random.default_rng(12)
+    paths = {}
+    for n in TEXT_SIZES:
+        paths[n] = root / f"cloud{n}.xyzrgb"
+        write_cloud(PointCloud(rng.uniform(0, 100, (n, 3)),
+                               rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                    paths[n])
+    return paths
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("command, suffix",
+                         [("convert", ".ply"), ("info", None)],
+                         ids=["convert", "info"])
+def test_text_input_peak_does_not_grow_with_the_file(
+        command, suffix, xyzrgb_files, import_peak, tmp_path):
+    """Text is read a block at a time and parsed into one chunk, so the
+    peak of reading it does not follow the file's size either."""
+    peaks = {}
+    for n, path in xyzrgb_files.items():
+        argv = [command, path]
+        if suffix:
+            argv.append(tmp_path / f"out{n}{suffix}")
+        peaks[n] = cli_peak_mb(*argv)
+    what = f"{command} of .xyzrgb" + (f" to {suffix}" if suffix else "")
+    check_peaks(what, peaks, TEXT_SIZES, import_peak)
 
 
 #: the two sizes of the edit scenes
@@ -269,9 +310,10 @@ def test_text_table_read_holds_one_block(variant, tmp_path, monkeypatch):
         tracemalloc.stop()
     assert cloud.count == n
     held = cloud.positions.nbytes + cloud.colors.nbytes
-    # the bound of the plain table: the read buffer, then the block's scan
-    # or its parsed values and line numbers, each about the text's size
-    bound = held + _ascii.BLOCK_BYTES + 2 * len(text)
+    # the bound of the plain table: the block, read at its own size, then
+    # its scan or its parsed values and line numbers, each about the text's
+    # size
+    bound = held + 3 * len(text)
     assert peak <= bound, \
         f"reading a {variant} table of {len(text) / 2**10:.0f} KiB peaked " \
         f"at {(peak - held) / 2**10:.0f} KiB above the cloud"
@@ -308,6 +350,72 @@ def test_text_read_yields_no_batch_while_its_block_is_alive(tmp_path,
     assert max(held) <= bound, \
         f"a text read held {max(held) / 2**10:.0f} KiB besides its chunk " \
         f"at a yield; a block's rows take {rows * 56 / 2**10:.0f} KiB"
+
+
+@pytest.mark.parametrize("rows", [5_000, 100_000], ids=["short", "long"])
+def test_a_block_is_read_at_its_own_size(rows, tmp_path, monkeypatch):
+    """One step of the block reader holds the block it returns and little
+    more: not a read buffer of ``BLOCK_BYTES`` beside a copy of its whole
+    lines, nor such a buffer for a file shorter than one block."""
+    monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 18)
+    path = tmp_path / "table.xyzrgb"
+    path.write_bytes(b"12.345678 -0.500000 3.000000 255 0 17\n" * rows)
+    peaks = []
+    with open(path, "rb") as fh:
+        blocks = _ascii._blocks(fh)
+        while True:
+            tracemalloc.start()
+            try:
+                block = next(blocks, None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if block is None:
+                break
+            peaks.append(peak / len(block))
+            del block
+    assert len(peaks) == (1 if rows == 5_000 else 15)
+    assert max(peaks) <= 1.1, \
+        f"a block reader step peaked at {max(peaks):.2f} times its block"
+
+
+@pytest.mark.parametrize("kind", ["table", "xyzrgb", "pts", "ply", "pcd"])
+def test_a_yielded_chunk_is_the_only_chunk_alive(kind, tmp_path,
+                                                 monkeypatch):
+    """A chunk of many blocks: at each yield of ``TableChunks``, or of a
+    text reader's decoded cloud, the read holds besides the chunk only
+    the parsed rows of the block it is in, not the parts the chunk was
+    built from nor the parsed values of a decoded chunk."""
+    monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 16)
+    n, chunk_size = 40_000, 10_000   # a chunk spans about 6 blocks
+    rng = np.random.default_rng(10)
+    path = tmp_path / f"cloud.{'xyzrgb' if kind == 'table' else kind}"
+    write_cloud(PointCloud(rng.uniform(-100, 100, (n, 3)),
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                path, encoding="ascii")
+    with open(path, "rb") as fh:
+        rows = max(block.count(b"\n") for block in _ascii._blocks(fh))
+    assert rows < chunk_size // 4
+    chunks = TableChunks(path, 6, chunk_size=chunk_size) if kind == "table" \
+        else open_reader(path).chunks(chunk_size)
+    tracemalloc.start()
+    try:
+        held = []   # above the chunk at each yield
+        for chunk in chunks:
+            current, _ = tracemalloc.get_traced_memory()
+            arrays = chunk if kind == "table" else \
+                (chunk.positions, chunk.colors)
+            held.append(current - sum(array.nbytes for array in arrays))
+            del chunk, arrays
+    finally:
+        tracemalloc.stop()
+    assert len(held) == n // chunk_size
+    # a block's float64 values (7 columns for pts) and line numbers, and
+    # small objects; one chunk's float64 values alone take about 0.5 MB
+    bound = rows * (7 * 8 + 8) + (128 << 10)
+    assert max(held) <= bound, \
+        f"{kind}: a text read held {max(held) / 2**10:.0f} KiB besides its " \
+        f"chunk at a yield; a block's rows take {rows * 56 / 2**10:.0f} KiB"
 
 
 def test_row_count_holds_one_block(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ class TestFitColorSphere:
         want = [-(-p * n // 100)
                 for p in range(1, 101) for n in range(1, 1001)]
         assert got == want
+
+    @given(q=st.floats(allow_nan=False, allow_infinity=False),
+           n=st.integers(0, 10**12))
+    def test_nearest_rank_matches_fraction_oracle(self, q, n):
+        # every finite float, its repr in fixed or exponent notation
+        assert nearest_rank(q, n) == math.ceil(Fraction(repr(q)) * n / 100)
 
     def test_percentile_7_of_100_is_rank_7(self):
         colors = np.zeros((100, 3))
