@@ -272,7 +272,7 @@ class GridIndex:
     points to a cell (32 by default).  A grid of at most 65,535 cells keeps
     16-bit keys, which numpy sorts with a radix sort; only a denser grid
     over more points widens them.  ``rows(box, among)`` runs the exact
-    predicate, ``OrientedBox.contains``, a slice at a time on the indexed
+    predicate, ``OrientedBox.contains``, a batch at a time on the indexed
     rows under ``box.world_bounds()`` (all of them when those bounds are
     not finite) that the boolean mask ``among`` keeps.  ``query(x)`` gives
     each query's nearest indexed row.  Rows with a NaN or infinite
@@ -282,11 +282,14 @@ class GridIndex:
 
     MAX_CELLS = (1 << 16) - 1
     POINTS_PER_CELL = 32
-    #: candidate pairs a query batch measures at once: its scratch takes
-    #: 130-150 bytes a pair, about 1.2 MB a batch
+    #: query candidate pairs, or box candidates, measured at once: 130-150
+    #: bytes of scratch a pair and about 100 a candidate, 1.2 MB a batch
     BATCH = 1 << 13
-    #: rows whose cell keys are computed, and then placed, at once
-    SLICE = 1 << 16
+    #: rows whose cell keys are computed, counted and placed at once: about
+    #: 60 bytes a row of scratch, also in an index built during an edit step
+    SLICE = 1 << 14
+    #: queries searched at once: about 170 bytes a query, 0.35 MB
+    QUERIES = 1 << 11
     #: relative margin on the stopping distance, far above rounding error
     SLACK = 1e-9
 
@@ -338,38 +341,31 @@ class GridIndex:
         """The first slot of each cell (and the end of the last), and the
         indexed rows grouped by cell key.
 
-        A counting sort: ``starts[c + 1]`` begins as the first slot of
-        cell ``c`` and, as the cell's next free slot, ends as the first
-        slot of cell ``c + 1``.  Keys are placed ``SLICE`` at a time, so
-        that no temporary but the cell counts is as long as the index."""
-        # bincount copies its input as intp, so it counts a slice at a
-        # time; a slice of at least one key per cell keeps it O(keys)
-        step = max(self.SLICE, cells)
-        ends = np.bincount(key[:step], minlength=cells)
-        for a in range(step, key.size, step):
-            ends += np.bincount(key[a:a + step], minlength=cells)
-        np.cumsum(ends, out=ends)   # in place: a cast would copy it
-        starts = np.zeros(cells + 1, dtype=row_type)
-        starts[2:] = ends[:-1]
-        del ends
-        free = starts[1:]
+        A counting sort, ``SLICE`` keys at a time, so that no temporary is
+        as long as the index or the grid: one pass counts each slice's runs
+        of equal keys, the next places them.  ``starts[c + 1]`` begins as
+        the first slot of cell ``c`` and, as the cell's next free slot,
+        ends as the first slot of cell ``c + 1``."""
         # numpy radix-sorts 16-bit keys; wider ones sort faster unstably,
         # and no caller needs the order of the rows inside a cell
         kind = "stable" if key.dtype == np.uint16 else "quicksort"
+        starts = np.zeros(cells + 1, dtype=row_type)
+        counts = starts[2:]   # cell c's count; the last cell's is not needed
+        for a in range(0, key.size, self.SLICE):
+            cell, _, runs = _key_runs(np.sort(key[a:a + self.SLICE],
+                                              kind=kind))
+            keep = cell < cells - 1
+            counts[cell[keep]] += runs[keep].astype(row_type)
+        np.cumsum(starts, dtype=row_type, out=starts)
+        free = starts[1:]
         order = np.empty(key.size, dtype=row_type)
         for a in range(0, key.size, self.SLICE):
             part = key[a:a + self.SLICE]
             sort = np.argsort(part, kind=kind)
-            part = part[sort]
+            cell, first, runs = _key_runs(part[sort])
             # each run of equal keys fills its cell's next free slots
-            first = np.empty(part.size, dtype=bool)
-            first[0] = True
-            np.not_equal(part[1:], part[:-1], out=first[1:])
-            first = np.flatnonzero(first)
-            runs = np.diff(first, append=part.size)
-            cell = part[first]
             slots = np.repeat(free[cell] - first, runs)
-            slots += np.arange(part.size)
+            slots += np.arange(sort.size)
             sort += a
             order[slots] = sort if self._subset is None \
                 else self._subset[sort]
@@ -454,11 +450,15 @@ class GridIndex:
         if among is not None:
             candidates = candidates[among[candidates]]
         inside = np.empty(candidates.size, dtype=bool)
-        for a in range(0, candidates.size, self.SLICE):
-            part = slice(a, a + self.SLICE)
+        for a in range(0, candidates.size, self.BATCH):
+            part = slice(a, a + self.BATCH)
             inside[part] = box.contains(
                 np.take(self.positions, candidates[part], axis=0))
-        return np.sort(candidates[inside]).astype(np.intp)
+        rows = candidates[inside]
+        del candidates, inside   # before the intp copy is made
+        rows = rows.astype(np.intp)
+        rows.sort()
+        return rows
 
     def query(self, x: np.ndarray) -> np.ndarray:
         """Row of the indexed position nearest to each finite query point.
@@ -477,6 +477,13 @@ class GridIndex:
             raise ValueError("queries must be finite")
         if not self._order.size:
             raise ValueError("nearest-row query on an empty index")
+        rows = np.empty(len(x), dtype=np.int64)
+        for a in range(0, len(x), self.QUERIES):
+            rows[a:a + self.QUERIES] = self._nearest(x[a:a + self.QUERIES])
+        return rows
+
+    def _nearest(self, x: np.ndarray) -> np.ndarray:
+        """``query`` of one batch of queries."""
         n = len(x)
         counts = self._counts[:, None]
         axes = np.flatnonzero(self._counts > 1)
@@ -490,15 +497,12 @@ class GridIndex:
         ring = np.maximum(np.maximum(-cell, cell - counts + 1).max(axis=0), 1)
         best = np.full(n, np.inf)
         rows = np.full(n, -1, dtype=np.int64)
-        # one gather of whole rows: np.take of a column would first copy
-        # the strided column of all of ``positions``
-        columns = np.take(self.positions, self._order, axis=0).T
         queries = [np.ascontiguousarray(column) for column in x.T]
         finest = self._scale[axes].max(initial=0.0)
         todo = np.arange(n)
         while todo.size:
             r = ring[todo]
-            self._scan(queries, columns, todo, cell[:, todo] - r,
+            self._scan(queries, todo, cell[:, todo] - r,
                        cell[:, todo] + r, best, rows)
             face = np.full(todo.size, np.inf)
             for k in axes:
@@ -517,12 +521,12 @@ class GridIndex:
             todo = todo[~done]
         return rows
 
-    def _scan(self, queries, columns, todo, lo, hi, best, rows) -> None:
+    def _scan(self, queries, todo, lo, hi, best, rows) -> None:
         """Fold the points of the cells [lo, hi] (clipped to the grid) into
         the running ``best`` distance and ``rows`` of each query in
         ``todo``, at most ``BATCH`` runs or candidates at a time."""
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, self._counts[:, None] - 1)
+        lo = np.maximum(lo, 0, out=lo)
+        hi = np.minimum(hi, self._counts[:, None] - 1, out=hi)
         nx, ny, _ = self._counts
         span = hi[1] - lo[1] + 1
         pairs = span * (hi[2] - lo[2] + 1)
@@ -540,7 +544,10 @@ class GridIndex:
                 if not slots.size:
                     continue
                 who = todo[np.repeat(owner[c:d], lengths[c:d])]
-                dx, dy, dz = (columns[k][slots] - queries[k][who]
+                found = self._order[slots]
+                # whole rows: a column of ``positions`` is strided
+                points = np.take(self.positions, found, axis=0)
+                dx, dy, dz = (points[:, k] - queries[k][who]
                               for k in range(3))
                 dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
                 first = np.empty(who.size, dtype=bool)
@@ -551,13 +558,21 @@ class GridIndex:
                 tied = dist == low[np.cumsum(first) - 1]
                 # the sentinel in the rows' own type: a wider one would wrap
                 pick = np.minimum.reduceat(
-                    np.where(tied, self._order[slots],
-                             np.iinfo(self._order.dtype).max), seg)
+                    np.where(tied, found, np.iinfo(found.dtype).max), seg)
                 q = who[seg]
                 better = (low < best[q]) | ((low == best[q])
                                             & (pick < rows[q]))
                 best[q[better]] = low[better]
                 rows[q[better]] = pick[better]
+
+
+def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The key, first place and length of each run of equal sorted keys."""
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return keys[first], first, np.diff(first, append=keys.size)
 
 
 def _runs(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -591,7 +606,7 @@ class ColorSphere:
         center = tuple(float(v) for v in self.center)
         if any(not (0.0 <= v <= 255.0) for v in center):
             raise ValueError(f"sphere center {center} outside [0, 255]^3")
-        if self.radius < 0:
+        if not self.radius >= 0:   # NaN too
             raise ValueError("sphere radius must be >= 0")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
@@ -663,7 +678,8 @@ def rgb_color_aabb(colors: Iterable) -> RgbAabb:
     arr = np.asarray(colors)
     if arr.size == 0:
         raise EmptySelection("rgb_color_aabb of an empty color set")
-    # one reduction per column: ten times faster than min(axis=0)
-    columns = arr.reshape(-1, 3).astype(np.float64, copy=False).T
+    # one reduction per column, ten times faster than min(axis=0), in the
+    # colors' own type: RgbAabb makes each bound a float
+    columns = arr.reshape(-1, 3).T
     return RgbAabb(min=tuple(column.min() for column in columns),
                    max=tuple(column.max() for column in columns))

@@ -10,10 +10,9 @@ from ..errors import UnknownFormat
 ASCII = "ascii"
 BINARY = "binary_little_endian"
 
-#: points per streaming batch, the same as ``GridIndex.SLICE``: a batch's
-#: raw records, 1.5 MB of float64 positions and its encoded output, so a
-#: las->ply conversion peaks about 6 MB above an import-only process,
-#: whatever the file size
+#: points per streaming batch: a batch's raw records, 1.5 MB of float64
+#: positions and its encoded output, so a las->ply conversion peaks about
+#: 6 MB above an import-only process, whatever the file size
 DEFAULT_CHUNK_POINTS = 65_536
 
 #: default LAS quantization step in meters (0.1 mm)

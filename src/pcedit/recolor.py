@@ -18,8 +18,7 @@ import numpy as np
 
 from .boxfile import JoinedBox
 from .cloud import (ColorSphere, GridIndex, OrientedBox, PointCloud,
-                    RgbAabb, Selection, mean_color, quantize_colors,
-                    rgb_color_aabb)
+                    RgbAabb, Selection, quantize_colors, rgb_color_aabb)
 from .errors import (EmptySelection, NoEnabledBoxes, PipelineStepError)
 
 PROJECT_TO_SURFACE = "project_to_surface"
@@ -27,6 +26,10 @@ NEAREST_INLIER = "nearest_inlier_spatial"
 
 #: max displacement quantization can add on top of the sphere radius (√3/2)
 ROUNDING_SLACK = math.sqrt(3.0) / 2.0
+
+#: in-box points whose colors are worked at once: a step's float64
+#: scratch is about 100 bytes a point of one batch, under 1 MB
+BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,8 @@ class RemapParams:
 
     def __post_init__(self):
         lo, hi = self.target.min, self.target.max
-        if min(lo) < 0 or max(hi) > 255:
+        # a NaN bound fails every comparison, so it is rejected too
+        if not all(0 <= v <= 255 for v in lo + hi):
             raise ValueError(f"target box [{lo}, {hi}] exceeds [0, 255]^3")
 
 
@@ -86,14 +90,28 @@ def nearest_rank(percentile: float, n: int) -> int:
 
 def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
     """Mean-color center; radius from the nearest-rank percentile of
-    distances (or taken verbatim in absolute mode)."""
-    center = mean_color(colors)
+    distances (or taken verbatim in absolute mode).
+
+    Both go ``BATCH`` colors at a time.  The center is the column sums over
+    the count; integer colors sum exactly (in int64), so it is
+    ``mean_color``'s bit for bit.  The distances fill one float64 array."""
+    colors = np.asarray(colors).reshape(-1, 3)
+    if not colors.size:
+        raise EmptySelection("fit_color_sphere of an empty color set")
+    total = np.zeros(3, dtype=np.result_type(colors.dtype, np.int64))
+    for a in range(0, len(colors), BATCH):
+        total += colors[a:a + BATCH].sum(axis=0, dtype=total.dtype)
+    center = tuple(total / len(colors))
     if params.radius_mode == "absolute":
-        return ColorSphere(center=tuple(center), radius=params.radius)
-    dists = np.sort(ColorSphere(center=tuple(center), radius=0.0)
-                    .distances(colors))
-    rank = nearest_rank(params.percentile, dists.size)
-    return ColorSphere(center=tuple(center), radius=float(dists[rank - 1]))
+        return ColorSphere(center=center, radius=params.radius)
+    sphere = ColorSphere(center=center, radius=0.0)
+    dists = np.empty(len(colors))
+    for a in range(0, len(colors), BATCH):
+        dists[a:a + BATCH] = sphere.distances(colors[a:a + BATCH])
+    # the element a full sort would put at the rank
+    rank = nearest_rank(params.percentile, dists.size) - 1
+    dists.partition(rank)
+    return ColorSphere(center=center, radius=float(dists[rank]))
 
 
 class _Edit:
@@ -101,10 +119,12 @@ class _Edit:
 
     The cloud is indexed once; every step works on ascending source rows.
     Deleted points are cleared from ``alive`` and recolors write into one
-    color buffer, copied from the source on the first write.  ``result``
-    names the survivors as a ``Selection`` of the edited cloud, which a
-    writer gathers a batch at a time, with the ``has_color`` flag the
-    step-by-step chain of clouds would carry.
+    color buffer, copied from the source on the first write.  A step holds
+    its box's rows and their uint8 colors, and does its float64 color math
+    ``BATCH`` points at a time.  ``result`` names the survivors as a
+    ``Selection`` of the edited cloud, which a writer gathers a batch at a
+    time, with the ``has_color`` flag the step-by-step chain of clouds
+    would carry.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -225,69 +245,83 @@ class EditStep:
             else "recolor_rgb_box_remap"
 
     def apply(self, edit: _Edit) -> StepReport:
-        rows = edit.rows(self.box)
         report = StepReport(op=self.op, box_label=self.box.label,
-                            points_examined=rows.size, points_recolored=0,
+                            points_examined=0, points_recolored=0,
                             points_deleted=0)
         model = self._sphere if isinstance(self.params, SphereParams) \
             else self._remap
-        # the in-box colors belong to the model alone, which may free them
-        model(edit, rows,
-              np.take(edit.colors, rows, axis=0).astype(np.float64), report)
+        model(edit, report)
         return report
 
-    def _sphere(self, edit: _Edit, rows, colors_in, report) -> None:
+    def _in_box(self, edit: _Edit, report: StepReport):
+        """The ascending source rows in the box and their uint8 colors, the
+        model's alone: it works on them a ``BATCH`` at a time and may free
+        them."""
+        rows = edit.rows(self.box)
+        report.points_examined = rows.size
+        return rows, np.take(edit.colors, rows, axis=0)
+
+    def _sphere(self, edit: _Edit, report: StepReport) -> None:
+        rows, colors_in = self._in_box(edit, report)
         sphere = fit_color_sphere(colors_in, self.params)
         report.sphere_center = sphere.center
         report.sphere_radius = sphere.radius
-        dists = sphere.distances(colors_in)
-        outlier = dists > sphere.radius
+        center = np.asarray(sphere.center)
+        project = not self.delete \
+            and self.params.outlier_mode == PROJECT_TO_SURFACE
+        outlier = np.empty(rows.size, dtype=bool)
+        for a in range(0, rows.size, BATCH):
+            colors = colors_in[a:a + BATCH]
+            dists = sphere.distances(colors)
+            outlier[a:a + BATCH] = out = dists > sphere.radius
+            if not (project and out.any()):
+                continue
+            # c + (p - c) * r / d, in place; r = 0 gives c exactly
+            projected = colors[out] - center
+            projected *= (sphere.radius / dists[out])[:, None]
+            projected += center
+            edit.recolor(rows[a:a + BATCH][out], quantize_colors(projected))
         out_rows = rows[outlier]
         if self.delete:
             edit.alive[out_rows] = False
             report.points_deleted = out_rows.size
             return
-        if not out_rows.size:
-            return
-        if self.params.outlier_mode == PROJECT_TO_SURFACE:
-            center = np.asarray(sphere.center)
-            if sphere.radius == 0.0:
-                projected = np.broadcast_to(center, (out_rows.size, 3))
-            else:
-                delta = colors_in[outlier] - center
-                scale = sphere.radius / dists[outlier]
-                projected = center + delta * scale[:, None]
-            edit.recolor(out_rows, quantize_colors(projected))
-        else:
-            del colors_in, dists   # not held through the search
-            in_rows = rows[~outlier]
-            if in_rows.size == 0:
-                edit.recolor(out_rows, quantize_colors(
-                    np.broadcast_to(sphere.center, (out_rows.size, 3))))
-            else:
-                nearest = _nearest_inlier_rows(edit.source.positions,
-                                               in_rows, out_rows)
-                edit.recolor(out_rows, edit.colors[in_rows[nearest]])
         report.points_recolored = out_rows.size
+        if project or not out_rows.size:
+            return
+        in_rows = rows[~outlier]
+        # not held through the search; the last batch's view of colors_in
+        # would keep it alive
+        del rows, colors_in, colors, outlier
+        if in_rows.size == 0:
+            edit.recolor(out_rows, quantize_colors(
+                np.broadcast_to(center, (out_rows.size, 3))))
+        else:
+            nearest = _nearest_inlier_rows(edit.source.positions,
+                                           in_rows, out_rows)
+            edit.recolor(out_rows, edit.colors[in_rows[nearest]])
 
-    def _remap(self, edit: _Edit, rows, colors_in, report) -> None:
+    def _remap(self, edit: _Edit, report: StepReport) -> None:
+        rows, colors_in = self._in_box(edit, report)
         source = rgb_color_aabb(colors_in)
         report.source_min, report.source_max = source.min, source.max
         target = self.params.target
-        if self.delete:
-            outside = ~target.contains(colors_in)
-            edit.alive[rows[outside]] = False
-            report.points_deleted = int(outside.sum())
-            return
         s_cent = np.asarray(source.centroid)
         s_ext = np.asarray(source.extent)
         t_ext = np.asarray(target.extent)
         gain = np.divide(t_ext, s_ext, out=np.zeros(3), where=s_ext > 0)
-        mapped = colors_in - s_cent   # t + (c - s) * g, in place
-        mapped *= gain
-        mapped += target.centroid
-        edit.recolor(rows, quantize_colors(mapped))
-        report.points_recolored = rows.size
+        for a in range(0, rows.size, BATCH):
+            part, colors = rows[a:a + BATCH], colors_in[a:a + BATCH]
+            if self.delete:
+                outside = ~target.contains(colors)
+                edit.alive[part[outside]] = False
+                report.points_deleted += int(np.count_nonzero(outside))
+                continue
+            mapped = colors - s_cent   # t + (c - s) * g, in place
+            mapped *= gain
+            mapped += target.centroid
+            edit.recolor(part, quantize_colors(mapped))
+            report.points_recolored += part.size
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Core data model: containment, color statistics, validation."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,17 @@ class TestOrientedBoxValidation:
     def test_rotations_normalized_to_half_open_range(self):
         box = make_box(rot=(-90, 450, 360))
         assert box.rotations == (270.0, 90.0, 0.0)
+
+
+class TestColorSphereValidation:
+    @pytest.mark.parametrize("radius", [-1e-9, -math.inf, math.nan])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            ColorSphere(center=(10, 20, 30), radius=radius)
+
+    def test_infinite_radius_keeps_every_color(self):
+        sphere = ColorSphere(center=(10, 20, 30), radius=math.inf)
+        assert sphere.radius == math.inf
 
 
 class TestColorStats:

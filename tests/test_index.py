@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcedit import (EditStep, EmptySelection, OrientedBox,
+from pcedit import (ColorSphere, EditStep, EmptySelection, OrientedBox,
                     PipelineStepError, PointCloud, RemapParams, RgbAabb,
                     SphereParams, SubstituteStep, apply_pipeline,
-                    fit_color_sphere, quantize_colors, rgb_color_aabb,
-                    split_by_boxes)
+                    fit_color_sphere, mean_color, quantize_colors,
+                    rgb_color_aabb, split_by_boxes)
+from pcedit import recolor
 from pcedit.boxfile import JoinedBox
 from pcedit.cloud import GridIndex
 from pcedit.recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE,
-                            _nearest_inlier_rows)
+                            _nearest_inlier_rows, nearest_rank)
 
 from conftest import oracle_contains, oracle_rotation, random_box, random_cloud
 
@@ -291,10 +292,22 @@ class TestNearestInlierSearch:
             GridIndex(np.empty((0, 3))).query(np.zeros((1, 3)))
 
 
+#: every batch size of the engine: ``GridIndex.BATCH`` (query candidates
+#: and box candidates at once), ``GridIndex.SLICE`` (keys computed,
+#: counted and placed at once), ``GridIndex.QUERIES`` (queries searched at
+#: once) and ``recolor.BATCH`` (in-box colors at once)
+BATCH_CONSTANTS = pytest.mark.parametrize(
+    "owner, name", [(GridIndex, "BATCH"), (GridIndex, "SLICE"),
+                    (GridIndex, "QUERIES"), (recolor, "BATCH")],
+    ids=["GridIndex.BATCH", "GridIndex.SLICE", "GridIndex.QUERIES",
+         "recolor.BATCH"])
+BATCH_SIZES = pytest.mark.parametrize("size", [1, 7, None],
+                                      ids=["1", "7", "default"])
+
+
 class TestBatchBoundaries:
-    """``BATCH`` (query candidates at once) and ``SLICE`` (keys computed,
-    counted and placed at once, candidates tested at once) only cut the
-    work: any size gives the rows of the full scan and of scipy."""
+    """The batch sizes only cut the work: any size gives the rows of the
+    full scan and of scipy, and the colors of the whole-array formulas."""
 
     @pytest.fixture(scope="class")
     def scene(self):
@@ -308,8 +321,8 @@ class TestBatchBoundaries:
         return (positions, boxes, np.flatnonzero(inlier),
                 np.flatnonzero(finite & ~inlier))
 
-    @pytest.mark.parametrize("size", [1, 7, None], ids=["1", "7", "default"])
-    @pytest.mark.parametrize("name", ["BATCH", "SLICE"])
+    @BATCH_SIZES
+    @pytest.mark.parametrize("name", ["BATCH", "SLICE", "QUERIES"])
     def test_rows_and_nearest_rows(self, monkeypatch, scene, name, size):
         positions, boxes, inlier_rows, outlier_rows = scene
         if size is not None:
@@ -322,6 +335,54 @@ class TestBatchBoundaries:
         assert np.array_equal(
             _nearest_inlier_rows(positions, inlier_rows, outlier_rows),
             scipy_nearest(positions, inlier_rows, outlier_rows))
+
+    @BATCH_SIZES
+    @BATCH_CONSTANTS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_steps_match_the_reference(self, owner, name, size, seed):
+        """Every step, in-box color math included, equals the full-scan,
+        whole-array reference bit for bit."""
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(rng, int(rng.integers(1, 300)))
+        steps = _random_steps(rng, 6)
+        with pytest.MonkeyPatch.context() as patch:
+            if size is not None:
+                patch.setattr(owner, name, size)
+            try:
+                got, report = apply_pipeline(cloud, steps)
+            except PipelineStepError as err:
+                assert isinstance(err.cause, EmptySelection)
+                steps = steps[:err.step_index]
+                got, report = apply_pipeline(cloud, steps)
+        want, want_reports = _reference_pipeline(cloud, steps)
+        _assert_same_cloud(got, want)
+        assert json.loads(report.to_json())["steps"] == _json(want_reports)
+
+    @BATCH_SIZES
+    @given(dtype=st.sampled_from([np.uint8, np.int64, np.float64]),
+           n=st.integers(0, 60), percentile=st.floats(0.01, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_is_the_whole_array_fit(self, size, dtype, n, percentile,
+                                        seed):
+        """The center from batched int64 column sums is ``mean_color``'s,
+        and the radius the element a full sort of all the distances puts
+        at the rank, bit for bit, for integer colors of any type."""
+        colors = np.random.default_rng(seed).integers(0, 256, (n, 3)) \
+            .astype(dtype)
+        params = SphereParams(percentile=percentile)
+        with pytest.MonkeyPatch.context() as patch:
+            if size is not None:
+                patch.setattr(recolor, "BATCH", size)
+            if n == 0:
+                with pytest.raises(EmptySelection):
+                    fit_color_sphere(colors, params)
+                return
+            sphere = fit_color_sphere(colors, params)
+        center = mean_color(colors)
+        dists = np.sort(ColorSphere(center=tuple(center), radius=0.0)
+                        .distances(colors.astype(np.float64)))
+        assert np.array_equal(sphere.center, center)
+        assert sphere.radius == dists[nearest_rank(percentile, n) - 1]
 
     @pytest.mark.parametrize("size", [1, 7, 64])
     def test_sparse_grid_slices(self, monkeypatch, rng, size):

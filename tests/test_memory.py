@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 import pcedit
-from pcedit import BoxFile, OrientedBox, PointCloud, read_cloud, write_cloud
+from pcedit import (BoxFile, EditStep, OrientedBox, PointCloud, RemapParams,
+                    RgbAabb, SphereParams, read_cloud, write_cloud)
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_reader, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
 from pcedit.cloud import GridIndex
+from pcedit.recolor import NEAREST_INLIER, _Edit
 from pcedit.formats._ascii import TableChunks, count_data_rows
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -164,14 +166,17 @@ EDIT_SIZES = (500_000, 2_000_000)
 #: scratch of one box (15% of the points here) or one batch.  A whole copy
 #: of the survivors or of the remainder adds another 27 bytes for each
 #: copied point, which the bounds of delete, segment and split leave no
-#: room for.  The remap and the nearest-inlier search add float64 work on
-#: the box's colors and positions.
+#: room for.  A recolor adds its color buffer, 3 bytes a point, and the
+#: nearest-inlier search its sparse grid over the box's inliers.  With a
+#: box's colors worked a batch at a time, the remap grows by 37.7 bytes a
+#: point and the nearest-inlier recolor by 39.8; their bounds leave about
+#: 5 bytes a point (7 MiB between the two sizes) above that.
 EDIT_COMMANDS = {
     "delete": (["delete", "--percentile", "90"], 48),
     "segment": (["segment", "--palette", "{root}/palette.txt"], 48),
     "remap": (["recolor", "--mode", "remap",
-               "--target", "20", "60", "20", "110", "210", "110"], 59),
-    "nearest": (["recolor", "--outlier-mode", "nearest_inlier_spatial"], 63),
+               "--target", "20", "60", "20", "110", "210", "110"], 43),
+    "nearest": (["recolor", "--outlier-mode", "nearest_inlier_spatial"], 45),
     "split": (["split"], 48),
 }
 
@@ -231,6 +236,60 @@ def test_edit_peak_grows_by_the_cloud_and_its_index(name, edit_scenes):
     assert slope <= bound, \
         f"{name}: peak {small} MB at {EDIT_SIZES[0]} points, {big} MB at " \
         f"{EDIT_SIZES[1]}: {slope:.1f} bytes a point, bound {bound}"
+
+
+_TARGET = RemapParams(RgbAabb((20, 60, 20), (110, 210, 110)))
+
+#: each step and the most it may hold for each point of its box, above the
+#: cloud, its index and the color buffer.  Its rows take 8 bytes a point,
+#: their colors 3 and the outlier mask 1, and the float64 color math runs
+#: a batch at a time: about 18 bytes a point, 22 for the projection.  The
+#: nearest-inlier search adds its sparse grid over the inliers, about 20
+#: bytes an inlier: 42 in all.  Whole-box float64 copies took 39-87.
+STEP_SCRATCH = {
+    "project": (dict(params=SphereParams()), 32),
+    "nearest": (dict(params=SphereParams(outlier_mode=NEAREST_INLIER)), 56),
+    "remap": (dict(params=_TARGET), 32),
+    "sphere-delete": (dict(params=SphereParams(
+        radius_mode="absolute", radius=40.0), delete=True), 32),
+    "rgb-delete": (dict(params=_TARGET, delete=True), 32),
+}
+
+
+@pytest.fixture(scope="module")
+def boxed_cloud():
+    """240k points, about half of them inside one rotated box."""
+    rng = np.random.default_rng(22)
+    n = 240_000
+    colors = rng.normal((90, 120, 70), 30, (n, 3)).clip(0, 255)
+    cloud = PointCloud(rng.uniform(0, 100, (n, 3)), colors.astype(np.uint8))
+    box = OrientedBox("half", (30, 50, 50), (60, 100, 100), (0, 0, 5))
+    return cloud, box
+
+
+@pytest.mark.parametrize("name", list(STEP_SCRATCH))
+def test_step_scratch_per_in_box_point(name, boxed_cloud):
+    """One edit step holds its box's rows and uint8 colors, not float64
+    copies of them: the fit, the per-point steps, the box test and the
+    inlier search each work a batch at a time."""
+    cloud, box = boxed_cloud
+    kwargs, bound = STEP_SCRATCH[name]
+    step = EditStep(box, **kwargs)
+    edit = _Edit(cloud)
+    if not step.delete:
+        step.apply(edit)   # so that the color buffer is already its own
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        report = step.apply(edit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.points_examined >= 100_000
+    per_point = (peak - base) / report.points_examined
+    assert per_point <= bound, \
+        f"{name}: one step held {per_point:.1f} bytes for each of its " \
+        f"{report.points_examined} points, bound {bound}"
 
 
 def test_read_cloud_holds_the_cloud_plus_one_chunk(tmp_path):

@@ -305,6 +305,16 @@ class TestRemap:
         with pytest.raises(ValueError):
             self.target((0, 0, 0), (256, 10, 10))
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((math.nan, 0, 0), (10, 10, 10)), ((0, 0, 0), (10, math.nan, 10)),
+        ((math.nan,) * 3, (math.nan,) * 3), ((0, 0, -math.inf), (10, 10, 10)),
+    ])
+    def test_non_finite_target_rejected(self, lo, hi):
+        """A NaN bound passes ``<`` and ``>`` checks; the remap would cast
+        it to uint8, and a remap delete would drop every in-box point."""
+        with pytest.raises(ValueError, match="exceeds"):
+            self.target(lo, hi)
+
     def test_empty_box_raises(self, rng):
         cloud = cloud_from(rng.integers(0, 256, (5, 3)))
         far = OrientedBox(label="far", centroid=(99, 99, 99),
