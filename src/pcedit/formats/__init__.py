@@ -4,7 +4,8 @@ Extension picks the format; magic bytes must agree (``LASF``, the ``ply``
 line, the PCD header) or detection fails loudly rather than guessing.
 Everything funnels through two small protocols over ``PointCloud`` chunks:
 
-* reader: ``.descriptor``, ``.count``, ``.chunks(chunk_size)``
+* reader: ``.descriptor``, ``.count``, ``.chunks(chunk_size)``, which
+  yields batches of at most ``chunk_size`` points
 * writer: ``.write(chunk)``, ``.close() -> bytes written``
 
 so the conversion pipeline never holds more than one batch in memory:
@@ -292,11 +293,14 @@ def convert(in_path, out_path, *, kind: str | None = None,
             dry_run: bool = False) -> ConversionReport:
     """Stream a point-cloud file into another format.
 
-    Runs in fixed-size batches.  The whole-file passes before the batches
-    are a line scan that counts the rows of a headerless ASCII table, the
-    coordinate minimum when a LAS offset must be derived, and for .xyzrgb
-    a full parse that settles the color convention.
+    Runs in batches of at most ``chunk_size`` points, which must be at
+    least 1.  The whole-file passes before the batches are a line scan
+    that counts the rows of a headerless ASCII table, the coordinate
+    minimum when a LAS offset must be derived, and for .xyzrgb a full
+    parse that settles the color convention.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, not {chunk_size}")
     reader = open_reader(in_path)
     in_desc = reader.descriptor
     out_kind = kind or kind_of(out_path)

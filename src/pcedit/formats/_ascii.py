@@ -14,8 +14,8 @@ and which lines hold data (a character other than whitespace before any
 data lines in order.  Line ends and invalid UTF-8 read as in text mode.
 ``np.loadtxt`` is the only number rule, and when it rejects a block a
 bisection finds the first bad row in file order, the one reported.  A
-chunk is a view of one block's rows, or one buffer its blocks' rows are
-copied into.
+chunk is a view of at most ``chunk_size`` rows of one block: no chunk
+spans two blocks, and no row is copied to make one.
 
 Rows are written by ``rows_to_text``, the bytes ``np.savetxt`` gives: a
 ``%.6f`` value correctly rounded, half-to-even on its exact binary value,
@@ -136,15 +136,18 @@ def _scan(text: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TableChunks:
-    """Iterate the numeric rows of a text file in fixed-size batches.
+    """Iterate the numeric rows of a text file, each block's rows in
+    batches of at most ``chunk_size``.
 
     Yields ``(values, lines)`` pairs where ``values`` is float64 of shape
     ``(k, n_columns)`` and ``lines`` holds the 1-based physical line number
-    of each row.  Rows start after ``header``, the bytes a format's header
-    parser consumed; line numbers go on from the header's lines as text mode
-    counts them.  Blank lines and ``#`` comments are skipped but still count
-    toward line numbers.  After exhaustion ``rows_read`` and ``line_no`` hold
-    the totals.
+    of each row; both are views of one block's parsed rows, and a block's
+    bytes, text and scan are gone before the first of them is yielded.
+    Rows start after ``header``, the bytes a format's header parser
+    consumed; line numbers go on from the header's lines as text mode
+    counts them.  Blank lines and ``#`` comments are skipped but still
+    count toward line numbers.  After exhaustion ``rows_read`` and
+    ``line_no`` hold the totals.
 
     Reading stops at the first failure in file order: a row ``np.loadtxt``
     rejects or with the wrong column count, a row past ``max_rows`` when
@@ -168,25 +171,6 @@ class TableChunks:
         self.line_no = 0
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        chunk = _Chunk(self.chunk_size)
-        try:
-            for values, lines in self._rows():
-                while len(values):
-                    values, lines = chunk.add(values, lines)
-                    if chunk.filled == self.chunk_size:
-                        yield chunk.take()
-                del values, lines  # an empty view keeps its block alive
-        except ParseError:
-            if chunk.filled:
-                yield chunk.take()  # the good rows before the failure
-            raise
-        if chunk.filled:
-            yield chunk.take()
-
-    def _rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The good rows of each block as ``(values, lines)`` arrays; raises
-        after the last of them at the first failure.  Each block's bytes,
-        text and scan are gone before its rows are yielded."""
         self.rows_read = 0
         self.line_no = len(self.header.splitlines())  # as text mode counts
         with open(self.path, "rb") as fh:
@@ -194,10 +178,12 @@ class TableChunks:
             for block in _blocks(fh):
                 values, lines, end = self._block_rows(_text(block))
                 del block  # its text and scan went with _block_rows
-                yield values, lines
+                for lo in range(0, len(values), self.chunk_size):
+                    yield (values[lo:lo + self.chunk_size],
+                           lines[lo:lo + self.chunk_size])
                 del values, lines  # not alive while the next block is read
                 if isinstance(end, ParseError):
-                    raise end
+                    raise end  # after the good rows before the failure
                 if end:
                     return  # max_rows reached: the rest is not read
         if self.max_rows is not None and self.rows_read < self.max_rows:
@@ -281,45 +267,6 @@ def _floats(text: bytes, rows: int, width: int) -> np.ndarray | None:
     except ValueError:
         return None
     return values if values.shape == (rows, width) else None
-
-
-class _Chunk:
-    """The rows of the chunk being built.  Its first part is a view of its
-    block's arrays; a second part moves them into one buffer of the chunk's
-    size, which every later part is copied into.  So a chunk inside one
-    block is not copied, and no chunk is copied twice."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.values = self.lines = None
-        self.filled = 0
-
-    def add(self, values: np.ndarray, lines: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-        """Take the leading rows of ``(values, lines)`` that fit; returns
-        the rest."""
-        take = min(self.size - self.filled, len(values))
-        if self.values is None:
-            self.values, self.lines = values[:take], lines[:take]
-        else:
-            if len(self.values) < self.size:  # a view: move it to a buffer
-                held = self.values, self.lines
-                self.values = np.empty((self.size, held[0].shape[1]))
-                self.lines = np.empty(self.size, np.int64)
-                self.values[:self.filled], self.lines[:self.filled] = held
-                del held
-            end = self.filled + take
-            self.values[self.filled:end] = values[:take]
-            self.lines[self.filled:end] = lines[:take]
-        self.filled += take
-        return values[take:], lines[take:]
-
-    def take(self) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk's ``(values, lines)``, which this object lets go of."""
-        chunk = self.values[:self.filled], self.lines[:self.filled]
-        self.values = self.lines = None
-        self.filled = 0
-        return chunk
 
 
 def count_data_rows(path) -> int:

@@ -172,12 +172,10 @@ def cKDTree(data, rows=None):
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
                          outlier_rows: np.ndarray) -> np.ndarray:
-    """Index (into the ascending ``inlier_rows``) of each outlier's nearest
-    inlier; distance ties resolve to the lowest index.  The inliers are
-    indexed where they lie in ``positions``, not copied out of it."""
-    nearest = cKDTree(positions, inlier_rows).query(positions[outlier_rows])
-    # the lowest of tied rows is the lowest index, as the rows ascend
-    return np.searchsorted(inlier_rows, nearest)
+    """The row of ``positions`` of each outlier's nearest inlier; distance
+    ties resolve to the lowest row.  The inliers are indexed where they lie
+    in ``positions``, not copied out of it."""
+    return cKDTree(positions, inlier_rows).query(positions[outlier_rows])
 
 
 @dataclass
@@ -299,7 +297,7 @@ class EditStep:
         else:
             nearest = _nearest_inlier_rows(edit.source.positions,
                                            in_rows, out_rows)
-            edit.recolor(out_rows, edit.colors[in_rows[nearest]])
+            edit.recolor(out_rows, edit.colors[nearest])
 
     def _remap(self, edit: _Edit, report: StepReport) -> None:
         rows, colors_in = self._in_box(edit, report)

@@ -90,12 +90,15 @@ def tables(draw):
 
 
 def reference(data: bytes, n_columns: int, skip: int, max_rows, forbid: bool,
-              chunk_size: int, path) -> tuple[list, str | None, int, int]:
+              chunk_size: int, block_ends: np.ndarray,
+              path) -> tuple[list, str | None, int, int]:
     """(chunks, error message, rows read, last line number), reading one
     physical line at a time and parsing each token with ``float``.  Rows
     are scanned up to the first failure; the good rows before it form the
-    chunks.  ``float`` and ``np.loadtxt`` agree on every generated token;
-    ``1_0``, where they differ, has its own test."""
+    chunks, those of each block cut every ``chunk_size`` rows, where block
+    ``i`` ends at line ``block_ends[i]``.  ``float`` and ``np.loadtxt``
+    agree on every generated token; ``1_0``, where they differ, has its own
+    test."""
     text = data.decode("utf-8", errors="replace")
     physical = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if physical[-1] == "":
@@ -127,9 +130,13 @@ def reference(data: bytes, n_columns: int, skip: int, max_rows, forbid: bool,
         if max_rows is not None and len(good) < max_rows:
             error = (f"declared {max_rows} but file ends after {len(good)}",
                      line_no + 1)
-    chunks = [(np.array([row for row, _ in good[lo:lo + chunk_size]]),
-               np.array([line for _, line in good[lo:lo + chunk_size]]))
-              for lo in range(0, len(good), chunk_size)]
+    blocks = np.searchsorted(block_ends, [line for _, line in good])
+    chunks = []
+    for block in np.unique(blocks):
+        rows = [row for row, index in zip(good, blocks) if index == block]
+        chunks += [(np.array([row for row, _ in rows[lo:lo + chunk_size]]),
+                    np.array([line for _, line in rows[lo:lo + chunk_size]]))
+                   for lo in range(0, len(rows), chunk_size)]
     message = None if error is None else \
         f"{path}: line {error[1]}: {error[0]}"
     return chunks, message, len(good), line_no
@@ -149,21 +156,43 @@ def same_values(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def block_ends(path, header: bytes = b"") -> np.ndarray:
+    """The line number of the last line of each block ``_ascii._blocks``
+    cuts the data of ``path`` after ``header`` into, counting its line ends
+    as text mode does (a block never ends inside a ``\\r\\n``)."""
+    with open(path, "rb") as fh:
+        fh.seek(len(header))
+        counts = [len(re.findall(rb"\r\n|\r|\n", block))
+                  for block in _ascii._blocks(fh)]
+    return len(header.splitlines()) + np.cumsum(counts, dtype=np.int64)
+
+
+def chunk_sizes(path, chunk_size: int) -> list[int]:
+    """The row count of each chunk of a headerless table of only data rows:
+    each block's rows cut every ``chunk_size`` rows."""
+    rows = np.diff(block_ends(path), prepend=0)
+    return [min(chunk_size, n - lo) for n in rows.tolist()
+            for lo in range(0, n, chunk_size)]
+
+
 class TestTableChunks:
     @settings(max_examples=400)
     @given(case=tables())
     def test_matches_per_line_reference(self, tmp_path_factory, case):
         path = tmp_path_factory.getbasetemp() / "table.txt"
         path.write_bytes(case["data"])
-        expected, message, rows, line_no = reference(
-            case["data"], case["n_columns"], case["skip"], case["max_rows"],
-            case["forbid"], case["chunk_size"], path)
         # the bytes a header parser consumes: the first ``skip`` lines,
         # ended as text mode ends them (the whole file if it has fewer)
         ends = [0] + [m.end() for m in re.finditer(rb"\r\n|\r|\n",
                                                    case["data"])]
         header = case["data"][:ends[case["skip"]]] \
             if case["skip"] < len(ends) else case["data"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_ascii, "BLOCK_BYTES", case["block_bytes"])
+            blocks = block_ends(path, header)
+        expected, message, rows, line_no = reference(
+            case["data"], case["n_columns"], case["skip"], case["max_rows"],
+            case["forbid"], case["chunk_size"], blocks, path)
         body = tmp_path_factory.getbasetemp() / "body.txt"
         body.write_bytes(case["data"][len(header):])
         table = TableChunks(path, case["n_columns"], header=header,
@@ -194,11 +223,11 @@ class TestTableChunks:
         assert counted == sum(1 for line in physical[case["skip"]:]
                               if line.split("#", 1)[0].strip())
 
-    def test_plain_rows_share_a_chunk_with_a_commented_block(self, tmp_path,
-                                                             monkeypatch):
-        """A chunk fed by a block of number rows and a block with a
-        comment: the good rows come out, then the first row ``np.loadtxt``
-        rejects is named with its token, whatever the chunk size."""
+    def test_plain_block_then_a_commented_block(self, tmp_path,
+                                                monkeypatch):
+        """A block of number rows, then a block with a comment: the good
+        rows come out, then the first row ``np.loadtxt`` rejects is named
+        with its token, whatever the chunk size."""
         monkeypatch.setattr(_ascii, "BLOCK_BYTES", 16)
         path = tmp_path / "mixed.xyz"
         path.write_text("1 2 3\n4 5 6\n7 8 9\n"   # one block: lines 1-3
@@ -249,7 +278,7 @@ class TestTableChunks:
         path = tmp_path / "big.xyz"
         np.savetxt(path, matrix, fmt="%.6f")
         chunks = list(TableChunks(path, 3, chunk_size=777))
-        assert [len(v) for v, _ in chunks] == [777] * 6 + [338]
+        assert [len(v) for v, _ in chunks] == chunk_sizes(path, 777)
         values = np.concatenate([v for v, _ in chunks])
         lines = np.concatenate([n for _, n in chunks])
         assert np.array_equal(values, np.round(matrix, 6))

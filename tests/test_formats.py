@@ -977,6 +977,19 @@ class TestConvert:
         write_cloud(read_cloud(src), direct)
         assert streamed.read_bytes() == direct.read_bytes()
 
+    @pytest.mark.parametrize("name", ["in.ply", "in.xyzrgb"])
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_rejects_a_chunk_size_below_one(self, tmp_path, rng, name,
+                                            chunk_size):
+        """A size below 1 would never end (0) or write no row the header
+        counts (-1): it fails before anything is read or written."""
+        src = tmp_path / name
+        write_cloud(random_cloud(rng, 10), src)
+        out = tmp_path / "out.pcd"
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            convert(src, out, chunk_size=chunk_size)
+        assert not out.exists()
+
     def test_color_drop_warning(self, tmp_path, rng):
         src = tmp_path / "in.ply"
         write_cloud(random_cloud(rng, 10), src)

@@ -269,7 +269,8 @@ class TestNearestInlierSearch:
         got = _nearest_inlier_rows(positions, inlier_rows, outlier_rows)
         assert got.dtype == np.int64
         assert np.array_equal(
-            got, scipy_nearest(positions, inlier_rows, outlier_rows))
+            got, inlier_rows[scipy_nearest(positions, inlier_rows,
+                                           outlier_rows)])
 
     def test_clumped_inliers_far_from_their_outliers(self, rng):
         """A single-level grid has no hierarchy inside a dense clump: the
@@ -282,7 +283,7 @@ class TestNearestInlierSearch:
         outlier_rows = np.flatnonzero(positions[:, 0] > 0.3)
         assert np.array_equal(
             _nearest_inlier_rows(positions, inlier_rows, outlier_rows),
-            scipy_nearest(positions, inlier_rows, outlier_rows))
+            inlier_rows[scipy_nearest(positions, inlier_rows, outlier_rows)])
 
     def test_rejects_nonfinite_queries_and_an_empty_index(self, rng):
         index = GridIndex(rng.uniform(0, 1, (10, 3)))
@@ -334,7 +335,7 @@ class TestBatchBoundaries:
             assert np.array_equal(index.rows(box), want)
         assert np.array_equal(
             _nearest_inlier_rows(positions, inlier_rows, outlier_rows),
-            scipy_nearest(positions, inlier_rows, outlier_rows))
+            inlier_rows[scipy_nearest(positions, inlier_rows, outlier_rows)])
 
     @BATCH_SIZES
     @BATCH_CONSTANTS

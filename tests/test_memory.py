@@ -381,9 +381,9 @@ def test_text_table_read_holds_one_block(variant, tmp_path, monkeypatch):
 def test_text_read_yields_no_batch_while_its_block_is_alive(tmp_path,
                                                             monkeypatch):
     """A block's bytes, its text and its scan are freed before the first of
-    its rows is yielded, and the rows of a chunk that waits for the next
-    block are copied out of theirs: at every yield the read holds one
-    block's parsed values and line numbers besides the chunk."""
+    its rows is yielded, and each chunk is a view of one block's rows: at
+    every yield the read holds one block's parsed values and line numbers,
+    the chunk among them."""
     monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 18)
     n, chunk_size = 40_000, 1000   # about 7 blocks of 6,000 rows each
     rng = np.random.default_rng(8)
@@ -392,7 +392,8 @@ def test_text_read_yields_no_batch_while_its_block_is_alive(tmp_path,
                            rng.integers(0, 256, (n, 3), dtype=np.uint8)),
                 path)
     with open(path, "rb") as fh:
-        rows = max(block.count(b"\n") for block in _ascii._blocks(fh))
+        block_rows = [block.count(b"\n") for block in _ascii._blocks(fh)]
+    rows = max(block_rows)
     assert chunk_size < rows < n // 4
     tracemalloc.start()
     try:
@@ -402,9 +403,10 @@ def test_text_read_yields_no_batch_while_its_block_is_alive(tmp_path,
             held.append(current - values.nbytes - lines.nbytes)
     finally:
         tracemalloc.stop()
-    assert len(held) == n // chunk_size
-    # a block's float64 values and line numbers, and the slack of the
-    # chunk's copied part and small objects; the text alone is 256 KiB
+    # each block's rows, cut every chunk_size rows
+    assert len(held) == sum(-(-k // chunk_size) for k in block_rows)
+    # a block's float64 values and line numbers, and small objects; the
+    # text alone is 256 KiB
     bound = rows * (6 * 8 + 8) + (128 << 10)
     assert max(held) <= bound, \
         f"a text read held {max(held) / 2**10:.0f} KiB besides its chunk " \
@@ -441,19 +443,23 @@ def test_a_block_is_read_at_its_own_size(rows, tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", ["table", "xyzrgb", "pts", "ply", "pcd"])
 def test_a_yielded_chunk_is_the_only_chunk_alive(kind, tmp_path,
                                                  monkeypatch):
-    """A chunk of many blocks: at each yield of ``TableChunks``, or of a
-    text reader's decoded cloud, the read holds besides the chunk only
-    the parsed rows of the block it is in, not the parts the chunk was
-    built from nor the parsed values of a decoded chunk."""
+    """A chunk size of many blocks: at each yield of ``TableChunks``, or of
+    a text reader's decoded cloud, the read holds besides the chunk only
+    the parsed rows of the block it is in, not the parsed values of a
+    decoded chunk."""
     monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 16)
-    n, chunk_size = 40_000, 10_000   # a chunk spans about 6 blocks
+    n, chunk_size = 40_000, 10_000   # a chunk size of about 6 blocks
     rng = np.random.default_rng(10)
     path = tmp_path / f"cloud.{'xyzrgb' if kind == 'table' else kind}"
     write_cloud(PointCloud(rng.uniform(-100, 100, (n, 3)),
                            rng.integers(0, 256, (n, 3), dtype=np.uint8)),
                 path, encoding="ascii")
+    text = path.read_bytes()
+    data = b"".join(text.splitlines(keepends=True)[-n:])  # after the header
     with open(path, "rb") as fh:
-        rows = max(block.count(b"\n") for block in _ascii._blocks(fh))
+        fh.seek(len(text) - len(data))
+        block_rows = [block.count(b"\n") for block in _ascii._blocks(fh)]
+    rows = max(block_rows)
     assert rows < chunk_size // 4
     chunks = TableChunks(path, 6, chunk_size=chunk_size) if kind == "table" \
         else open_reader(path).chunks(chunk_size)
@@ -468,13 +474,51 @@ def test_a_yielded_chunk_is_the_only_chunk_alive(kind, tmp_path,
             del chunk, arrays
     finally:
         tracemalloc.stop()
-    assert len(held) == n // chunk_size
+    # each block's rows, cut every chunk_size rows
+    assert len(held) == sum(-(-k // chunk_size) for k in block_rows)
     # a block's float64 values (7 columns for pts) and line numbers, and
     # small objects; one chunk's float64 values alone take about 0.5 MB
     bound = rows * (7 * 8 + 8) + (128 << 10)
     assert max(held) <= bound, \
         f"{kind}: a text read held {max(held) / 2**10:.0f} KiB besides its " \
         f"chunk at a yield; a block's rows take {rows * 56 / 2**10:.0f} KiB"
+
+
+@pytest.mark.parametrize("kind", ["table", "xyzrgb", "ply"])
+def test_text_read_peak_does_not_grow_with_the_chunk_size(kind, tmp_path,
+                                                          monkeypatch):
+    """No chunk spans two blocks, so a text read over many small blocks
+    peaks at one block's rows whatever its chunk size: the peaks at 10,000
+    and 40,000 rows agree within one block's parsed rows, where a buffer
+    of 40,000 rows would take 2.2 MB."""
+    monkeypatch.setattr(_ascii, "BLOCK_BYTES", 1 << 14)
+    n = 50_000   # about 120 blocks of about 420 rows
+    rng = np.random.default_rng(12)
+    path = tmp_path / f"cloud.{'ply' if kind == 'ply' else 'xyzrgb'}"
+    write_cloud(PointCloud(rng.uniform(-100, 100, (n, 3)),
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                path, encoding="ascii")
+    with open(path, "rb") as fh:
+        rows = max(block.count(b"\n") for block in _ascii._blocks(fh))
+    peaks = []
+    for chunk_size in (10_000, 40_000):
+        if kind == "table":
+            chunks = TableChunks(path, 6, chunk_size=chunk_size)
+        else:
+            reader = open_reader(path)
+            reader.count   # the .xyzrgb color pre-pass runs here, untraced
+            chunks = reader.chunks(chunk_size)
+        tracemalloc.start()
+        try:
+            for chunk in chunks:
+                del chunk
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= rows * (6 * 8 + 8), \
+        f"{kind}: a text read peaked at {peaks[0] / 2**10:.0f} KiB with " \
+        f"chunks of 10,000 rows and {peaks[1] / 2**10:.0f} KiB with 40,000"
 
 
 def test_row_count_holds_one_block(tmp_path, monkeypatch):

@@ -217,8 +217,8 @@ class TestNearestInlier:
         nearest = _nearest_inlier_rows(positions, inlier_rows, outlier_rows)
         assert nearest.dtype == np.int64 and nearest.shape == (8,)
         for row, pick in zip(outlier_rows, nearest):
-            assert inlier_rows[pick] == oracle_nearest_index(
-                positions, inlier_rows, positions[row])
+            assert pick == oracle_nearest_index(positions, inlier_rows,
+                                                positions[row])
 
     def test_matches_brute_force_oracle_with_grid_ties(self, rng):
         # integer grid positions force repeated exact distances
