@@ -18,6 +18,7 @@ from . import formats
 from .boxfile import join_boxes_palette, load_box_file, load_palette_file
 from .cloud import RgbAabb
 from .errors import CloudError
+# read_cloud is not called here: perfbench/tracer.py wraps it by this name
 from .formats import (DEFAULT_LAS_SCALE, convert, kind_of,
                       position_precision, read_cloud, resolve_descriptor,
                       write_cloud)
@@ -217,8 +218,9 @@ def _encoding(args):
 
 
 def _output_descriptor(kind: str, cloud, args):
-    """The descriptor ``cloud`` is written with; what ``kind`` cannot
-    store of it is printed as a warning, as ``convert`` does."""
+    """The descriptor ``cloud`` (or anything with its ``has_color`` and
+    ``has_normals``) is written with; what ``kind`` cannot store of it is
+    printed as a warning, as ``convert`` does."""
     descriptor, notes = resolve_descriptor(
         kind, has_color=cloud.has_color,
         has_normals=cloud.has_normals, encoding=_encoding(args))
@@ -241,8 +243,7 @@ def _cmd_convert(args) -> dict:
 
 def _cmd_edit(args) -> dict:
     steps = _edit_steps(args)
-    cloud = read_cloud(args.cloud)
-    edited, report = apply_pipeline(cloud, steps)
+    edited, report = apply_pipeline(formats.open_reader(args.cloud), steps)
     print(report.to_table())
     descriptor = _output_descriptor(kind_of(args.out), edited, args)
     if args.dry_run:
@@ -255,15 +256,15 @@ def _cmd_edit(args) -> dict:
 
 def _cmd_split(args) -> dict:
     box_file = load_box_file(args.boxes)
-    cloud = read_cloud(args.cloud)
-    result = split_by_boxes(cloud, box_file.boxes,
+    reader = formats.open_reader(args.cloud)
+    result = split_by_boxes(reader, box_file.boxes,
                             duplicates=args.duplicates,
                             emit_remainder=not args.no_remainder)
     for f in result.fragments:
         print(f"{f.label}: {f.cloud.count} points")
     if result.remainder is not None:
         print(f"remainder: {result.remainder.count} points")
-    _output_descriptor(args.kind, cloud, args)
+    _output_descriptor(args.kind, reader.descriptor, args)
     if args.dry_run:
         print("dry run: no files written")
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,13 @@ def _as_points(a, name: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"{name} must have shape (n, 3), got {arr.shape}")
     return arr
+
+
+def check_chunk_size(chunk_size: int) -> None:
+    """A batch holds at least one row: a reader asked for fewer would
+    yield empty batches forever, or none at all."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, not {chunk_size}")
 
 
 @dataclass
@@ -106,17 +113,25 @@ class PointCloud:
         )
 
     def take(self, selector) -> "PointCloud":
-        """Sub-cloud for an index array or boolean mask, input order kept."""
+        """Sub-cloud for an index array or boolean mask, input order kept.
+
+        Rows are gathered with ``np.take``, several times faster than
+        indexing an (n, 3) array with an index array or a mask."""
+        rows = np.asarray(selector)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
         return PointCloud(
-            self.positions[selector],
-            self.colors[selector],
-            None if self.normals is None else self.normals[selector],
+            np.take(self.positions, rows, axis=0),
+            np.take(self.colors, rows, axis=0),
+            None if self.normals is None
+            else np.take(self.normals, rows, axis=0),
             has_color=self.has_color,
         )
 
     def chunks(self, chunk_size: int) -> Iterator["PointCloud"]:
         """The cloud as consecutive batches of ``chunk_size`` rows, each a
         view into its arrays: the reader protocol of ``formats``."""
+        check_chunk_size(chunk_size)
         for lo in range(0, self.count, chunk_size):
             part = slice(lo, lo + chunk_size)
             yield PointCloud(self.positions[part], self.colors[part],
@@ -174,12 +189,184 @@ class Selection(PointCloud):
     def chunks(self, chunk_size: int) -> Iterator[PointCloud]:
         """Batches of at most ``chunk_size`` selected rows, gathered from
         ``chunk_size`` entries of ``rows`` at a time."""
+        check_chunk_size(chunk_size)
         for lo in range(0, self.rows.size, chunk_size):
             part = self.rows[lo:lo + chunk_size]
             if part.dtype == bool:
                 part = lo + np.flatnonzero(part)
             if part.size:
                 yield self.source.take(part)
+
+
+class Gathered(NamedTuple):
+    """What ``gather`` keeps of a source."""
+
+    cloud: PointCloud
+    rows: np.ndarray | None   # their ascending source rows
+    count: int                # the rows of the source
+
+
+def gather(source, chunk_size: int, keep=None) -> Gathered:
+    """The rows of ``source.chunks(chunk_size)``, a reader's or a cloud's,
+    that ``keep`` picks, with their source rows.
+
+    ``keep(positions)`` gives the ascending rows of one batch that stay;
+    without it every row stays and no source rows are kept.  Each batch's
+    rows are copied onto the end of arrays that grow in place, and the
+    batch is dropped before the next is read, so the peak is what is kept
+    plus one batch.  Source rows are int32 while they fit."""
+    source_attributes = getattr(source, "descriptor", source)
+    has_color = source_attributes.has_color
+    columns = {"positions": np.empty((0, 3))}
+    if has_color:
+        columns["colors"] = np.empty((0, 3), dtype=np.uint8)
+    if source_attributes.has_normals:
+        columns["normals"] = np.empty((0, 3))
+    rows = None if keep is None else np.empty(0, dtype=np.int32)
+    n = total = 0
+    for chunk in source.chunks(chunk_size):
+        k = chunk.count
+        pick = None if keep is None else keep(chunk.positions)
+        m = k if pick is None else pick.size
+        for name, array in columns.items():
+            # no view of these arrays exists, so growing in place is safe
+            array.resize((n + m, 3), refcheck=False)
+            if pick is None:
+                array[n:] = getattr(chunk, name)
+            else:
+                np.take(getattr(chunk, name), pick, axis=0, out=array[n:])
+        if rows is not None:
+            if total + k > np.iinfo(rows.dtype).max:
+                rows = rows.astype(np.int64)
+            rows.resize(n + m, refcheck=False)
+            np.add(pick, total, out=rows[n:], casting="unsafe")
+        n += m
+        total += k
+        del chunk
+    return Gathered(PointCloud(has_color=has_color, **columns), rows, total)
+
+
+def under_boxes(boxes) -> Callable[[np.ndarray], np.ndarray]:
+    """``gather``'s ``keep`` for the rows under the union of the boxes'
+    ``world_bounds()``, faces included, which hold every point a box
+    contains.  When a box's bounds are not finite, every finite row is
+    kept, as ``GridIndex.rows`` tests every indexed row for it; a row with
+    a NaN or infinite coordinate is otherwise under no box.
+
+    A batch is first cut to the bounds of all the boxes, which a scan
+    with few boxed points leaves small, and then tested box by box, on
+    contiguous copies of its columns."""
+    bounds = [box.world_bounds() for box in boxes]
+    lows = np.array([lo for lo, _ in bounds]).reshape(-1, 3)
+    highs = np.array([hi for _, hi in bounds]).reshape(-1, 3)
+    if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
+        return lambda positions: np.flatnonzero(
+            np.isfinite(positions).all(axis=1))
+    low = lows.min(axis=0, initial=np.inf)
+    high = highs.max(axis=0, initial=-np.inf)
+
+    def keep(positions: np.ndarray) -> np.ndarray:
+        columns = positions.T.copy()
+        rows = np.flatnonzero(_between(columns, low, high))
+        columns = np.take(columns, rows, axis=1)
+        under = np.zeros(rows.size, dtype=bool)
+        for lo, hi in zip(lows, highs):
+            under |= _between(columns, lo, hi)
+        return rows[under]
+
+    return keep
+
+
+def _between(columns: np.ndarray, lo: np.ndarray, hi: np.ndarray
+             ) -> np.ndarray:
+    """Mask of the points, given as x, y and z rows, in [lo, hi]."""
+    inside = columns[0] >= lo[0]
+    inside &= columns[0] <= hi[0]
+    for k in (1, 2):
+        inside &= columns[k] >= lo[k]
+        inside &= columns[k] <= hi[k]
+    return inside
+
+
+class Patched(Selection):
+    """The rows of ``source``, a reader or a cloud, that an edit or a split
+    keeps, read from it again when they are written.
+
+    ``boxed`` is ``gather``'s subset of the rows under the boxes.  Of it the
+    rows ``alive`` marks are kept, with the subset's colors when
+    ``recolored`` (which gives a colorless source colors).  The rows
+    outside the subset are all kept when ``outside`` is True: then
+    ``chunks`` streams the source again, yields a batch as it is when no
+    edited row falls in it, and patches or drops the edited rows of the
+    others.  Otherwise, or when no row lies outside the subset, every kept
+    row is in the subset, and the source is not read again.
+    """
+
+    def __init__(self, source, boxed: Gathered, alive: np.ndarray, *,
+                 outside: bool = True, recolored: bool = False):
+        self.source = source
+        self.boxed = boxed
+        self.alive = alive
+        self.outside = outside and alive.size < boxed.count
+        self.recolored = recolored
+        self.has_color = boxed.cloud.has_color or recolored
+        self._count = int(np.count_nonzero(alive))
+        if self.outside:
+            self._count += boxed.count - alive.size
+
+    @property
+    def has_normals(self) -> bool:
+        return self.boxed.cloud.has_normals
+
+    @functools.cached_property
+    def _whole(self) -> PointCloud:
+        from .formats import DEFAULT_CHUNK_POINTS   # formats imports cloud
+        return gather(self, DEFAULT_CHUNK_POINTS).cloud
+
+    def indices(self) -> np.ndarray:
+        """The ascending source rows that are kept."""
+        if not self.outside:
+            return self.boxed.rows[self.alive].astype(np.intp)
+        kept = np.ones(self.boxed.count, dtype=bool)
+        kept[self.boxed.rows[~self.alive]] = False
+        return np.flatnonzero(kept)
+
+    def chunks(self, chunk_size: int) -> Iterator[PointCloud]:
+        check_chunk_size(chunk_size)
+        if not self.outside:
+            yield from Selection(self.boxed.cloud, self.alive) \
+                .chunks(chunk_size)
+            return
+        rows, start = self.boxed.rows, 0
+        for chunk in self.source.chunks(chunk_size):
+            k = chunk.count
+            # bounds in the rows' own type, so that they are not converted
+            a, b = np.searchsorted(rows, np.array((start, start + k),
+                                                  dtype=rows.dtype))
+            if a < b and (self.recolored or not self.alive[a:b].all()):
+                chunk = self._patch(chunk, slice(a, b), start)
+            start += k
+            yield chunk
+            del chunk   # not alive while the next batch is read
+
+    def _patch(self, chunk: PointCloud, part: slice, start: int
+               ) -> PointCloud:
+        """``chunk`` with the subset rows ``part`` recolored or dropped."""
+        local = self.boxed.rows[part] - start
+        colors = chunk.colors
+        if self.recolored:
+            colors = colors.copy()
+            # each color as one 3-byte item: numpy moves whole rows faster
+            colors.view("V3")[local] = self.boxed.cloud.colors[part] \
+                .view("V3")
+        patched = PointCloud(chunk.positions, colors, chunk.normals,
+                             has_color=self.has_color)
+        dead = local[~self.alive[part]]
+        if not dead.size:
+            return patched
+        kept = np.ones(chunk.count, dtype=bool)
+        kept[dead] = False
+        return patched.take(kept)
 
 
 def _axis_quat(axis: int, degrees: float) -> list[float]:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cloud import PointCloud
+from ..cloud import PointCloud, check_chunk_size, gather
 from ..errors import HeaderMismatch, MissingAttribute, UnknownFormat
 from . import las, pcd, ply, pts, xyz
 from ._base import (ASCII, ASCII_DECIMALS, BINARY, CAPS, DEFAULT_CHUNK_POINTS,
@@ -159,26 +159,10 @@ def read_cloud(source) -> PointCloud:
     """Load a whole file into memory as a PointCloud.
 
     Each chunk is copied onto the end of arrays that grow in place to the
-    summed length, and is dropped before the next is read, so the peak is
-    the cloud plus one chunk.
+    summed length (``cloud.gather``), and is dropped before the next is
+    read, so the peak is the cloud plus one chunk.
     """
-    reader = open_reader(source)
-    desc = reader.descriptor
-    columns = {"positions": np.empty((0, 3))}
-    if desc.has_color:
-        columns["colors"] = np.empty((0, 3), dtype=np.uint8)
-    if desc.has_normals:
-        columns["normals"] = np.empty((0, 3))
-    n = 0
-    for chunk in reader.chunks():
-        k = chunk.positions.shape[0]
-        for name, array in columns.items():
-            # no view of these arrays exists, so growing in place is safe
-            array.resize((n + k, 3), refcheck=False)
-            array[n:] = getattr(chunk, name)
-        n += k
-        del chunk
-    return PointCloud(has_color=desc.has_color, **columns)
+    return gather(open_reader(source), DEFAULT_CHUNK_POINTS).cloud
 
 
 def write_cloud(cloud: PointCloud, sink,
@@ -299,8 +283,7 @@ def convert(in_path, out_path, *, kind: str | None = None,
     minimum when a LAS offset must be derived, and for .xyzrgb a full
     parse that settles the color convention.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, not {chunk_size}")
+    check_chunk_size(chunk_size)
     reader = open_reader(in_path)
     in_desc = reader.descriptor
     out_kind = kind or kind_of(out_path)

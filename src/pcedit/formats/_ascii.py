@@ -39,6 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..cloud import check_chunk_size
 from ..errors import ParseError
 from ._base import DEFAULT_CHUNK_POINTS
 
@@ -160,6 +161,7 @@ class TableChunks:
                  max_rows: int | None = None, declared: str = "",
                  forbid_extra_rows: bool = False,
                  chunk_size: int = DEFAULT_CHUNK_POINTS):
+        check_chunk_size(chunk_size)
         self.path = Path(path)
         self.n_columns = n_columns
         self.header = header

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ..cloud import PointCloud
+from ..cloud import PointCloud, check_chunk_size
 from ..errors import ParseError
 from ._ascii import FORMAT_ROWS, TableChunks, rows_to_text
 from ._base import ASCII, ASCII_DECIMALS, FormatDescriptor
@@ -121,6 +121,7 @@ def read_records(path, dtype: np.dtype, offset: int, count: int,
     numpy allocates all the records it is asked for before it reads any,
     so no read asks for more than the rest of the file holds: a header
     count no file backs fails as a short file, not as a huge allocation."""
+    check_chunk_size(chunk_size)
     done = 0
     with open(path, "rb") as fh:
         fh.seek(offset)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cloud import PointCloud
+from ..cloud import PointCloud, check_chunk_size
 from ..errors import CodecUnavailable
 from ._base import DEFAULT_LAS_SCALE, FormatDescriptor, widen_8bit
 from .las import check_finite, check_scale
@@ -39,6 +39,7 @@ def _require_laspy():
 
 def read_points(path, chunk_size: int):
     """laspy's points of ``path``, ``chunk_size`` at a time."""
+    check_chunk_size(chunk_size)
     with _require_laspy().open(str(path)) as fh:
         yield from fh.chunk_iterator(chunk_size)
 

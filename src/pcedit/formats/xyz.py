@@ -72,9 +72,9 @@ class XyzReader:
         return self._colors_are_floats
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        scale_colors = self.kind == "xyzrgb" and self._float_convention()
         table = TableChunks(self.path, _COLUMNS[self.kind],
                             chunk_size=chunk_size)
+        scale_colors = self.kind == "xyzrgb" and self._float_convention()
         # starmap holds no chunk's values while the caller has its cloud
         yield from starmap(partial(self._decode, scale_colors=scale_colors),
                            table)

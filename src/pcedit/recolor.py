@@ -16,9 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import formats
 from .boxfile import JoinedBox
-from .cloud import (ColorSphere, GridIndex, OrientedBox, PointCloud,
-                    RgbAabb, Selection, quantize_colors, rgb_color_aabb)
+from .cloud import (ColorSphere, GridIndex, OrientedBox, Patched, PointCloud,
+                    RgbAabb, gather, quantize_colors, rgb_color_aabb,
+                    under_boxes)
 from .errors import (EmptySelection, NoEnabledBoxes, PipelineStepError)
 
 PROJECT_TO_SURFACE = "project_to_surface"
@@ -115,27 +117,33 @@ def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
 
 
 class _Edit:
-    """One edit command's state over its source cloud.
+    """One edit command's state over its source, a reader or a cloud.
 
-    The cloud is indexed once; every step works on ascending source rows.
-    Deleted points are cleared from ``alive`` and recolors write into one
-    color buffer, copied from the source on the first write.  A step holds
-    its box's rows and their uint8 colors, and does its float64 color math
-    ``BATCH`` points at a time.  ``result`` names the survivors as a
-    ``Selection`` of the edited cloud, which a writer gathers a batch at a
-    time, with the ``has_color`` flag the step-by-step chain of clouds
-    would carry.
+    The source is read once (``gather``) for the rows under the union of
+    the boxes, which are indexed; every step works on ascending rows of
+    that subset.  They ascend in the source too, so ties still go to the
+    lowest source row.  Deleted points are cleared from ``alive``, and
+    recolors write into the subset's colors.  The rows outside the subset
+    survive until a substitution removes them all.  A step holds its box's
+    rows and their uint8 colors, and does its float64 color math ``BATCH``
+    points at a time.  ``result`` is a ``Patched`` view of the source,
+    which reads the source again only when rows outside the subset survive;
+    a recolor gives it colors, as the step-by-step chain of clouds would.
     """
 
-    def __init__(self, cloud: PointCloud):
-        self.source = cloud
-        self.index = GridIndex(cloud.positions)
-        self.alive = np.ones(cloud.count, dtype=bool)
-        self.colors = cloud.colors
-        self.has_color = cloud.has_color
+    def __init__(self, source, boxes: Sequence[OrientedBox]):
+        self.source = source
+        self.boxed = gather(source, formats.DEFAULT_CHUNK_POINTS,
+                            under_boxes(boxes))
+        self.subset = self.boxed.cloud
+        self.index = GridIndex(self.subset.positions)
+        self.alive = np.ones(self.subset.count, dtype=bool)
+        self.outside = True   # the rows outside the subset survive
+        self.colors = self.subset.colors
+        self.recolored = False
 
     def rows(self, box: OrientedBox) -> np.ndarray:
-        """Ascending source rows of the surviving points inside ``box``;
+        """Ascending subset rows of the surviving points inside ``box``;
         raises EmptySelection when there are none."""
         rows = self.index.rows(box, self.alive)
         if not rows.size:
@@ -143,19 +151,12 @@ class _Edit:
         return rows
 
     def recolor(self, rows: np.ndarray, colors) -> None:
-        if self.colors is self.source.colors:
-            self.colors = self.colors.copy()
         self.colors[rows] = colors
-        self.has_color = True
+        self.recolored = True
 
-    def result(self) -> PointCloud:
-        all_alive = bool(self.alive.all())
-        if (all_alive and self.colors is self.source.colors
-                and self.has_color == self.source.has_color):
-            return self.source
-        edited = PointCloud(self.source.positions, self.colors,
-                            self.source.normals, has_color=self.has_color)
-        return edited if all_alive else Selection(edited, self.alive)
+    def result(self) -> Patched:
+        return Patched(self.source, self.boxed, self.alive,
+                       outside=self.outside, recolored=self.recolored)
 
 
 def cKDTree(data, rows=None):
@@ -235,6 +236,10 @@ class EditStep:
     delete: bool = False
 
     @property
+    def boxes(self) -> tuple[OrientedBox, ...]:
+        return (self.box,)
+
+    @property
     def op(self) -> str:
         if isinstance(self.params, SphereParams):
             return "delete_spherical_outliers" if self.delete \
@@ -252,7 +257,7 @@ class EditStep:
         return report
 
     def _in_box(self, edit: _Edit, report: StepReport):
-        """The ascending source rows in the box and their uint8 colors, the
+        """The ascending subset rows in the box and their uint8 colors, the
         model's alone: it works on them a ``BATCH`` at a time and may free
         them."""
         rows = edit.rows(self.box)
@@ -295,7 +300,7 @@ class EditStep:
             edit.recolor(out_rows, quantize_colors(
                 np.broadcast_to(center, (out_rows.size, 3))))
         else:
-            nearest = _nearest_inlier_rows(edit.source.positions,
+            nearest = _nearest_inlier_rows(edit.subset.positions,
                                            in_rows, out_rows)
             edit.recolor(out_rows, edit.colors[nearest])
 
@@ -332,20 +337,29 @@ class SubstituteStep:
     def __post_init__(self):
         object.__setattr__(self, "joined", tuple(self.joined))
 
+    @property
+    def active(self) -> list[JoinedBox]:
+        """The enabled boxes with a palette color, in file order."""
+        return [j for j in self.joined if j.enabled and j.color is not None]
+
+    @property
+    def boxes(self) -> tuple[OrientedBox, ...]:
+        return tuple(j.box for j in self.active)
+
     def apply(self, edit: _Edit) -> StepReport:
-        active = [j for j in self.joined
-                  if j.enabled and j.color is not None]
+        active = self.active
         if not active:
             raise NoEnabledBoxes(
                 "substitution needs at least one enabled box with a "
                 "palette color")
-        examined = int(np.count_nonzero(edit.alive))
+        examined = edit.result().count   # the survivors so far
         free = edit.alive.copy()   # first box wins: a point taken is not free
         for j in active:
             rows = edit.index.rows(j.box, free)
             edit.recolor(rows, np.asarray(j.color, dtype=np.uint8))
             free[rows] = False
         edit.alive ^= free   # the untaken survivors are removed
+        edit.outside = False   # and so is every row outside the subset
         survivors = int(np.count_nonzero(edit.alive))
         return StepReport(op=self.op, box_label=None,
                           points_examined=examined,
@@ -387,21 +401,24 @@ def recolor_substitute(cloud: PointCloud,
 
 
 def _apply_one(cloud: PointCloud, step) -> PointCloud:
-    edit = _Edit(cloud)
+    edit = _Edit(cloud, step.boxes)
     step.apply(edit)
     return edit.result()
 
 
-def apply_pipeline(cloud: PointCloud,
-                   steps: Sequence[EditStep | SubstituteStep]
+def apply_pipeline(cloud, steps: Sequence[EditStep | SubstituteStep]
                    ) -> tuple[PointCloud, EditReport]:
     """Run edit steps in order, each consuming the previous output.
 
-    The first failing step aborts the pipeline with a PipelineStepError
-    carrying the step index and the underlying error.
+    ``cloud`` is a ``PointCloud`` or a reader (``formats.open_reader``).
+    It is read once before the steps run, and the result reads it again,
+    a batch at a time, when it is written.  The first failing step aborts
+    the pipeline with a PipelineStepError carrying the step index and the
+    underlying error.
     """
-    report = EditReport(input_count=cloud.count, output_count=cloud.count)
-    edit = _Edit(cloud)
+    edit = _Edit(cloud, [box for step in steps for box in step.boxes])
+    report = EditReport(input_count=edit.boxed.count,
+                        output_count=edit.boxed.count)
     for i, step in enumerate(steps):
         try:
             report.steps.append(step.apply(edit))

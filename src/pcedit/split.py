@@ -21,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import GridIndex, OrientedBox, PointCloud, Selection
+from . import formats
+from .cloud import (GridIndex, OrientedBox, Patched, PointCloud, Selection,
+                    gather, under_boxes)
 from .errors import NoBoxes, UnknownFormat
 from .formats import CAPS, DEFAULT_LAS_SCALE, write_cloud
 
@@ -37,11 +39,12 @@ class Fragment:
 
 @dataclass
 class SplitResult:
-    """Fragments and remainder are ``Selection``s of the input cloud, so
-    they are gathered a batch at a time as they are written."""
+    """Fragments are ``Selection``s of the rows under the boxes, and the
+    remainder a ``Patched`` view of the input that reads it again; each is
+    gathered a batch at a time as it is written."""
 
     fragments: list[Fragment] = field(default_factory=list)
-    remainder: Selection | None = None
+    remainder: Patched | None = None
 
     @property
     def remainder_indices(self) -> np.ndarray | None:
@@ -49,7 +52,7 @@ class SplitResult:
         return None if self.remainder is None else self.remainder.indices()
 
 
-def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
+def split_by_boxes(cloud, boxes: list[OrientedBox], *,
                    duplicates: bool = False,
                    emit_remainder: bool = True) -> SplitResult:
     """Assign points to labeled fragments by box containment.
@@ -58,12 +61,17 @@ def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
     contains it.  duplicates=True: each point joins the fragment of every
     label whose box contains it.  Fragment point order follows input
     order; fragments appear in order of first label occurrence.
+
+    ``cloud`` is a ``PointCloud`` or a reader (``formats.open_reader``).
+    It is read once for the rows under the union of the boxes, which hold
+    every fragment; writing the remainder reads it again.
     """
     if not boxes:
         raise NoBoxes("split requires at least one box")
-    index = GridIndex(cloud.positions)
+    boxed = gather(cloud, formats.DEFAULT_CHUNK_POINTS, under_boxes(boxes))
+    index = GridIndex(boxed.cloud.positions)
     label_rows: dict[str, list[np.ndarray]] = {}
-    free = np.ones(cloud.count, dtype=bool)   # in no box so far
+    free = np.ones(boxed.cloud.count, dtype=bool)   # in no box so far
     for box in boxes:
         rows = index.rows(box, None if duplicates else free)
         label_rows.setdefault(box.label, []).append(rows)
@@ -72,13 +80,18 @@ def split_by_boxes(cloud: PointCloud, boxes: list[OrientedBox], *,
     result = SplitResult()
     for label in list(label_rows):
         parts = label_rows.pop(label)   # not held with the label's rows
-        rows = parts[0] if len(parts) == 1 \
-            else np.unique(np.concatenate(parts))
+        if len(parts) == 1:
+            rows = parts[0]
+        else:   # a mask, not np.unique, which imports numpy.ma (1.3 MB)
+            taken = np.zeros(boxed.cloud.count, dtype=bool)
+            for part in parts:
+                taken[part] = True
+            rows = np.flatnonzero(taken)
         result.fragments.append(Fragment(label=label,
-                                         cloud=Selection(cloud, rows),
-                                         indices=rows))
+                                         cloud=Selection(boxed.cloud, rows),
+                                         indices=boxed.rows[rows]))
     if emit_remainder:
-        result.remainder = Selection(cloud, free)
+        result.remainder = Patched(cloud, boxed, free)
     return result
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pcedit import PointCloud, cli, read_cloud, write_cloud
+from pcedit import PointCloud, cli, formats, read_cloud, write_cloud
 from pcedit.cli import run
 from pcedit.formats import ply
 
@@ -495,3 +495,59 @@ class TestDeterminism:
         first = out.read_bytes()
         assert run(argv) == 0
         assert out.read_bytes() == first
+
+
+class TestInputPasses:
+    """An edit reads its input once for the rows under its boxes, and once
+    more only to write the rows outside them; a dry run never does."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Every iteration of a reader's ``chunks`` that a command starts."""
+        started = []
+        open_reader = formats.open_reader
+
+        class Counted:
+            def __init__(self, reader):
+                self._reader = reader
+
+            def __getattr__(self, name):
+                return getattr(self._reader, name)
+
+            def chunks(self, *args):
+                started.append(self._reader.path)
+                yield from self._reader.chunks(*args)
+
+        monkeypatch.setattr(formats, "open_reader",
+                            lambda path: Counted(open_reader(path)))
+        return started
+
+    @pytest.mark.parametrize("argv, passes", [
+        (["delete", "--radius", "1"], 2),
+        (["delete", "--radius", "1", "--dry-run"], 1),
+        (["recolor", "--outlier-mode", "nearest_inlier_spatial",
+          "--dry-run"], 1),
+        # the LAS offset is the survivors' minimum: one more read
+        (["recolor", "--out", "{root}/out.las"], 3),
+        (["segment", "--palette", "{root}/palette.txt"], 1),
+        (["split"], 2),
+        (["split", "--no-remainder"], 1),
+        (["split", "--dry-run"], 1),
+    ], ids=["delete", "delete-dry", "recolor-dry", "recolor-las", "segment",
+            "split", "split-no-remainder", "split-dry"])
+    def test_reads(self, tmp_path, reads, argv, passes):
+        _, cloud_path, _, palette, _ = write_scene(tmp_path)
+        boxes = tmp_path / "half.json"   # about half of the points
+        boxes.write_text(json.dumps({"filename": "cloud.ply", "objects": [{
+            "name": "zone", "centroid": {"x": -2.5, "y": 0, "z": 0},
+            "dimensions": {"length": 5, "width": 10, "height": 10},
+            "rotations": {"x": 0, "y": 0, "z": 0}}]}))
+        args = [arg.format(root=tmp_path) for arg in argv]
+        out = ["--out-dir", str(tmp_path / "frags")] if args[0] == "split" \
+            else [] if "--out" in args else ["--out", str(tmp_path / "o.ply")]
+        assert run([*args, "--cloud", str(cloud_path), "--boxes",
+                    str(boxes), *out]) == 0
+        assert reads == [cloud_path] * passes
+        written = [p.name for p in tmp_path.iterdir()
+                   if p.name.startswith(("o.", "out.", "frags"))]
+        assert bool(written) != ("--dry-run" in args)

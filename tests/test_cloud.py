@@ -271,6 +271,12 @@ class TestSelection:
                                   getattr(want, name))
         assert np.array_equal(selection.indices(), rows)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunks_reject_a_size_below_one(self, cloud, chunk_size):
+        for source in (cloud, Selection(cloud, np.arange(3))):
+            with pytest.raises(ValueError, match="at least 1"):
+                next(source.chunks(chunk_size))
+
     def test_empty_and_normal_free(self, rng):
         cloud = PointCloud(rng.uniform(size=(5, 3)))
         selection = Selection(cloud, np.zeros(5, dtype=bool))

@@ -990,6 +990,22 @@ class TestConvert:
             convert(src, out, chunk_size=chunk_size)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, encoding",
+                             WRITABLE + [("laz", "binary_little_endian")])
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_every_reader_rejects_a_chunk_size_below_one(
+            self, tmp_path, rng, request, kind, encoding, chunk_size):
+        """A binary reader asked for 0 rows at a time yielded empty chunks
+        forever, and a text reader asked for -1 yielded none of its rows:
+        each fails instead, before it yields a chunk."""
+        if kind == "laz":
+            request.getfixturevalue("stub_laspy")
+        cloud = random_cloud(rng, 10, normals=True)
+        path = tmp_path / f"in.{kind}"
+        write_cloud(cloud, path, make_descriptor(kind, encoding, cloud))
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            next(open_reader(path).chunks(chunk_size))
+
     def test_color_drop_warning(self, tmp_path, rng):
         src = tmp_path / "in.ply"
         write_cloud(random_cloud(rng, 10), src)

@@ -1,6 +1,7 @@
 """Streaming memory: a conversion's peak does not grow with the file, a
 whole-cloud read holds the cloud plus one chunk, and an edit holds the
-cloud, one index and the scratch of one box or one batch.
+rows under its boxes, their index and the scratch of one box or one
+batch.
 
 Each command runs in a fresh interpreter that prints its own ``VmHWM`` (the
 peak resident set of the process since its ``exec``).  ``ru_maxrss`` would
@@ -161,23 +162,22 @@ def test_text_input_peak_does_not_grow_with_the_file(
 EDIT_SIZES = (500_000, 2_000_000)
 
 #: each edit's arguments and the most its peak may grow per point between
-#: the two sizes.  The cloud takes 27 bytes a point and the edit index 6
-#: (4 for its rows, 2 for the cell keys it is built from); the rest is the
-#: scratch of one box (15% of the points here) or one batch.  A whole copy
-#: of the survivors or of the remainder adds another 27 bytes for each
-#: copied point, which the bounds of delete, segment and split leave no
-#: room for.  A recolor adds its color buffer, 3 bytes a point, and the
-#: nearest-inlier search its sparse grid over the box's inliers.  With a
-#: box's colors worked a batch at a time, the remap grows by 37.7 bytes a
-#: point and the nearest-inlier recolor by 39.8; their bounds leave about
-#: 5 bytes a point (7 MiB between the two sizes) above that.
+#: the two sizes.  The four boxes hold 60% of the points, and an edit holds
+#: those rows: 27 bytes each for their positions and colors, 4 for their
+#: source rows, 1 for the alive mask and about 6 for their index, so about
+#: 23 bytes a point of the cloud.  The rest is the scratch of one box (15%
+#: of the points) or one batch.  A whole copy of the survivors or of the
+#: remainder would add 27 bytes for each copied point.  Measured: delete
+#: 21.7, segment 23.1, remap 19.6, nearest-inlier 23.8 and split 25.9
+#: bytes a point (35.7-42.6 when the edit held the cloud); the bounds
+#: leave about 5 bytes a point (7 MiB between the two sizes) above that.
 EDIT_COMMANDS = {
-    "delete": (["delete", "--percentile", "90"], 48),
-    "segment": (["segment", "--palette", "{root}/palette.txt"], 48),
+    "delete": (["delete", "--percentile", "90"], 27),
+    "segment": (["segment", "--palette", "{root}/palette.txt"], 28),
     "remap": (["recolor", "--mode", "remap",
-               "--target", "20", "60", "20", "110", "210", "110"], 43),
-    "nearest": (["recolor", "--outlier-mode", "nearest_inlier_spatial"], 45),
-    "split": (["split"], 48),
+               "--target", "20", "60", "20", "110", "210", "110"], 25),
+    "nearest": (["recolor", "--outlier-mode", "nearest_inlier_spatial"], 29),
+    "split": (["split"], 31),
 }
 
 
@@ -223,16 +223,7 @@ def edit_scenes(tmp_path_factory):
 @pytest.mark.parametrize("name", list(EDIT_COMMANDS))
 def test_edit_peak_grows_by_the_cloud_and_its_index(name, edit_scenes):
     argv, bound = EDIT_COMMANDS[name]
-    peaks = {}
-    for n, root in edit_scenes.items():
-        out = ["--out-dir", root / "fragments"] if name == "split" \
-            else ["--out", root / f"{name}.ply"]
-        peaks[n] = cli_peak_mb(argv[0], "--cloud", root / "scan.ply",
-                               "--boxes", root / "boxes.json",
-                               *(arg.format(root=root) for arg in argv[1:]),
-                               *out)
-    small, big = (peaks[n] for n in EDIT_SIZES)
-    slope = (big - small) * 2**20 / (EDIT_SIZES[1] - EDIT_SIZES[0])
+    small, big, slope = edit_slope(name, argv, edit_scenes)
     assert slope <= bound, \
         f"{name}: peak {small} MB at {EDIT_SIZES[0]} points, {big} MB at " \
         f"{EDIT_SIZES[1]}: {slope:.1f} bytes a point, bound {bound}"
@@ -275,9 +266,7 @@ def test_step_scratch_per_in_box_point(name, boxed_cloud):
     cloud, box = boxed_cloud
     kwargs, bound = STEP_SCRATCH[name]
     step = EditStep(box, **kwargs)
-    edit = _Edit(cloud)
-    if not step.delete:
-        step.apply(edit)   # so that the color buffer is already its own
+    edit = _Edit(cloud, step.boxes)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -290,6 +279,78 @@ def test_step_scratch_per_in_box_point(name, boxed_cloud):
     assert per_point <= bound, \
         f"{name}: one step held {per_point:.1f} bytes for each of its " \
         f"{report.points_examined} points, bound {bound}"
+
+
+#: the most an edit's peak may grow per point between the two sizes of a
+#: scene with 2% of its points boxed: pass one keeps only the rows under
+#: the boxes (about 40 bytes each with their index), so the peak follows
+#: them and not the cloud.  Measured: 0.7-2.1 bytes a point; a command that
+#: held the cloud grew by 30-36 here.
+SPARSE_SLOPE = 4
+
+#: the commands of the sparse scene
+SPARSE_COMMANDS = {
+    "delete": ["delete", "--percentile", "90"],
+    "segment": ["segment", "--palette", "{root}/palette.txt"],
+    "nearest": ["recolor", "--outlier-mode", "nearest_inlier_spatial"],
+    "split": ["split"],
+}
+
+_LABELS = [f"class_{k}" for k in range(12)]
+
+
+def write_sparse_scene(root: Path, n: int) -> Path:
+    """``n`` uniform points in 200 x 200 x 10 m and 48 boxes of 4 x 4 x
+    10 m, 12 labels, about 2% of the points, written as binary PLY with a
+    box and a palette file."""
+    rng = np.random.default_rng(17)
+    positions = rng.uniform((0, 0, 0), (200, 200, 10), (n, 3))
+    boxes = [OrientedBox(_LABELS[k % 12],
+                         (10 + 25 * (k % 8), 12 + 32 * (k // 8), 5.0),
+                         (4.0, 4.0, 10.0), (0.0, 0.0, 7.5 * k))
+             for k in range(48)]
+    root.mkdir()
+    write_cloud(PointCloud(positions,
+                           rng.integers(0, 256, (n, 3), dtype=np.uint8)),
+                root / "scan.ply")
+    (root / "boxes.json").write_text(BoxFile("scan.ply", boxes).to_json(),
+                                     encoding="utf-8")
+    (root / "palette.txt").write_text(
+        "".join(f"{label} {20 * k} 200 {240 - 20 * k} 1\n"
+                for k, label in enumerate(_LABELS)), encoding="utf-8")
+    return root
+
+
+@pytest.fixture(scope="module")
+def sparse_scenes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sparse")
+    return {n: write_sparse_scene(root / f"scene{n}", n) for n in EDIT_SIZES}
+
+
+def edit_slope(name: str, argv: list, scenes: dict) -> tuple[int, int, float]:
+    """The peaks of an edit on the two scenes, and its growth per point."""
+    peaks = {}
+    for n, root in scenes.items():
+        out = ["--out-dir", root / "fragments"] if name == "split" \
+            else ["--out", root / f"{name}.ply"]
+        peaks[n] = cli_peak_mb(argv[0], "--cloud", root / "scan.ply",
+                               "--boxes", root / "boxes.json",
+                               *(arg.format(root=root) for arg in argv[1:]),
+                               *out)
+    small, big = (peaks[n] for n in EDIT_SIZES)
+    return small, big, \
+        (big - small) * 2**20 / (EDIT_SIZES[1] - EDIT_SIZES[0])
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("name", list(SPARSE_COMMANDS))
+def test_edit_peak_follows_the_boxed_points(name, sparse_scenes):
+    """An edit holds the rows under its boxes and one batch, not the
+    cloud: with 2% of the points boxed, its peak barely grows."""
+    small, big, slope = edit_slope(name, SPARSE_COMMANDS[name], sparse_scenes)
+    assert slope <= SPARSE_SLOPE, \
+        f"{name}: peak {small} MB at {EDIT_SIZES[0]} points, {big} MB at " \
+        f"{EDIT_SIZES[1]}: {slope:.1f} bytes a point, bound {SPARSE_SLOPE}"
 
 
 def test_read_cloud_holds_the_cloud_plus_one_chunk(tmp_path):
