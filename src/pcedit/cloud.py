@@ -253,9 +253,10 @@ def under_boxes(boxes) -> Callable[[np.ndarray], np.ndarray]:
     kept, as ``GridIndex.rows`` tests every indexed row for it; a row with
     a NaN or infinite coordinate is otherwise under no box.
 
-    A batch is first cut to the bounds of all the boxes, which a scan
-    with few boxed points leaves small, and then tested box by box, on
-    contiguous copies of its columns."""
+    A batch is first cut to the bounds of all the boxes, tested on views
+    of its columns, which a scan with few boxed points leaves small; only
+    the rows under them are copied, as contiguous columns, and tested box
+    by box."""
     bounds = [box.world_bounds() for box in boxes]
     lows = np.array([lo for lo, _ in bounds]).reshape(-1, 3)
     highs = np.array([hi for _, hi in bounds]).reshape(-1, 3)
@@ -266,9 +267,8 @@ def under_boxes(boxes) -> Callable[[np.ndarray], np.ndarray]:
     high = highs.max(axis=0, initial=-np.inf)
 
     def keep(positions: np.ndarray) -> np.ndarray:
-        columns = positions.T.copy()
-        rows = np.flatnonzero(_between(columns, low, high))
-        columns = np.take(columns, rows, axis=1)
+        rows = np.flatnonzero(_between(positions.T, low, high))
+        columns = np.take(positions.T, rows, axis=1)
         under = np.zeros(rows.size, dtype=bool)
         for lo, hi in zip(lows, highs):
             under |= _between(columns, lo, hi)
@@ -612,10 +612,17 @@ class GridIndex:
         np.floor(cells, out=cells)
         return np.clip(cells, 0, self._counts[k] - 1, out=cells)
 
-    def _candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Rows of every cell meeting the world AABB [lo, hi]."""
+    def _candidates(self, lo: np.ndarray, hi: np.ndarray
+                    ) -> Iterator[np.ndarray]:
+        """Rows of every cell meeting the world AABB [lo, hi], of every
+        cell when its bounds are not finite, about ``BATCH`` at a time:
+        whole runs of cells along x, so a longer run comes alone."""
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            for a in range(0, self._order.size, self.BATCH):
+                yield self._order[a:a + self.BATCH]
+            return
         if np.any(hi < self._lo) or np.any(lo > self._hi):
-            return np.empty(0, dtype=self._order.dtype)
+            return
         (x0, x1), (y0, y1), (z0, z1) = (
             self._cells(np.array([lo[k], hi[k]]), k).astype(np.int64)
             for k in range(3))
@@ -624,26 +631,29 @@ class GridIndex:
         yz = (np.arange(y0, y1 + 1)[:, None]
               + ny * np.arange(z0, z1 + 1)[None, :]).ravel() * nx
         begin = self._starts[yz + x0]
-        return self._order[_runs(begin, self._starts[yz + x1 + 1] - begin)]
+        lengths = self._starts[yz + x1 + 1] - begin
+        for a, b in _batches(lengths, self.BATCH):
+            yield self._order[_runs(begin[a:b], lengths[a:b])]
 
     def rows(self, box: OrientedBox, among: np.ndarray | None = None
              ) -> np.ndarray:
         """Ascending indexed rows inside ``box``, of those the boolean mask
         ``among`` over source rows keeps when it is given.  A row with a NaN
-        or infinite coordinate is inside no box, however large."""
-        lo, hi = box.world_bounds()
-        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
-        candidates = self._candidates(lo, hi) if finite else self._order
-        if among is not None:
-            candidates = candidates[among[candidates]]
-        inside = np.empty(candidates.size, dtype=bool)
-        for a in range(0, candidates.size, self.BATCH):
-            part = slice(a, a + self.BATCH)
-            inside[part] = box.contains(
-                np.take(self.positions, candidates[part], axis=0))
-        rows = candidates[inside]
-        del candidates, inside   # before the intp copy is made
-        rows = rows.astype(np.intp)
+        or infinite coordinate is inside no box, however large.  The
+        candidates are tested ``BATCH`` at a time, and the rows inside are
+        copied onto the end of an array that grows in place."""
+        rows = np.empty(0, dtype=np.intp)
+        for candidates in self._candidates(*box.world_bounds()):
+            if among is not None:
+                candidates = candidates[among[candidates]]
+            for a in range(0, candidates.size, self.BATCH):
+                part = candidates[a:a + self.BATCH]
+                part = part[box.contains(
+                    np.take(self.positions, part, axis=0))]
+                n = rows.size
+                # no view of ``rows`` exists, so growing in place is safe
+                rows.resize(n + part.size, refcheck=False)
+                rows[n:] = part
         rows.sort()
         return rows
 

@@ -10,10 +10,11 @@ from ..errors import UnknownFormat
 ASCII = "ascii"
 BINARY = "binary_little_endian"
 
-#: points per streaming batch: a batch's raw records, 1.5 MB of float64
-#: positions and its encoded output, so a las->ply conversion peaks about
-#: 6 MB above an import-only process, whatever the file size
-DEFAULT_CHUNK_POINTS = 65_536
+#: points per streaming batch, as many as ``GridIndex.SLICE``: 0.4 MB of
+#: float64 positions, decoded once from records that are freed before the
+#: batch is yielded, and its encoded output, so a las->ply conversion peaks
+#: about 2 MB above an import-only process, whatever the file size
+DEFAULT_CHUNK_POINTS = 16_384
 
 #: default LAS quantization step in meters (0.1 mm)
 DEFAULT_LAS_SCALE = 1e-4
@@ -81,7 +82,7 @@ def position_precision(descriptor: FormatDescriptor,
 
 def narrow_16bit(values: np.ndarray) -> np.ndarray:
     """16-bit color channel -> 8-bit (value >> 8)."""
-    return (values.astype(np.uint16) >> 8).astype(np.uint8)
+    return (values.astype(np.uint16, copy=False) >> 8).astype(np.uint8)
 
 
 def widen_8bit(values: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ Every native writer is a header followed by the encoded buffers of each
 describe their rows as groups of fields (``Fields``), so one encoder turns
 a chunk into either packed little-endian records or text rows in their
 printf formats (``rows_to_text``).  On the read side, the binary readers
-(PLY, PCD, LAS) pull records with one ``np.fromfile`` loop that reports
-where a short file ends, and PLY/PCD read either encoding through
+(PLY, PCD, LAS) pull and decode records with one ``np.fromfile`` loop that
+reports where a short file ends, and PLY/PCD read either encoding through
 ``record_columns``.
 """
 
@@ -113,10 +113,12 @@ class FileWriter:
 
 
 def read_records(path, dtype: np.dtype, offset: int, count: int,
-                 chunk_size: int,
-                 noun: str = "points") -> Iterator[np.ndarray]:
-    """Structured arrays of at most ``chunk_size`` records from byte
-    ``offset``; a file that ends early fails at the byte where data stops.
+                 chunk_size: int, decode: Callable[[np.ndarray], PointCloud],
+                 noun: str = "points") -> Iterator[PointCloud]:
+    """``decode(records)`` of each run of at most ``chunk_size`` records
+    from byte ``offset``; a file that ends early fails at the byte where
+    data stops.  A batch's records are freed before its decoded chunk is
+    yielded, so the caller's chunk is the one batch alive.
 
     numpy allocates all the records it is asked for before it reads any,
     so no read asks for more than the rest of the file holds: a header
@@ -135,8 +137,10 @@ def read_records(path, dtype: np.dtype, offset: int, count: int,
                 raise ParseError(
                     f"unexpected end of data: {done} of {count} {noun}",
                     path=path, offset=offset + done * dtype.itemsize)
-            yield records
-            del records  # the caller's chunk goes before the next is read
+            chunk = decode(records)
+            del records
+            yield chunk
+            del chunk  # the caller's chunk goes before the next is read
 
 
 #: the most bytes a header line may take, its line end included
@@ -203,10 +207,11 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
                    ) -> Iterator[PointCloud]:
     """``decode(block, lines)`` for each chunk of a PLY/PCD data section.
 
-    ``block(names)`` stacks those fields into a (k, len(names)) array, read
-    from the parsed text columns or straight from the binary record fields
-    in their stored type.  ``lines`` holds the text rows' line numbers; it
-    is None for binary data.  No parsed text values are held while the
+    ``block(names)`` gives those fields as a (k, len(names)) array, from
+    the parsed text columns or from the binary record fields, each copied
+    once into an array of their common type (``np.result_type``).
+    ``lines`` holds the text rows' line numbers; it is None for binary
+    data.  Neither parsed text values nor raw records are held while the
     caller has the decoded chunk.
     """
     if layout.encoding == ASCII:
@@ -219,7 +224,16 @@ def record_columns(path, layout: RecordLayout, chunk_size: int,
             lines), table)
     dtype = np.dtype([(f"f{i}", f"<{code}", (n,) if n > 1 else ())
                       for i, (_, code, n) in enumerate(layout.fields)])
-    return map(lambda records: decode(lambda names: np.column_stack(
-        [records[f"f{layout.first(name)}"] for name in names]), None),
-        read_records(path, dtype, len(layout.header), layout.count,
-                     chunk_size, noun))
+
+    def decode_records(records: np.ndarray) -> PointCloud:
+        def block(names):
+            columns = [records[f"f{layout.first(name)}"] for name in names]
+            out = np.empty((len(records), len(columns)),
+                           dtype=np.result_type(*columns))
+            for i, column in enumerate(columns):
+                out[:, i] = column
+            return out
+        return decode(block, None)
+
+    return read_records(path, dtype, len(layout.header), layout.count,
+                        chunk_size, decode_records, noun)

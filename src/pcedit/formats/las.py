@@ -178,16 +178,17 @@ class LasReader:
         self.narrows_colors = self.descriptor.has_color
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK_POINTS):
-        if self.descriptor.kind == "laz":
-            from .laz import read_points
-            batches = read_points(self.path, chunk_size)
-        else:
-            batches = read_records(self.path, self._dtype,
-                                   self.header.offset_to_points, self.count,
-                                   chunk_size)
-        for batch in batches:
-            yield self._decode(batch)
-            del batch  # the caller's chunk goes before the next is read
+        if self.descriptor.kind == "las":
+            yield from read_records(self.path, self._dtype,
+                                    self.header.offset_to_points, self.count,
+                                    chunk_size, self._decode)
+            return
+        from .laz import read_points
+        for batch in read_points(self.path, chunk_size):
+            chunk = self._decode(batch)
+            del batch
+            yield chunk
+            del chunk  # the caller's chunk goes before the next is read
 
     def _decode(self, batch) -> PointCloud:
         """Positions and colors of LAS records or laspy points, both of
@@ -199,8 +200,9 @@ class LasReader:
             positions[:, axis] += self.header.offsets[axis]
         colors = None
         if self.descriptor.has_color:
-            colors = np.column_stack(
-                [narrow_16bit(batch[c]) for c in ("red", "green", "blue")])
+            colors = np.empty((len(batch), 3), dtype=np.uint8)
+            for channel, name in enumerate(("red", "green", "blue")):
+                colors[:, channel] = narrow_16bit(batch[name])
         return PointCloud(positions, colors)
 
 

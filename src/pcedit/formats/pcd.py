@@ -102,9 +102,10 @@ def _parse_header(path) -> RecordLayout:
 
 def _unpack_rgb(packed: np.ndarray) -> np.ndarray:
     """0x00RRGGBB uint32 column -> (n, 3) uint8."""
-    return np.column_stack([(packed >> 16) & 0xFF,
-                            (packed >> 8) & 0xFF,
-                            packed & 0xFF]).astype(np.uint8)
+    colors = np.empty((len(packed), 3), dtype=np.uint8)
+    for channel, shift in enumerate((16, 8, 0)):
+        colors[:, channel] = packed >> shift   # keeps the low 8 bits
+    return colors
 
 
 def _pack_rgb(colors: np.ndarray) -> np.ndarray:

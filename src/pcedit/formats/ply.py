@@ -161,7 +161,7 @@ class PlyReader:
                              65535 if self.narrows_colors else 255, self.path)
                 raw = np.rint(raw)
             colors = narrow_16bit(raw) if self.narrows_colors \
-                else raw.astype(np.uint8)
+                else raw.astype(np.uint8, copy=False)
         normals = block(_NORMALS) if self.descriptor.has_normals else None
         return PointCloud(block(_XYZ), colors, normals)  # as float64
 
