@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -198,17 +198,11 @@ class Selection(PointCloud):
                 yield self.source.take(part)
 
 
-class Gathered(NamedTuple):
-    """What ``gather`` keeps of a source."""
-
-    cloud: PointCloud
-    rows: np.ndarray | None   # their ascending source rows
-    count: int                # the rows of the source
-
-
-def gather(source, chunk_size: int, keep=None) -> Gathered:
+def gather(source, chunk_size: int, keep=None
+           ) -> tuple[PointCloud, np.ndarray | None, int]:
     """The rows of ``source.chunks(chunk_size)``, a reader's or a cloud's,
-    that ``keep`` picks, with their source rows.
+    that ``keep`` picks, their ascending source rows, and the number of
+    rows of the source.
 
     ``keep(positions)`` gives the ascending rows of one batch that stay;
     without it every row stays and no source rows are kept.  Each batch's
@@ -243,7 +237,7 @@ def gather(source, chunk_size: int, keep=None) -> Gathered:
         n += m
         total += k
         del chunk
-    return Gathered(PointCloud(has_color=has_color, **columns), rows, total)
+    return PointCloud(has_color=has_color, **columns), rows, total
 
 
 def under_boxes(boxes) -> Callable[[np.ndarray], np.ndarray]:
@@ -288,56 +282,88 @@ def _between(columns: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return inside
 
 
-class Patched(Selection):
-    """The rows of ``source``, a reader or a cloud, that an edit or a split
-    keeps, read from it again when they are written.
+class Edit(Selection):
+    """One edit or split of ``source``, a reader or a cloud, and the
+    ``PointCloud`` of the rows it keeps.
 
-    ``boxed`` is ``gather``'s subset of the rows under the boxes.  Of it the
-    rows ``alive`` marks are kept, with the subset's colors when
-    ``recolored`` (which gives a colorless source colors).  The rows
-    outside the subset are all kept when ``outside`` is True: then
-    ``chunks`` streams the source again, yields a batch as it is when no
-    edited row falls in it, and patches or drops the edited rows of the
-    others.  Otherwise, or when no row lies outside the subset, every kept
-    row is in the subset, and the source is not read again.
+    ``gather`` reads the source once for ``subset``, the rows under the
+    boxes, which ``index`` indexes until ``finish`` drops it.  Steps read
+    and recolor ``subset`` (``positions`` and ``colors`` are the output's,
+    gathered whole) on ascending subset rows, which ascend in the source
+    too, so ties go to the lowest source row.  A deletion clears ``alive``.
+    Rows outside the subset are kept while ``outside`` holds; then
+    ``chunks`` reads the source again and patches or drops the edited rows
+    of each batch, and otherwise it reads only the subset.
     """
 
-    def __init__(self, source, boxed: Gathered, alive: np.ndarray, *,
-                 outside: bool = True, recolored: bool = False):
+    def __init__(self, source, boxes: Iterable[OrientedBox]):
+        from . import formats   # formats imports cloud
         self.source = source
-        self.boxed = boxed
-        self.alive = alive
-        self.outside = outside and alive.size < boxed.count
-        self.recolored = recolored
-        self.has_color = boxed.cloud.has_color or recolored
-        self._count = int(np.count_nonzero(alive))
-        if self.outside:
-            self._count += boxed.count - alive.size
+        self.subset, self.source_rows, self.total = gather(
+            source, formats.DEFAULT_CHUNK_POINTS, under_boxes(boxes))
+        self.alive = np.ones(self.subset.count, dtype=bool)
+        self.index = GridIndex(self.subset.positions)
+        self.outside = True
+        self.recolored = False
+
+    def rows_in(self, box: OrientedBox) -> np.ndarray:
+        """Ascending ``alive`` subset rows inside ``box``, in the type of
+        the source rows, which every subset row fits: 4 bytes a row."""
+        return self.index.rows(box, self.alive).astype(self.source_rows.dtype)
+
+    def claim(self, boxes: Sequence[OrientedBox], free: np.ndarray,
+              exclusive: bool = True) -> Iterator[tuple[int, np.ndarray]]:
+        """Each box's place in ``boxes`` and its ascending subset rows, in
+        turn, cleared from the mask ``free``.  With ``exclusive`` a box
+        searches only the rows still free, so a row goes to the first box
+        that holds it; otherwise to every such box."""
+        for i, box in enumerate(boxes):
+            rows = self.index.rows(box, free if exclusive else None)
+            free[rows] = False
+            yield i, rows
+            del rows   # not alive while the next box is searched
+
+    def finish(self) -> Edit:
+        """Drop the index once the rows are chosen: writing needs none."""
+        del self.index
+        return self
+
+    def recolor(self, rows: np.ndarray, colors: np.ndarray) -> None:
+        """Give ``rows`` the uint8 ``colors``, one a row or one for all."""
+        # each color as one 3-byte item: numpy moves whole rows faster
+        self.subset.colors.view("V3")[rows] = colors.view("V3")
+        self.recolored = True
+
+    @property
+    def count(self) -> int:
+        kept = int(np.count_nonzero(self.alive))
+        return kept + self.total - self.alive.size if self.outside else kept
+
+    @property
+    def has_color(self) -> bool:
+        return self.subset.has_color or self.recolored
 
     @property
     def has_normals(self) -> bool:
-        return self.boxed.cloud.has_normals
+        return self.subset.has_normals
 
     @functools.cached_property
     def _whole(self) -> PointCloud:
-        from .formats import DEFAULT_CHUNK_POINTS   # formats imports cloud
-        return gather(self, DEFAULT_CHUNK_POINTS).cloud
+        from . import formats
+        return gather(self, formats.DEFAULT_CHUNK_POINTS)[0]
 
     def indices(self) -> np.ndarray:
         """The ascending source rows that are kept."""
-        if not self.outside:
-            return self.boxed.rows[self.alive].astype(np.intp)
-        kept = np.ones(self.boxed.count, dtype=bool)
-        kept[self.boxed.rows[~self.alive]] = False
+        kept = np.full(self.total, self.outside)
+        kept[self.source_rows] = self.alive
         return np.flatnonzero(kept)
 
     def chunks(self, chunk_size: int) -> Iterator[PointCloud]:
         check_chunk_size(chunk_size)
-        if not self.outside:
-            yield from Selection(self.boxed.cloud, self.alive) \
-                .chunks(chunk_size)
+        if not self.outside or self.alive.size == self.total:
+            yield from Selection(self.subset, self.alive).chunks(chunk_size)
             return
-        rows, start = self.boxed.rows, 0
+        rows, start = self.source_rows, 0
         for chunk in self.source.chunks(chunk_size):
             k = chunk.count
             # bounds in the rows' own type, so that they are not converted
@@ -352,13 +378,11 @@ class Patched(Selection):
     def _patch(self, chunk: PointCloud, part: slice, start: int
                ) -> PointCloud:
         """``chunk`` with the subset rows ``part`` recolored or dropped."""
-        local = self.boxed.rows[part] - start
+        local = self.source_rows[part] - start
         colors = chunk.colors
         if self.recolored:
             colors = colors.copy()
-            # each color as one 3-byte item: numpy moves whole rows faster
-            colors.view("V3")[local] = self.boxed.cloud.colors[part] \
-                .view("V3")
+            colors.view("V3")[local] = self.subset.colors[part].view("V3")
         patched = PointCloud(chunk.positions, colors, chunk.normals,
                              has_color=self.has_color)
         dead = local[~self.alive[part]]
@@ -487,14 +511,15 @@ class GridIndex:
         # holds them: 4 bytes a point below 2**31 rows
         row_type = np.int32 if len(positions) < np.iinfo(np.int32).max \
             else np.int64
-        # the indexed rows, when they are not all of 0..n-1
-        self._subset = None if rows is None else np.asarray(rows)
-        m = len(positions) if rows is None else self._subset.size
+        # the indexed rows, when they are not all of 0..n-1; only the
+        # build reads them, so the index does not keep them
+        subset = None if rows is None else np.asarray(rows)
+        m = len(positions) if rows is None else subset.size
         # one pass finds the bounds of the finite rows, and which they are
         lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
         finite = np.ones(m, dtype=bool)
         for a in range(0, m, self.SLICE):
-            block = self._block(a, a + self.SLICE)
+            block = self._block(subset, a, a + self.SLICE)
             ok = np.isfinite(block)
             if not ok.all():
                 finite[a:a + self.SLICE] = ok = ok.all(axis=1)
@@ -503,9 +528,9 @@ class GridIndex:
                 lo[k] = min(lo[k], block[:, k].min())
                 hi[k] = max(hi[k], block[:, k].max())
         if not finite.all():
-            self._subset = np.flatnonzero(finite).astype(row_type) \
-                if rows is None else self._subset[finite]
-            m = self._subset.size
+            subset = np.flatnonzero(finite).astype(row_type) \
+                if rows is None else subset[finite]
+            m = subset.size
         del finite
         self._lo, self._hi = (lo, hi) if m else (np.zeros(3), np.zeros(3))
         self._counts, self._scale = self._cell_grid(m, points_per_cell)
@@ -514,19 +539,20 @@ class GridIndex:
         key_type = np.uint16 if cells <= self.MAX_CELLS else np.uint32
         key = np.zeros(m, dtype=key_type)
         for a in range(0, m, self.SLICE):
-            block = self._block(a, a + self.SLICE)
+            block = self._block(subset, a, a + self.SLICE)
             stride = 1
             for k in range(3):
                 if self._counts[k] > 1:
                     key[a:a + self.SLICE] += self._cells(block[:, k], k) \
                         .astype(key_type) * key_type(stride)
                 stride *= int(self._counts[k])
-        self._starts, self._order = self._sort_rows(key, cells, row_type)
+        self._starts, self._order = self._sort_rows(key, cells, row_type,
+                                                    subset)
 
-    def _sort_rows(self, key: np.ndarray, cells: int, row_type
+    def _sort_rows(self, key: np.ndarray, cells: int, row_type, subset
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The first slot of each cell (and the end of the last), and the
-        indexed rows grouped by cell key.
+        indexed rows, ``subset`` or all of them, grouped by cell key.
 
         A counting sort, ``SLICE`` keys at a time, so that no temporary is
         as long as the index or the grid: one pass counts each slice's runs
@@ -554,16 +580,16 @@ class GridIndex:
             slots = np.repeat(free[cell] - first, runs)
             slots += np.arange(sort.size)
             sort += a
-            order[slots] = sort if self._subset is None \
-                else self._subset[sort]
+            order[slots] = sort if subset is None else subset[sort]
             free[cell] += runs.astype(row_type)
         return starts, order
 
-    def _block(self, a: int, b: int) -> np.ndarray:
-        """The positions of the indexed rows ``a`` to ``b``."""
-        if self._subset is None:
+    def _block(self, subset, a: int, b: int) -> np.ndarray:
+        """The positions of the indexed rows ``a`` to ``b``, of ``subset``
+        or of all rows."""
+        if subset is None:
             return self.positions[a:b]
-        return np.take(self.positions, self._subset[a:b], axis=0)
+        return np.take(self.positions, subset[a:b], axis=0)
 
     def _cell_grid(self, m: int, points_per_cell: float
                    ) -> tuple[np.ndarray, np.ndarray]:

@@ -162,7 +162,7 @@ def read_cloud(source) -> PointCloud:
     summed length (``cloud.gather``), and is dropped before the next is
     read, so the peak is the cloud plus one chunk.
     """
-    return gather(open_reader(source), DEFAULT_CHUNK_POINTS).cloud
+    return gather(open_reader(source), DEFAULT_CHUNK_POINTS)[0]
 
 
 def write_cloud(cloud: PointCloud, sink,

@@ -16,11 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import formats
 from .boxfile import JoinedBox
-from .cloud import (ColorSphere, GridIndex, OrientedBox, Patched, PointCloud,
-                    RgbAabb, gather, quantize_colors, rgb_color_aabb,
-                    under_boxes)
+from .cloud import (ColorSphere, Edit, GridIndex, OrientedBox, PointCloud,
+                    RgbAabb, quantize_colors, rgb_color_aabb)
 from .errors import (EmptySelection, NoEnabledBoxes, PipelineStepError)
 
 PROJECT_TO_SURFACE = "project_to_surface"
@@ -116,53 +114,6 @@ def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
     return ColorSphere(center=center, radius=float(dists[rank]))
 
 
-class _Edit:
-    """One edit command's state over its source, a reader or a cloud.
-
-    The source is read once (``gather``) for the rows under the union of
-    the boxes, which are indexed; every step works on ascending rows of
-    that subset.  They ascend in the source too, so ties still go to the
-    lowest source row.  Deleted points are cleared from ``alive``, and
-    recolors write into the subset's colors.  The rows outside the subset
-    survive until a substitution removes them all.  A step holds its box's
-    rows and their uint8 colors, and does its float64 color math ``BATCH``
-    points at a time.  ``result`` is a ``Patched`` view of the source,
-    which reads the source again only when rows outside the subset survive;
-    a recolor gives it colors, as the step-by-step chain of clouds would.
-    """
-
-    def __init__(self, source, boxes: Sequence[OrientedBox]):
-        self.source = source
-        self.boxed = gather(source, formats.DEFAULT_CHUNK_POINTS,
-                            under_boxes(boxes))
-        self.subset = self.boxed.cloud
-        self.index = GridIndex(self.subset.positions)
-        self.alive = np.ones(self.subset.count, dtype=bool)
-        self.outside = True   # the rows outside the subset survive
-        self.colors = self.subset.colors
-        self.recolored = False
-
-    def rows(self, box: OrientedBox) -> np.ndarray:
-        """Ascending subset rows of the surviving points inside ``box``;
-        raises EmptySelection when there are none.  A step holds them
-        throughout, so they take the type of the source rows, which every
-        subset row fits: 4 bytes a row rather than 8."""
-        rows = self.index.rows(box, self.alive)
-        if not rows.size:
-            raise EmptySelection(f"box {box.label!r} contains no points")
-        return rows.astype(self.boxed.rows.dtype)
-
-    def recolor(self, rows: np.ndarray, colors: np.ndarray) -> None:
-        """Give ``rows`` the uint8 ``colors``, one a row or one for all."""
-        # each color as one 3-byte item: numpy moves whole rows faster
-        self.colors.view("V3")[rows] = colors.view("V3")
-        self.recolored = True
-
-    def result(self) -> Patched:
-        return Patched(self.source, self.boxed, self.alive,
-                       outside=self.outside, recolored=self.recolored)
-
-
 def cKDTree(data, rows=None):
     """The nearest-inlier search index over ``data`` (its ``rows`` only,
     when given): a ``GridIndex`` with about one inlier to four cells, so
@@ -251,7 +202,7 @@ class EditStep:
         return "delete_rgb_box_outliers" if self.delete \
             else "recolor_rgb_box_remap"
 
-    def apply(self, edit: _Edit) -> StepReport:
+    def apply(self, edit: Edit) -> StepReport:
         report = StepReport(op=self.op, box_label=self.box.label,
                             points_examined=0, points_recolored=0,
                             points_deleted=0)
@@ -260,15 +211,18 @@ class EditStep:
         model(edit, report)
         return report
 
-    def _in_box(self, edit: _Edit, report: StepReport):
-        """The ascending subset rows in the box and their uint8 colors, the
-        model's alone: it works on them a ``BATCH`` at a time and may free
-        them."""
-        rows = edit.rows(self.box)
+    def _in_box(self, edit: Edit, report: StepReport):
+        """The ascending subset rows of the survivors in the box and their
+        uint8 colors, the model's alone: it works on them a ``BATCH`` at a
+        time and may free them.  Raises EmptySelection when there are
+        none."""
+        rows = edit.rows_in(self.box)
+        if not rows.size:
+            raise EmptySelection(f"box {self.box.label!r} contains no points")
         report.points_examined = rows.size
-        return rows, np.take(edit.colors, rows, axis=0)
+        return rows, np.take(edit.subset.colors, rows, axis=0)
 
-    def _sphere(self, edit: _Edit, report: StepReport) -> None:
+    def _sphere(self, edit: Edit, report: StepReport) -> None:
         rows, colors_in = self._in_box(edit, report)
         sphere = fit_color_sphere(colors_in, self.params)
         report.sphere_center = sphere.center
@@ -305,10 +259,10 @@ class EditStep:
         else:
             nearest = _nearest_inlier_rows(edit.subset.positions,
                                            in_rows, out_rows)
-            edit.recolor(out_rows,
-                         edit.colors.view("V3")[nearest].view(np.uint8))
+            edit.recolor(out_rows, edit.subset.colors.view("V3")[nearest]
+                         .view(np.uint8))
 
-    def _remap(self, edit: _Edit, report: StepReport) -> None:
+    def _remap(self, edit: Edit, report: StepReport) -> None:
         rows, colors_in = self._in_box(edit, report)
         source = rgb_color_aabb(colors_in)
         report.source_min, report.source_max = source.min, source.max
@@ -350,18 +304,16 @@ class SubstituteStep:
     def boxes(self) -> tuple[OrientedBox, ...]:
         return tuple(j.box for j in self.active)
 
-    def apply(self, edit: _Edit) -> StepReport:
+    def apply(self, edit: Edit) -> StepReport:
         active = self.active
         if not active:
             raise NoEnabledBoxes(
                 "substitution needs at least one enabled box with a "
                 "palette color")
-        examined = edit.result().count   # the survivors so far
+        examined = edit.count   # the survivors so far
         free = edit.alive.copy()   # first box wins: a point taken is not free
-        for j in active:
-            rows = edit.index.rows(j.box, free)
-            edit.recolor(rows, np.asarray(j.color, dtype=np.uint8))
-            free[rows] = False
+        for i, rows in edit.claim(self.boxes, free):
+            edit.recolor(rows, np.asarray(active[i].color, dtype=np.uint8))
             del rows   # not alive while the next box is searched
         edit.alive ^= free   # the untaken survivors are removed
         edit.outside = False   # and so is every row outside the subset
@@ -405,30 +357,28 @@ def recolor_substitute(cloud: PointCloud,
     return _apply_one(cloud, SubstituteStep(joined))
 
 
-def _apply_one(cloud: PointCloud, step) -> PointCloud:
-    edit = _Edit(cloud, step.boxes)
+def _apply_one(cloud: PointCloud, step) -> Edit:
+    edit = Edit(cloud, step.boxes)
     step.apply(edit)
-    return edit.result()
+    return edit.finish()
 
 
 def apply_pipeline(cloud, steps: Sequence[EditStep | SubstituteStep]
-                   ) -> tuple[PointCloud, EditReport]:
+                   ) -> tuple[Edit, EditReport]:
     """Run edit steps in order, each consuming the previous output.
 
     ``cloud`` is a ``PointCloud`` or a reader (``formats.open_reader``).
-    It is read once before the steps run, and the result reads it again,
-    a batch at a time, when it is written.  The first failing step aborts
-    the pipeline with a PipelineStepError carrying the step index and the
-    underlying error.
+    It is read once, into the one ``cloud.Edit`` that every step works on
+    and that is the result: it reads the input again, a batch at a time,
+    when it is written.  The first failing step aborts the pipeline with a
+    PipelineStepError carrying the step index and the underlying error.
     """
-    edit = _Edit(cloud, [box for step in steps for box in step.boxes])
-    report = EditReport(input_count=edit.boxed.count,
-                        output_count=edit.boxed.count)
+    edit = Edit(cloud, [box for step in steps for box in step.boxes])
+    report = EditReport(input_count=edit.total, output_count=edit.total)
     for i, step in enumerate(steps):
         try:
             report.steps.append(step.apply(edit))
         except Exception as exc:
             raise PipelineStepError(i, step.op, exc) from exc
-    result = edit.result()
-    report.output_count = result.count
-    return result, report
+    report.output_count = edit.count
+    return edit.finish(), report

@@ -21,9 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats
-from .cloud import (GridIndex, OrientedBox, Patched, PointCloud, Selection,
-                    gather, under_boxes)
+from .cloud import Edit, OrientedBox, PointCloud, Selection
 from .errors import NoBoxes, UnknownFormat
 from .formats import CAPS, DEFAULT_LAS_SCALE, write_cloud
 
@@ -37,14 +35,24 @@ class Fragment:
     indices: np.ndarray  # original point indices, ascending
 
 
+class _Claimed(Fragment):
+    """A fragment of ``split_by_boxes``, whose original indices are looked
+    up when read, so that writing the fragments holds none of them."""
+
+    def __init__(self, label: str, cloud: Selection, source_rows):
+        self.label, self.cloud, self._source_rows = label, cloud, source_rows
+
+    indices = property(lambda self: self._source_rows[self.cloud.rows])
+
+
 @dataclass
 class SplitResult:
     """Fragments are ``Selection``s of the rows under the boxes, and the
-    remainder a ``Patched`` view of the input that reads it again; each is
-    gathered a batch at a time as it is written."""
+    remainder is the ``Edit`` that claimed them, which reads the input
+    again; each is gathered a batch at a time as it is written."""
 
     fragments: list[Fragment] = field(default_factory=list)
-    remainder: Patched | None = None
+    remainder: Edit | None = None
 
     @property
     def remainder_indices(self) -> np.ndarray | None:
@@ -63,23 +71,20 @@ def split_by_boxes(cloud, boxes: list[OrientedBox], *,
     order; fragments appear in order of first label occurrence.
 
     ``cloud`` is a ``PointCloud`` or a reader (``formats.open_reader``).
-    It is read once for the rows under the union of the boxes, which hold
-    every fragment; writing the remainder reads it again.
+    One ``cloud.Edit`` reads it once for the rows under the boxes and
+    claims them box by box; the remainder is that ``Edit``, whose ``alive``
+    rows are in no box, and writing it reads the input again.
     """
     if not boxes:
         raise NoBoxes("split requires at least one box")
-    boxed = gather(cloud, formats.DEFAULT_CHUNK_POINTS, under_boxes(boxes))
-    index = GridIndex(boxed.cloud.positions)
+    edit = Edit(cloud, boxes)
     label_rows: dict[str, list[np.ndarray]] = {}
-    free = np.ones(boxed.cloud.count, dtype=bool)   # in no box so far
-    for box in boxes:
-        rows = index.rows(box, None if duplicates else free)
-        free[rows] = False
-        # held until written: subset rows fit the type of the source rows,
-        # 4 bytes a row rather than 8
-        label_rows.setdefault(box.label, []).append(
-            rows.astype(boxed.rows.dtype))
+    for i, rows in edit.claim(boxes, edit.alive, exclusive=not duplicates):
+        # held until written, in the source rows' type: 4 bytes a row
+        label_rows.setdefault(boxes[i].label, []).append(
+            rows.astype(edit.source_rows.dtype))
         del rows   # not alive while the next box is searched
+    edit.finish()
 
     result = SplitResult()
     for label in list(label_rows):
@@ -87,15 +92,14 @@ def split_by_boxes(cloud, boxes: list[OrientedBox], *,
         if len(parts) == 1:
             rows = parts[0]
         else:   # a mask, not np.unique, which imports numpy.ma (1.3 MB)
-            taken = np.zeros(boxed.cloud.count, dtype=bool)
+            taken = np.zeros(edit.subset.count, dtype=bool)
             for part in parts:
                 taken[part] = True
             rows = np.flatnonzero(taken)
-        result.fragments.append(Fragment(label=label,
-                                         cloud=Selection(boxed.cloud, rows),
-                                         indices=boxed.rows[rows]))
+        result.fragments.append(_Claimed(label, Selection(edit.subset, rows),
+                                         edit.source_rows))
     if emit_remainder:
-        result.remainder = Patched(cloud, boxed, free)
+        result.remainder = edit
     return result
 
 

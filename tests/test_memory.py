@@ -23,8 +23,8 @@ from pcedit import (BoxFile, EditStep, OrientedBox, PointCloud, RemapParams,
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_reader, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
-from pcedit.cloud import GridIndex
-from pcedit.recolor import NEAREST_INLIER, _Edit
+from pcedit.cloud import Edit, GridIndex
+from pcedit.recolor import NEAREST_INLIER
 from pcedit.formats._ascii import TableChunks, count_data_rows
 
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -51,22 +51,24 @@ _CHILD = """
 import re, sys
 {body}
 status = open("/proc/self/status").read()
-print(int(re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1)) // 1024)
+print(int(re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1)))
 """
 
 
-def peak_mb(body: str, *args) -> int:
-    """The peak RSS in MB of a fresh interpreter that runs ``body``."""
+def peak_mb(body: str, *args) -> float:
+    """The peak RSS in MB of a fresh interpreter that runs ``body``, read
+    in KiB: whole MiB would move a 2M-point slope by 0.7 bytes a point."""
     import_root = Path(pcedit.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD.format(body=body), *map(str, args)],
         env={"PATH": "", "PYTHONPATH": str(import_root)},
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.splitlines()[-1])  # after the CLI's own lines
+    # the last line, after the CLI's own
+    return int(proc.stdout.splitlines()[-1]) / 1024
 
 
-def cli_peak_mb(*argv) -> int:
+def cli_peak_mb(*argv) -> float:
     return peak_mb("from pcedit.cli import run\n"
                    "assert run(sys.argv[1:]) == 0", *argv)
 
@@ -100,18 +102,18 @@ def import_peak():
     return peak_mb("import pcedit.cli")
 
 
-def check_peaks(what: str, peaks: dict, sizes: tuple, import_peak: int,
+def check_peaks(what: str, peaks: dict, sizes: tuple, import_peak: float,
                 working_set: int = WORKING_SET_MB):
     """Two sizes' peaks agree within ``SPREAD_MB`` and stay within
     ``working_set`` MB of an import-only process."""
     small, big = (peaks[n] for n in sizes)
     assert abs(big - small) <= SPREAD_MB, \
-        f"{what}: peak {small} MB at {sizes[0]} points, {big} MB at " \
+        f"{what}: peak {small:.1f} MB at {sizes[0]} points, {big:.1f} MB at " \
         f"{sizes[1]}"
     for n, peak in peaks.items():
         assert peak - import_peak <= working_set, \
-            f"{what} on {n} points peaks at {peak} MB, " \
-            f"{peak - import_peak} MB above an import-only process"
+            f"{what} on {n} points peaks at {peak:.1f} MB, " \
+            f"{peak - import_peak:.1f} MB above an import-only process"
 
 
 @needs_vmhwm
@@ -237,8 +239,9 @@ def test_edit_peak_grows_by_the_cloud_and_its_index(name, edit_scenes):
     argv, bound = EDIT_COMMANDS[name]
     small, big, slope = edit_slope(name, argv, edit_scenes)
     assert slope <= bound, \
-        f"{name}: peak {small} MB at {EDIT_SIZES[0]} points, {big} MB at " \
-        f"{EDIT_SIZES[1]}: {slope:.1f} bytes a point, bound {bound}"
+        f"{name}: peak {small:.1f} MB at {EDIT_SIZES[0]} points, " \
+        f"{big:.1f} MB at {EDIT_SIZES[1]}: {slope:.1f} bytes a point, " \
+        f"bound {bound}"
 
 
 _TARGET = RemapParams(RgbAabb((20, 60, 20), (110, 210, 110)))
@@ -278,7 +281,7 @@ def test_step_scratch_per_in_box_point(name, boxed_cloud):
     cloud, box = boxed_cloud
     kwargs, bound = STEP_SCRATCH[name]
     step = EditStep(box, **kwargs)
-    edit = _Edit(cloud, step.boxes)
+    edit = Edit(cloud, step.boxes)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -339,7 +342,8 @@ def sparse_scenes(tmp_path_factory):
     return {n: write_sparse_scene(root / f"scene{n}", n) for n in EDIT_SIZES}
 
 
-def edit_slope(name: str, argv: list, scenes: dict) -> tuple[int, int, float]:
+def edit_slope(name: str, argv: list, scenes: dict
+               ) -> tuple[float, float, float]:
     """The peaks of an edit on the two scenes, and its growth per point."""
     peaks = {}
     for n, root in scenes.items():
@@ -361,8 +365,9 @@ def test_edit_peak_follows_the_boxed_points(name, sparse_scenes):
     cloud: with 2% of the points boxed, its peak barely grows."""
     small, big, slope = edit_slope(name, SPARSE_COMMANDS[name], sparse_scenes)
     assert slope <= SPARSE_SLOPE, \
-        f"{name}: peak {small} MB at {EDIT_SIZES[0]} points, {big} MB at " \
-        f"{EDIT_SIZES[1]}: {slope:.1f} bytes a point, bound {SPARSE_SLOPE}"
+        f"{name}: peak {small:.1f} MB at {EDIT_SIZES[0]} points, " \
+        f"{big:.1f} MB at {EDIT_SIZES[1]}: {slope:.1f} bytes a point, " \
+        f"bound {SPARSE_SLOPE}"
 
 
 def test_read_cloud_holds_the_cloud_plus_one_chunk(tmp_path):
