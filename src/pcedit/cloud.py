@@ -244,8 +244,8 @@ def under_boxes(boxes) -> Callable[[np.ndarray], np.ndarray]:
     """``gather``'s ``keep`` for the rows under the union of the boxes'
     ``world_bounds()``, faces included, which hold every point a box
     contains.  When a box's bounds are not finite, every finite row is
-    kept, as ``GridIndex.rows`` tests every indexed row for it; a row with
-    a NaN or infinite coordinate is otherwise under no box.
+    kept, as ``rows_inside`` tests every finite row for it; a row with a
+    NaN or infinite coordinate is otherwise under no box.
 
     A batch is first cut to the bounds of all the boxes, tested on views
     of its columns, which a scan with few boxed points leaves small; only
@@ -282,15 +282,43 @@ def _between(columns: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return inside
 
 
+#: rows tested against one box at once: about 100 bytes a row of scratch
+BOX_SLICE = 1 << 14
+
+
+def rows_inside(positions: np.ndarray, box: OrientedBox, row_type
+                ) -> np.ndarray:
+    """The ascending rows of ``positions`` that ``box.contains`` accepts,
+    in ``row_type``.  Only the rows under ``box.world_bounds()`` are
+    tested, or every finite row when those bounds are not finite, so a row
+    with a NaN or infinite coordinate is inside no box.  ``BOX_SLICE``
+    rows are tested at a time, and the rows inside are copied onto the end
+    of an array that grows in place."""
+    lo, hi = box.world_bounds()
+    bounded = np.isfinite(lo).all() and np.isfinite(hi).all()
+    rows = np.empty(0, dtype=row_type)
+    for a in range(0, len(positions), BOX_SLICE):
+        part = positions[a:a + BOX_SLICE]
+        under = np.flatnonzero(_between(part.T, lo, hi) if bounded
+                               else np.isfinite(part).all(axis=1))
+        inside = under[box.contains(np.take(part, under, axis=0))]
+        n = rows.size
+        # no view of ``rows`` exists, so growing in place is safe
+        rows.resize(n + inside.size, refcheck=False)
+        np.add(inside, a, out=rows[n:], casting="unsafe")
+    return rows
+
+
 class Edit(Selection):
     """One edit or split of ``source``, a reader or a cloud, and the
     ``PointCloud`` of the rows it keeps.
 
     ``gather`` reads the source once for ``subset``, the rows under the
-    boxes, which ``index`` indexes until ``finish`` drops it.  Steps read
-    and recolor ``subset`` (``positions`` and ``colors`` are the output's,
-    gathered whole) on ascending subset rows, which ascend in the source
-    too, so ties go to the lowest source row.  A deletion clears ``alive``.
+    boxes, and ``members`` holds each distinct box's ascending subset rows
+    (``rows_inside``) until ``finish`` drops them.  Steps read and recolor
+    ``subset`` (``positions`` and ``colors`` are the output's, gathered
+    whole) on ascending subset rows, which ascend in the source too, so
+    ties go to the lowest source row.  A deletion clears ``alive``.
     Rows outside the subset are kept while ``outside`` holds; then
     ``chunks`` reads the source again and patches or drops the edited rows
     of each batch, and otherwise it reads only the subset.
@@ -298,34 +326,40 @@ class Edit(Selection):
 
     def __init__(self, source, boxes: Iterable[OrientedBox]):
         from . import formats   # formats imports cloud
+        boxes = dict.fromkeys(boxes)   # each distinct box once
         self.source = source
         self.subset, self.source_rows, self.total = gather(
             source, formats.DEFAULT_CHUNK_POINTS, under_boxes(boxes))
         self.alive = np.ones(self.subset.count, dtype=bool)
-        self.index = GridIndex(self.subset.positions)
+        self.members = {box: rows_inside(self.subset.positions, box,
+                                         self.source_rows.dtype)
+                        for box in boxes}
         self.outside = True
         self.recolored = False
 
     def rows_in(self, box: OrientedBox) -> np.ndarray:
         """Ascending ``alive`` subset rows inside ``box``, in the type of
         the source rows, which every subset row fits: 4 bytes a row."""
-        return self.index.rows(box, self.alive).astype(self.source_rows.dtype)
+        rows = self.members[box]
+        return rows[self.alive[rows]]
 
     def claim(self, boxes: Sequence[OrientedBox], free: np.ndarray,
               exclusive: bool = True) -> Iterator[tuple[int, np.ndarray]]:
         """Each box's place in ``boxes`` and its ascending subset rows, in
         turn, cleared from the mask ``free``.  With ``exclusive`` a box
-        searches only the rows still free, so a row goes to the first box
-        that holds it; otherwise to every such box."""
+        takes only the rows still free, so a row goes to the first box that
+        holds it; otherwise to every such box."""
         for i, box in enumerate(boxes):
-            rows = self.index.rows(box, free if exclusive else None)
+            rows = self.members[box]
+            if exclusive:
+                rows = rows[free[rows]]
             free[rows] = False
             yield i, rows
-            del rows   # not alive while the next box is searched
 
     def finish(self) -> Edit:
-        """Drop the index once the rows are chosen: writing needs none."""
-        del self.index
+        """Drop the boxes' rows once the steps have run: writing needs
+        none."""
+        del self.members
         return self
 
     def recolor(self, rows: np.ndarray, colors: np.ndarray) -> None:
@@ -477,24 +511,24 @@ class OrientedBox:
 
 class GridIndex:
     """Uniform-grid index over the finite rows of an (n,3) position array,
-    or over the finite ones of ascending ``rows`` of it.
+    or over the finite ones of ascending ``rows`` of it, whose ``query(x)``
+    gives each query's nearest indexed row.
 
-    Points are sorted by their cell key, with about ``points_per_cell``
-    points to a cell (32 by default).  A grid of at most 65,535 cells keeps
-    16-bit keys, which numpy sorts with a radix sort; only a denser grid
-    over more points widens them.  ``rows(box, among)`` runs the exact
-    predicate, ``OrientedBox.contains``, a batch at a time on the indexed
-    rows under ``box.world_bounds()`` (all of them when those bounds are
-    not finite) that the boolean mask ``among`` keeps.  ``query(x)`` gives
-    each query's nearest indexed row.  Rows with a NaN or infinite
-    coordinate are left out of the index, so they are inside no box.
-    Indexed rows are read in place, never copied out of ``positions``.
+    Points are sorted by their cell key, with about four cells to a point
+    (``POINTS_PER_CELL``), so that the first ring of cells around a query
+    settles nearly every query.  A grid of at most 65,535 cells keeps
+    16-bit keys, which numpy sorts with a radix sort; a larger grid widens
+    them.  Rows with a NaN or infinite coordinate are left out of the
+    index.  Indexed rows are read in place, never copied out of
+    ``positions``.
     """
 
     MAX_CELLS = (1 << 16) - 1
-    POINTS_PER_CELL = 32
-    #: query candidate pairs, or box candidates, measured at once: 130-150
-    #: bytes of scratch a pair and about 100 a candidate, 1.2 MB a batch
+    POINTS_PER_CELL = 0.25
+    #: past this many points cells fill up instead of multiplying
+    MAX_POINTS = MAX_CELLS * 32
+    #: query candidate pairs measured at once: 130-150 bytes of scratch a
+    #: pair, 1.2 MB a batch
     BATCH = 1 << 13
     #: rows whose cell keys are computed, counted and placed at once: about
     #: 60 bytes a row of scratch, also in an index built during an edit step
@@ -504,8 +538,7 @@ class GridIndex:
     #: relative margin on the stopping distance, far above rounding error
     SLACK = 1e-9
 
-    def __init__(self, positions: np.ndarray,
-                 points_per_cell: float = POINTS_PER_CELL, rows=None):
+    def __init__(self, positions: np.ndarray, rows=None):
         self.positions = positions = _as_points(positions, "positions")
         # row numbers, cell starts included, in the narrowest type that
         # holds them: 4 bytes a point below 2**31 rows
@@ -533,7 +566,7 @@ class GridIndex:
             m = subset.size
         del finite
         self._lo, self._hi = (lo, hi) if m else (np.zeros(3), np.zeros(3))
-        self._counts, self._scale = self._cell_grid(m, points_per_cell)
+        self._counts, self._scale = self._cell_grid(m)
 
         cells = int(self._counts.prod())
         key_type = np.uint16 if cells <= self.MAX_CELLS else np.uint32
@@ -591,19 +624,15 @@ class GridIndex:
             return self.positions[a:b]
         return np.take(self.positions, subset[a:b], axis=0)
 
-    def _cell_grid(self, m: int, points_per_cell: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
+    def _cell_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Cells per axis and the world -> cell scale.
 
         Cells are near-cubic with edge ``h``; an axis thinner than ``h``
-        gets one cell and the others share the cell budget.  Past
-        ``MAX_CELLS * POINTS_PER_CELL`` points cells fill up instead of
-        multiplying, so the default density never leaves 16-bit keys.
+        gets one cell and the others share the cell budget.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             extent = self._hi - self._lo
-        target = max(1, int(min(m, self.MAX_CELLS * self.POINTS_PER_CELL)
-                            // points_per_cell))
+        target = max(1, int(min(m, self.MAX_POINTS) // self.POINTS_PER_CELL))
         # 16-bit keys while the budget allows them; wider keys may pass
         # the budget by the rounding of each axis up to whole cells
         limit = self.MAX_CELLS if target <= self.MAX_CELLS else 2 * target
@@ -637,51 +666,6 @@ class GridIndex:
         cells *= self._scale[k]
         np.floor(cells, out=cells)
         return np.clip(cells, 0, self._counts[k] - 1, out=cells)
-
-    def _candidates(self, lo: np.ndarray, hi: np.ndarray
-                    ) -> Iterator[np.ndarray]:
-        """Rows of every cell meeting the world AABB [lo, hi], of every
-        cell when its bounds are not finite, about ``BATCH`` at a time:
-        whole runs of cells along x, so a longer run comes alone."""
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            for a in range(0, self._order.size, self.BATCH):
-                yield self._order[a:a + self.BATCH]
-            return
-        if np.any(hi < self._lo) or np.any(lo > self._hi):
-            return
-        (x0, x1), (y0, y1), (z0, z1) = (
-            self._cells(np.array([lo[k], hi[k]]), k).astype(np.int64)
-            for k in range(3))
-        nx, ny, _ = self._counts
-        # each (y, z) pair is one contiguous run of keys along x
-        yz = (np.arange(y0, y1 + 1)[:, None]
-              + ny * np.arange(z0, z1 + 1)[None, :]).ravel() * nx
-        begin = self._starts[yz + x0]
-        lengths = self._starts[yz + x1 + 1] - begin
-        for a, b in _batches(lengths, self.BATCH):
-            yield self._order[_runs(begin[a:b], lengths[a:b])]
-
-    def rows(self, box: OrientedBox, among: np.ndarray | None = None
-             ) -> np.ndarray:
-        """Ascending indexed rows inside ``box``, of those the boolean mask
-        ``among`` over source rows keeps when it is given.  A row with a NaN
-        or infinite coordinate is inside no box, however large.  The
-        candidates are tested ``BATCH`` at a time, and the rows inside are
-        copied onto the end of an array that grows in place."""
-        rows = np.empty(0, dtype=np.intp)
-        for candidates in self._candidates(*box.world_bounds()):
-            if among is not None:
-                candidates = candidates[among[candidates]]
-            for a in range(0, candidates.size, self.BATCH):
-                part = candidates[a:a + self.BATCH]
-                part = part[box.contains(
-                    np.take(self.positions, part, axis=0))]
-                n = rows.size
-                # no view of ``rows`` exists, so growing in place is safe
-                rows.resize(n + part.size, refcheck=False)
-                rows[n:] = part
-        rows.sort()
-        return rows
 
     def query(self, x: np.ndarray) -> np.ndarray:
         """Row of the indexed position nearest to each finite query point.

@@ -116,14 +116,13 @@ def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
 
 def cKDTree(data, rows=None):
     """The nearest-inlier search index over ``data`` (its ``rows`` only,
-    when given): a ``GridIndex`` with about one inlier to four cells, so
-    that the first ring of cells around a query settles nearly every
-    query; its ``query(x)`` gives each query's nearest row of ``data``.
+    when given): a ``GridIndex``, whose ``query(x)`` gives each query's
+    nearest row of ``data``.
 
     Only the name is scipy's.  The benchmark's tracer
     (``perfbench/tracer.py``) wraps ``recolor.cKDTree`` to time the search,
     so the name stays until the program records its own spans."""
-    return GridIndex(data, points_per_cell=0.25, rows=rows)
+    return GridIndex(data, rows=rows)
 
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,
@@ -314,7 +313,7 @@ class SubstituteStep:
         free = edit.alive.copy()   # first box wins: a point taken is not free
         for i, rows in edit.claim(self.boxes, free):
             edit.recolor(rows, np.asarray(active[i].color, dtype=np.uint8))
-            del rows   # not alive while the next box is searched
+            del rows   # not alive while the next box is claimed
         edit.alive ^= free   # the untaken survivors are removed
         edit.outside = False   # and so is every row outside the subset
         survivors = int(np.count_nonzero(edit.alive))

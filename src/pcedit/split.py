@@ -81,9 +81,7 @@ def split_by_boxes(cloud, boxes: list[OrientedBox], *,
     label_rows: dict[str, list[np.ndarray]] = {}
     for i, rows in edit.claim(boxes, edit.alive, exclusive=not duplicates):
         # held until written, in the source rows' type: 4 bytes a row
-        label_rows.setdefault(boxes[i].label, []).append(
-            rows.astype(edit.source_rows.dtype))
-        del rows   # not alive while the next box is searched
+        label_rows.setdefault(boxes[i].label, []).append(rows)
     edit.finish()
 
     result = SplitResult()

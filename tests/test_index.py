@@ -1,10 +1,11 @@
-"""Grid index and the indexed edit engine against full-scan references.
+"""Box membership, the grid index and the edit engine against full-scan
+references.
 
 The references here rescan every point with the trig oracle for every box
 and copy the cloud after every step, which is how the engine behaved
-before it indexed the cloud once per command.  The nearest-inlier search
-on the grid is checked against scipy's k-d tree, which the tests keep as
-an oracle only.
+before it found each box's rows once per command.  The nearest-inlier
+search on the grid is checked against scipy's k-d tree, which the tests
+keep as an oracle only.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pcedit.cloud
 from pcedit import (ColorSphere, EditStep, EmptySelection, OrientedBox,
                     PipelineStepError, PointCloud, RemapParams, RgbAabb,
                     SphereParams, SubstituteStep, apply_pipeline,
@@ -22,7 +24,7 @@ from pcedit import (ColorSphere, EditStep, EmptySelection, OrientedBox,
                     rgb_color_aabb, split_by_boxes)
 from pcedit import recolor
 from pcedit.boxfile import JoinedBox
-from pcedit.cloud import GridIndex
+from pcedit.cloud import Edit, GridIndex, Selection, rows_inside
 from pcedit.recolor import (NEAREST_INLIER, PROJECT_TO_SURFACE,
                             _nearest_inlier_rows, nearest_rank)
 
@@ -101,27 +103,38 @@ def _near_surface(positions: np.ndarray, box: OrientedBox) -> np.ndarray:
         return np.any(np.abs(np.abs(local) - half) <= tol, axis=1)
 
 
+def _edit_rows(edit: Edit, box: OrientedBox) -> np.ndarray:
+    """The source rows of ``edit.rows_in(box)``."""
+    return edit.source_rows[edit.rows_in(box)]
+
+
 class TestGridIndex:
+    """Box membership (``cloud.rows_inside`` and ``Edit``'s rows of each
+    box), which took over the grid's box query, and the grid itself."""
+
     @given(scene=scenes(), seed=st.none() | st.integers(0, 2**32 - 1))
     def test_rows_match_full_scan_and_oracle(self, scene, seed):
-        """``among`` is None or a random mask; rows it drops are never
-        returned."""
+        """``among`` is None or a random mask of survivors; rows it drops
+        are never returned."""
         positions, boxes = scene
         among = None if seed is None else \
             np.random.default_rng(seed).random(len(positions)) < 0.5
         keep = np.ones(len(positions), dtype=bool) if among is None \
             else among
-        index = GridIndex(positions)
+        edit = Edit(PointCloud(positions), boxes)
+        edit.alive = keep[edit.source_rows]
         for box in boxes:
-            rows = index.rows(box, among)
+            rows = _edit_rows(edit, box)
             with np.errstate(invalid="ignore"):
                 full = box.contains(positions)
                 want = oracle_contains(positions, box) & keep
             # the same predicate on every point: bit-identical rows
             assert np.array_equal(rows, np.flatnonzero(full & keep))
+            assert np.array_equal(rows_inside(positions, box, np.int32),
+                                  np.flatnonzero(full))
             lo, hi = box.world_bounds()
             assert np.all((positions[full] >= lo) & (positions[full] <= hi))
-            assert rows.dtype == np.intp
+            assert edit.rows_in(box).dtype == edit.source_rows.dtype
             if box.rotations == (0.0, 0.0, 0.0):
                 # both rotations are the exact identity
                 assert np.array_equal(rows, np.flatnonzero(want))
@@ -132,42 +145,36 @@ class TestGridIndex:
                 assert np.array_equal(got[firm], want[firm])
 
     def test_many_cells_match_full_scan(self, rng):
+        """A flat cloud of several slices of ``BOX_SLICE`` rows."""
         positions = random_cloud(rng, 50_000, span=40.0).positions
         positions[:, 2] *= 0.05
-        index = GridIndex(positions)
-        assert index._counts.prod() > 1000
+        assert len(positions) > 3 * pcedit.cloud.BOX_SLICE
         for _ in range(40):
             box = random_box(rng, span=40.0)
-            assert np.array_equal(index.rows(box),
+            assert np.array_equal(rows_inside(positions, box, np.int32),
                                   np.flatnonzero(box.contains(positions)))
 
-    def test_candidates_stay_near_the_box(self, rng):
-        positions = rng.uniform(-100, 100, (100_000, 3))
-        index = GridIndex(positions)
-        box = OrientedBox(label="small", centroid=(0, 0, 0),
-                          dimensions=(4, 4, 4), rotations=(10, 20, 30))
-        candidates = sum(part.size for part in
-                         index._candidates(*box.world_bounds()))
-        assert candidates < len(positions) // 50
-
     def test_nonfinite_box_falls_back_to_full_scan(self, monkeypatch, rng):
-        """A box without finite world bounds tests every indexed row, a
-        slice at a time, with the rows ``among`` drops left out."""
-        monkeypatch.setattr(GridIndex, "SLICE", 7)
+        """A box without finite world bounds tests every finite row, a
+        slice at a time, with the rows deleted or taken left out."""
+        monkeypatch.setattr(pcedit.cloud, "BOX_SLICE", 7)
         positions = rng.uniform(-1, 1, (100, 3))
         huge = OrientedBox(label="huge", centroid=(0, 0, 0),
                            dimensions=(np.inf, 1, 1))
-        index = GridIndex(positions)
+        edit = Edit(PointCloud(positions), [huge])
         full = np.flatnonzero(huge.contains(positions))
         assert 0 < full.size < len(positions)
-        for among in (None, rng.random(len(positions)) < 0.5):
-            want = full if among is None else full[among[full]]
-            assert np.array_equal(index.rows(huge, among), want)
+        assert np.array_equal(_edit_rows(edit, huge), full)
+        among = rng.random(len(positions)) < 0.5
+        (_, rows), = edit.claim([huge], among[edit.source_rows])
+        assert np.array_equal(edit.source_rows[rows], full[among[full]])
+        edit.alive = among[edit.source_rows]
+        assert np.array_equal(_edit_rows(edit, huge), full[among[full]])
 
     def test_a_nonfinite_row_is_inside_no_box(self):
         """``(inf, 0, 0)`` maps to infinite local coordinates in a rotated
-        box of infinite size, which ``contains`` accepts; the index leaves
-        the row out, so no box holds it."""
+        box of infinite size, which ``contains`` accepts; membership tests
+        only finite rows, so no box holds it."""
         positions = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
                               [1e300, -1e300, 5.0]])
         box = OrientedBox(label="all", centroid=(0, 0, 0),
@@ -175,44 +182,56 @@ class TestGridIndex:
                           rotations=(30, 40, 50))
         with np.errstate(invalid="ignore"):
             assert box.contains(positions).tolist() == [True, True, True]
-        assert GridIndex(positions).rows(box).tolist() == [1, 2]
+        assert rows_inside(positions, box, np.int32).tolist() == [1, 2]
+        assert _edit_rows(Edit(PointCloud(positions), [box]),
+                          box).tolist() == [1, 2]
 
     def test_a_row_subset_indexes_only_its_rows(self, rng):
-        """``rows=`` indexes those rows where they lie: a box, finite or
-        not, gives the subset's rows inside it, and a query the nearest of
-        its finite rows, by row number."""
+        """An edit of some rows of a cloud claims, for a box finite or not,
+        the rows of that subset inside it; ``rows=`` indexes those rows
+        where they lie, and a query gives the nearest of its finite rows,
+        by row number."""
         positions = rng.uniform(-1, 1, (400, 3))
         positions[::29] = [np.nan, 0.0, np.inf]
         subset = np.flatnonzero(rng.random(400) < 0.5)
-        index = GridIndex(positions, rows=subset)
         huge = OrientedBox(label="huge", centroid=(0, 0, 0),
                            dimensions=(np.inf, 1, 1))
-        for box in [huge] + [random_box(rng, span=2.0) for _ in range(5)]:
+        boxes = [huge] + [random_box(rng, span=2.0) for _ in range(5)]
+        edit = Edit(Selection(PointCloud(positions), subset), boxes)
+        rows_of = subset[edit.source_rows]   # the cloud's rows of the edit
+        for box in boxes:
             with np.errstate(invalid="ignore"):
                 inside = box.contains(positions)
             full = subset[inside[subset]]
             for among in (None, rng.random(400) < 0.5):
                 want = full if among is None else full[among[full]]
-                assert np.array_equal(index.rows(box, among), want)
+                free = np.ones(rows_of.size, dtype=bool) if among is None \
+                    else among[rows_of]
+                (_, rows), = edit.claim([box], free)
+                assert np.array_equal(rows_of[rows], want)
+        index = GridIndex(positions, rows=subset)
         finite = subset[np.isfinite(positions[subset]).all(axis=1)]
         queries = rng.uniform(-1.5, 1.5, (50, 3))
         dist = np.linalg.norm(queries[:, None] - positions[finite], axis=2)
         assert np.array_equal(index.query(queries),
                               finite[dist.argmin(axis=1)])
 
-
-    def test_default_density_keeps_16_bit_keys(self, rng):
-        index = GridIndex(rng.uniform(0, 100, (5000, 3)))
-        # however many points, the edit index stays radix-sortable
-        for m in (5000, 10**7):
-            counts, _ = index._cell_grid(m, GridIndex.POINTS_PER_CELL)
-            assert counts.prod() <= GridIndex.MAX_CELLS
-        sparse = GridIndex(rng.uniform(0, 100, (50_000, 3)),
-                           points_per_cell=0.25)
+    def test_the_point_cap_bounds_the_grid(self, rng):
+        """About four cells a point, with 16-bit keys while the grid has at
+        most ``MAX_CELLS`` cells; past ``MAX_POINTS`` points the grid stops
+        growing."""
+        small = GridIndex(rng.uniform(0, 100, (5000, 3)))
+        assert small._starts.size - 1 <= GridIndex.MAX_CELLS
+        capped, more = (small._cell_grid(m)[0].prod()
+                        for m in (GridIndex.MAX_POINTS, 10**7))
+        assert capped == more <= \
+            2 * GridIndex.MAX_POINTS / GridIndex.POINTS_PER_CELL
+        sparse = GridIndex(rng.uniform(0, 100, (50_000, 3)))
         assert sparse._starts.size - 1 > GridIndex.MAX_CELLS
-        box = random_box(rng, span=100.0)
-        assert np.array_equal(sparse.rows(box),
-                              np.flatnonzero(box.contains(sparse.positions)))
+        queries = rng.uniform(0, 100, (20, 3))
+        want = [np.linalg.norm(sparse.positions - q, axis=1).argmin()
+                for q in queries]
+        assert sparse.query(queries).tolist() == want
 
 
 def scipy_nearest(positions, inlier_rows, outlier_rows) -> np.ndarray:
@@ -295,14 +314,16 @@ class TestNearestInlierSearch:
 
 
 #: every batch size of the engine: ``GridIndex.BATCH`` (query candidates
-#: and box candidates at once), ``GridIndex.SLICE`` (keys computed,
-#: counted and placed at once), ``GridIndex.QUERIES`` (queries searched at
-#: once) and ``recolor.BATCH`` (in-box colors at once)
+#: at once), ``GridIndex.SLICE`` (keys computed, counted and placed at
+#: once), ``GridIndex.QUERIES`` (queries searched at once),
+#: ``recolor.BATCH`` (in-box colors at once) and ``cloud.BOX_SLICE`` (rows
+#: tested against a box at once)
 BATCH_CONSTANTS = pytest.mark.parametrize(
     "owner, name", [(GridIndex, "BATCH"), (GridIndex, "SLICE"),
-                    (GridIndex, "QUERIES"), (recolor, "BATCH")],
+                    (GridIndex, "QUERIES"), (recolor, "BATCH"),
+                    (pcedit.cloud, "BOX_SLICE")],
     ids=["GridIndex.BATCH", "GridIndex.SLICE", "GridIndex.QUERIES",
-         "recolor.BATCH"])
+         "recolor.BATCH", "cloud.BOX_SLICE"])
 BATCH_SIZES = pytest.mark.parametrize("size", [1, 7, None],
                                       ids=["1", "7", "default"])
 
@@ -316,7 +337,7 @@ class TestBatchBoundaries:
         rng = np.random.default_rng(23)
         # coordinates on a 0.5 m lattice: many exact distance ties
         positions = np.round(rng.uniform(-4, 4, (400, 3)) * 2) / 2
-        positions[::37] = [np.nan, 0.0, 0.0]   # rows the index leaves out
+        positions[::37] = [np.nan, 0.0, 0.0]   # rows in no box or index
         finite = np.isfinite(positions).all(axis=1)
         inlier = finite & (rng.random(400) < 0.8)
         boxes = [random_box(rng, span=8.0) for _ in range(6)]
@@ -326,14 +347,16 @@ class TestBatchBoundaries:
     @BATCH_SIZES
     @pytest.mark.parametrize("name", ["BATCH", "SLICE", "QUERIES"])
     def test_rows_and_nearest_rows(self, monkeypatch, scene, name, size):
+        """The grid constant ``name`` and ``cloud.BOX_SLICE`` at ``size``."""
         positions, boxes, inlier_rows, outlier_rows = scene
         if size is not None:
             monkeypatch.setattr(GridIndex, name, size)
-        index = GridIndex(positions)
+            monkeypatch.setattr(pcedit.cloud, "BOX_SLICE", size)
+        edit = Edit(PointCloud(positions), boxes)
         for box in boxes:
             with np.errstate(invalid="ignore"):
                 want = np.flatnonzero(box.contains(positions))
-            assert np.array_equal(index.rows(box), want)
+            assert np.array_equal(_edit_rows(edit, box), want)
         assert np.array_equal(
             _nearest_inlier_rows(positions, inlier_rows, outlier_rows),
             inlier_rows[scipy_nearest(positions, inlier_rows, outlier_rows)])
@@ -391,12 +414,11 @@ class TestBatchBoundaries:
         """Keys counted in slices of at least one key per cell."""
         positions = rng.uniform(0, 10, (300, 3))
         monkeypatch.setattr(GridIndex, "SLICE", size)
-        sparse = GridIndex(positions, points_per_cell=0.25)
+        sparse = GridIndex(positions)
         assert sparse._starts.size - 1 > size   # more cells than a slice
-        for _ in range(5):
-            box = random_box(rng, span=10.0)
-            assert np.array_equal(sparse.rows(box),
-                                  np.flatnonzero(box.contains(positions)))
+        queries = rng.uniform(0, 10, (20, 3))
+        dist = np.linalg.norm(queries[:, None] - positions, axis=2)
+        assert np.array_equal(sparse.query(queries), dist.argmin(axis=1))
         starts = np.asarray(sparse._starts)
         assert starts[0] == 0 and starts[-1] == 300
         assert np.all(np.diff(starts) >= 0)
@@ -405,7 +427,7 @@ class TestBatchBoundaries:
         index = GridIndex(rng.uniform(0, 10, (5000, 3)))
         assert index._order.dtype == np.int32
         assert index._starts.dtype == np.int32
-        assert index.rows(random_box(rng)).dtype == np.intp
+        assert index.query(rng.uniform(0, 10, (5, 3))).dtype == np.int64
 
     def test_tie_sentinel_keeps_its_type(self):
         """The tie break takes the lowest row among the tied candidates and
@@ -413,7 +435,7 @@ class TestBatchBoundaries:
         in the int32 rows and win every minimum."""
         inliers = np.array([[2.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
                             [0, 0, 3.0]])
-        index = GridIndex(inliers, points_per_cell=0.25)
+        index = GridIndex(inliers)
         assert index._order.dtype == np.int32
         assert index.query(np.zeros((1, 3))).tolist() == [1]
         assert index.query(np.array([[1.0, 1.0, 0]])).tolist() == [1]

@@ -1,7 +1,7 @@
 """Streaming memory: a conversion's peak does not grow with the file, a
 whole-cloud read holds the cloud plus one chunk, and an edit holds the
-rows under its boxes, their index and the scratch of one box or one
-batch.
+rows under its boxes, the rows of each box and the scratch of one box or
+one batch.
 
 Each command runs in a fresh interpreter that prints its own ``VmHWM`` (the
 peak resident set of the process since its ``exec``).  ``ru_maxrss`` would
@@ -23,7 +23,7 @@ from pcedit import (BoxFile, EditStep, OrientedBox, PointCloud, RemapParams,
 from pcedit.formats import (DEFAULT_CHUNK_POINTS, open_reader, open_writer,
                             resolve_descriptor)
 from pcedit.formats import _ascii, _records
-from pcedit.cloud import Edit, GridIndex
+from pcedit.cloud import Edit, rows_inside
 from pcedit.recolor import NEAREST_INLIER
 from pcedit.formats._ascii import TableChunks, count_data_rows
 
@@ -176,22 +176,24 @@ EDIT_SIZES = (500_000, 2_000_000)
 #: each edit's arguments and the most its peak may grow per point between
 #: the two sizes.  The four boxes hold 60% of the points, and an edit holds
 #: those rows: 27 bytes each for their positions and colors, 4 for their
-#: source rows, 1 for the alive mask and about 4 for their index, so about
-#: 22 bytes a point of the cloud.  The rest is the scratch of one box (15%
-#: of the points), whose rows a step or a split holds as 4 bytes each;
-#: the nearest-inlier search's grid takes most.  A whole copy of the
-#: survivors or of the remainder would add 27 bytes for each copied point.
+#: source rows, 1 for the alive mask and 4 for their place in their box's
+#: rows (a point in k boxes takes 4 for each), so about 22 bytes a point
+#: of the cloud.  The rest is the scratch of one box (15% of the points),
+#: whose rows a step or a split holds as 4 bytes each; the nearest-inlier
+#: search's grid takes most.  A whole copy of the survivors or of the
+#: remainder would add 27 bytes for each copied point.
 #: Both peaks are set inside the box steps; batches of 16,384 points set
-#: neither.  Measured: delete 23.1-24.5, segment 23.8, remap 23.8,
-#: nearest-inlier 25.9-26.6 and split 27.3 bytes a point (35.7-42.6 when
-#: the edit held the cloud).
+#: neither.  Measured: delete 23.6-23.9, segment 22.9-23.0, remap
+#: 23.9-24.1, nearest-inlier 25.6-25.7 and split 24.0 bytes a point (split
+#: 25.2-25.3 with a grid over the rows, 35.7-42.6 when the edit held the
+#: cloud).
 EDIT_COMMANDS = {
     "delete": (["delete", "--percentile", "90"], 27),
     "segment": (["segment", "--palette", "{root}/palette.txt"], 28),
     "remap": (["recolor", "--mode", "remap",
                "--target", "20", "60", "20", "110", "210", "110"], 25),
     "nearest": (["recolor", "--outlier-mode", "nearest_inlier_spatial"], 29),
-    "split": (["split"], 31),
+    "split": (["split"], 27),
 }
 
 
@@ -247,9 +249,9 @@ def test_edit_peak_grows_by_the_cloud_and_its_index(name, edit_scenes):
 _TARGET = RemapParams(RgbAabb((20, 60, 20), (110, 210, 110)))
 
 #: each step and the most it may hold for each point of its box, above the
-#: cloud, its index and the color buffer.  Its rows take 8 bytes a point,
-#: their colors 3 and the outlier mask 1, and the float64 color math runs
-#: a batch at a time: about 18 bytes a point, 22 for the projection.  The
+#: cloud, its boxes' rows and the color buffer.  Its rows take 8 bytes a
+#: point, their colors 3 and the outlier mask 1, and the float64 color math
+#: runs a batch at a time: about 18 bytes a point, 22 for the projection.  The
 #: nearest-inlier search adds its sparse grid over the inliers, about 20
 #: bytes an inlier: 42 in all.  Whole-box float64 copies took 39-87.
 STEP_SCRATCH = {
@@ -298,9 +300,9 @@ def test_step_scratch_per_in_box_point(name, boxed_cloud):
 
 #: the most an edit's peak may grow per point between the two sizes of a
 #: scene with 2% of its points boxed: pass one keeps only the rows under
-#: the boxes (about 40 bytes each with their index), so the peak follows
-#: them and not the cloud.  Measured: 0.7-2.1 bytes a point; a command that
-#: held the cloud grew by 30-36 here.
+#: the boxes (about 36 bytes each with their box's rows), so the peak
+#: follows them and not the cloud.  Measured: 0.7-2.1 bytes a point; a
+#: command that held the cloud grew by 30-36 here.
 SPARSE_SLOPE = 4
 
 #: the commands of the sparse scene
@@ -628,22 +630,21 @@ def test_row_count_holds_one_block(tmp_path, monkeypatch):
 
 
 def test_a_box_without_finite_bounds_is_tested_a_slice_at_a_time():
-    """A box whose world bounds are not finite tests every indexed row, a
+    """A box whose world bounds are not finite tests every finite row, a
     slice at a time, rather than the whole position array at once (48
     bytes a point of float64 temporaries)."""
     n = 1_000_000
     rng = np.random.default_rng(5)
     positions = rng.uniform(0, 100, (n, 3))
-    index = GridIndex(positions)
     box = OrientedBox(label="strip", centroid=(50, 50, 50),
                       dimensions=(np.inf, 20, 20))
     tracemalloc.start()
     try:
-        rows = index.rows(box)
+        rows = rows_inside(positions, box, np.int32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert 0 < rows.size < n // 10
-    # its result, one mask byte a point and one slice's scratch
+    # its result and one slice's scratch
     assert peak <= 8 * n, \
         f"rows of an unbounded box peaked at {peak / n:.1f} bytes a point"
