@@ -140,14 +140,39 @@ class PointCloud:
                              has_color=self.has_color)
 
 
-class Selection(PointCloud):
-    """The rows ``rows`` of ``source`` in source order, gathered when used.
+class _View(PointCloud):
+    """A cloud whose rows are gathered from another as they are read: a
+    subclass gives ``count``, ``has_color``, ``has_normals`` and
+    ``chunks``, a batch at a time, and the ``positions``, ``colors`` and
+    ``normals`` arrays are those batches copied whole on first use."""
+
+    positions = property(lambda self: self._whole.positions)
+    colors = property(lambda self: self._whole.colors)
+    normals = property(lambda self: self._whole.normals
+                       if self.has_normals else None)
+
+    @functools.cached_property
+    def _whole(self) -> PointCloud:
+        from . import formats   # formats imports cloud
+        # filled in place: growing an array per batch can copy it each time
+        n, a = self.count, 0
+        whole = PointCloud(np.empty((n, 3)), np.empty((n, 3), np.uint8),
+                           np.empty((n, 3)) if self.has_normals else None,
+                           has_color=self.has_color)
+        names = ("positions", "colors", "normals")[:2 + self.has_normals]
+        for chunk in self.chunks(formats.DEFAULT_CHUNK_POINTS):
+            for name in names:
+                getattr(whole, name)[a:a + chunk.count] = getattr(chunk, name)
+            a += chunk.count
+        return whole
+
+
+class Selection(_View):
+    """The rows ``rows`` of ``source`` in source order.
 
     ``rows`` is either ascending source rows or a boolean mask over them.
     ``chunks`` gathers one batch of rows at a time with ``take``, so that
-    writing a selection holds one batch rather than a copy of it.  The
-    ``positions``, ``colors`` and ``normals`` arrays are gathered whole on
-    first use and kept.
+    writing a selection holds one batch rather than a copy of it.
     """
 
     def __init__(self, source: PointCloud, rows: np.ndarray):
@@ -157,29 +182,11 @@ class Selection(PointCloud):
         self._count = int(np.count_nonzero(rows)) if rows.dtype == bool \
             else rows.size
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._whole.positions
-
-    @property
-    def colors(self) -> np.ndarray:
-        return self._whole.colors
-
-    @property
-    def normals(self) -> np.ndarray | None:
-        return self._whole.normals if self.has_normals else None
+    count = property(lambda self: self._count)
 
     @property
     def has_normals(self) -> bool:
         return self.source.has_normals
-
-    @functools.cached_property
-    def _whole(self) -> PointCloud:
-        return self.source.take(self.rows)
 
     def indices(self) -> np.ndarray:
         """The ascending source rows of the selection."""
@@ -309,19 +316,19 @@ def rows_inside(positions: np.ndarray, box: OrientedBox, row_type
     return rows
 
 
-class Edit(Selection):
+class Edit(_View):
     """One edit or split of ``source``, a reader or a cloud, and the
     ``PointCloud`` of the rows it keeps.
 
     ``gather`` reads the source once for ``subset``, the rows under the
     boxes, and ``members`` holds each distinct box's ascending subset rows
     (``rows_inside``) until ``finish`` drops them.  Steps read and recolor
-    ``subset`` (``positions`` and ``colors`` are the output's, gathered
-    whole) on ascending subset rows, which ascend in the source too, so
-    ties go to the lowest source row.  A deletion clears ``alive``.
-    Rows outside the subset are kept while ``outside`` holds; then
-    ``chunks`` reads the source again and patches or drops the edited rows
-    of each batch, and otherwise it reads only the subset.
+    ``edit.subset`` on ascending subset rows, which ascend in the source
+    too, so ties go to the lowest source row; the ``positions``,
+    ``colors`` and ``normals`` arrays are the output's.  A deletion
+    clears ``alive``.  Rows outside the subset are kept while ``outside``
+    holds; then ``chunks`` reads the source again and patches or drops the
+    edited rows of each batch, and otherwise it reads only the subset.
     """
 
     def __init__(self, source, boxes: Iterable[OrientedBox]):
@@ -380,11 +387,6 @@ class Edit(Selection):
     @property
     def has_normals(self) -> bool:
         return self.subset.has_normals
-
-    @functools.cached_property
-    def _whole(self) -> PointCloud:
-        from . import formats
-        return gather(self, formats.DEFAULT_CHUNK_POINTS)[0]
 
     def indices(self) -> np.ndarray:
         """The ascending source rows that are kept."""
@@ -510,16 +512,16 @@ class OrientedBox:
 
 
 class GridIndex:
-    """Uniform-grid index over the finite rows of an (n,3) position array,
-    or over the finite ones of ascending ``rows`` of it, whose ``query(x)``
-    gives each query's nearest indexed row.
+    """Uniform-grid index over ``rows`` of an (n,3) position array, whose
+    ``query(x)`` gives each query's nearest indexed row.
 
+    ``rows`` are given, at least one, and finite: the one caller indexes
+    the inliers of a box, and a box holds only finite rows.
     Points are sorted by their cell key, with about four cells to a point
     (``POINTS_PER_CELL``), so that the first ring of cells around a query
     settles nearly every query.  A grid of at most 65,535 cells keeps
     16-bit keys, which numpy sorts with a radix sort; a larger grid widens
-    them.  Rows with a NaN or infinite coordinate are left out of the
-    index.  Indexed rows are read in place, never copied out of
+    them.  Indexed rows are read in place, never copied out of
     ``positions``.
     """
 
@@ -538,41 +540,33 @@ class GridIndex:
     #: relative margin on the stopping distance, far above rounding error
     SLACK = 1e-9
 
-    def __init__(self, positions: np.ndarray, rows=None):
+    def __init__(self, positions: np.ndarray, rows: np.ndarray):
         self.positions = positions = _as_points(positions, "positions")
         # row numbers, cell starts included, in the narrowest type that
         # holds them: 4 bytes a point below 2**31 rows
         row_type = np.int32 if len(positions) < np.iinfo(np.int32).max \
             else np.int64
-        # the indexed rows, when they are not all of 0..n-1; only the
-        # build reads them, so the index does not keep them
-        subset = None if rows is None else np.asarray(rows)
-        m = len(positions) if rows is None else subset.size
-        # one pass finds the bounds of the finite rows, and which they are
+        # only the build reads the rows, so the index does not keep them
+        rows = np.asarray(rows)
+        m = rows.size
+        if not m:
+            raise ValueError("a nearest-row index over no rows is empty")
+        # a NaN propagates through np.minimum and np.maximum, not Python's min
         lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
-        finite = np.ones(m, dtype=bool)
         for a in range(0, m, self.SLICE):
-            block = self._block(subset, a, a + self.SLICE)
-            ok = np.isfinite(block)
-            if not ok.all():
-                finite[a:a + self.SLICE] = ok = ok.all(axis=1)
-                block = block[ok]
-            for k in range(3 if len(block) else 0):
-                lo[k] = min(lo[k], block[:, k].min())
-                hi[k] = max(hi[k], block[:, k].max())
-        if not finite.all():
-            subset = np.flatnonzero(finite).astype(row_type) \
-                if rows is None else subset[finite]
-            m = subset.size
-        del finite
-        self._lo, self._hi = (lo, hi) if m else (np.zeros(3), np.zeros(3))
+            block = np.take(positions, rows[a:a + self.SLICE], axis=0).T
+            np.minimum(lo, [column.min() for column in block], out=lo)
+            np.maximum(hi, [column.max() for column in block], out=hi)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("the rows of a nearest-row index must be finite")
+        self._lo, self._hi = lo, hi
         self._counts, self._scale = self._cell_grid(m)
 
         cells = int(self._counts.prod())
         key_type = np.uint16 if cells <= self.MAX_CELLS else np.uint32
         key = np.zeros(m, dtype=key_type)
         for a in range(0, m, self.SLICE):
-            block = self._block(subset, a, a + self.SLICE)
+            block = np.take(positions, rows[a:a + self.SLICE], axis=0)
             stride = 1
             for k in range(3):
                 if self._counts[k] > 1:
@@ -580,12 +574,12 @@ class GridIndex:
                         .astype(key_type) * key_type(stride)
                 stride *= int(self._counts[k])
         self._starts, self._order = self._sort_rows(key, cells, row_type,
-                                                    subset)
+                                                    rows)
 
-    def _sort_rows(self, key: np.ndarray, cells: int, row_type, subset
+    def _sort_rows(self, key: np.ndarray, cells: int, row_type, rows
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The first slot of each cell (and the end of the last), and the
-        indexed rows, ``subset`` or all of them, grouped by cell key.
+        indexed ``rows`` grouped by cell key.
 
         A counting sort, ``SLICE`` keys at a time, so that no temporary is
         as long as the index or the grid: one pass counts each slice's runs
@@ -613,16 +607,9 @@ class GridIndex:
             slots = np.repeat(free[cell] - first, runs)
             slots += np.arange(sort.size)
             sort += a
-            order[slots] = sort if subset is None else subset[sort]
+            order[slots] = rows[sort]
             free[cell] += runs.astype(row_type)
         return starts, order
-
-    def _block(self, subset, a: int, b: int) -> np.ndarray:
-        """The positions of the indexed rows ``a`` to ``b``, of ``subset``
-        or of all rows."""
-        if subset is None:
-            return self.positions[a:b]
-        return np.take(self.positions, subset[a:b], axis=0)
 
     def _cell_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Cells per axis and the world -> cell scale.
@@ -630,7 +617,7 @@ class GridIndex:
         Cells are near-cubic with edge ``h``; an axis thinner than ``h``
         gets one cell and the others share the cell budget.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             extent = self._hi - self._lo
         target = max(1, int(min(m, self.MAX_POINTS) // self.POINTS_PER_CELL))
         # 16-bit keys while the budget allows them; wider keys may pass
@@ -682,8 +669,6 @@ class GridIndex:
         x = _as_points(x, "queries")
         if not np.isfinite(x).all():
             raise ValueError("queries must be finite")
-        if not self._order.size:
-            raise ValueError("nearest-row query on an empty index")
         rows = np.empty(len(x), dtype=np.int64)
         for a in range(0, len(x), self.QUERIES):
             rows[a:a + self.QUERIES] = self._nearest(x[a:a + self.QUERIES])

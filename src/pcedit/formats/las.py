@@ -61,7 +61,6 @@ _COLOR_FORMATS = (2, 3)
 
 @dataclass
 class _Header:
-    version: tuple[int, int]
     point_format: int
     compressed: bool
     record_length: int
@@ -107,8 +106,8 @@ def read_header(path) -> _Header:
                 count, count_offset = extended, _EXTENDED_COUNT_OFFSET
     compressed = bool(point_format_raw & 0x80)
     point_format = point_format_raw & 0x3F
-    return _Header(version=(ver_major, ver_minor), point_format=point_format,
-                   compressed=compressed, record_length=record_length,
+    return _Header(point_format=point_format, compressed=compressed,
+                   record_length=record_length,
                    offset_to_points=offset_to_points, count=count,
                    count_offset=count_offset, scales=scales, offsets=offsets)
 

@@ -114,15 +114,15 @@ def fit_color_sphere(colors, params: SphereParams) -> ColorSphere:
     return ColorSphere(center=center, radius=float(dists[rank]))
 
 
-def cKDTree(data, rows=None):
-    """The nearest-inlier search index over ``data`` (its ``rows`` only,
-    when given): a ``GridIndex``, whose ``query(x)`` gives each query's
-    nearest row of ``data``.
+def cKDTree(data, rows):
+    """The nearest-inlier search index over the ``rows`` of ``data``, at
+    least one and all finite: a ``GridIndex``, whose ``query(x)`` gives
+    each query's nearest of those rows.
 
     Only the name is scipy's.  The benchmark's tracer
     (``perfbench/tracer.py``) wraps ``recolor.cKDTree`` to time the search,
     so the name stays until the program records its own spans."""
-    return GridIndex(data, rows=rows)
+    return GridIndex(data, rows)
 
 
 def _nearest_inlier_rows(positions: np.ndarray, inlier_rows: np.ndarray,

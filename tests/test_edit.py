@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import pcedit
 import pcedit.cloud
 import pcedit.formats
-from pcedit import (OrientedBox, PointCloud, recolor_substitute,
+from pcedit import (OrientedBox, PointCloud, RemapParams, RgbAabb,
+                    read_cloud, recolor_rgb_box_remap, recolor_substitute,
                     split_by_boxes, write_cloud)
 from pcedit.boxfile import JoinedBox
-from pcedit.cloud import Edit, GridIndex
+from pcedit.cloud import Edit, GridIndex, Selection, _View
 from pcedit.formats import open_reader
 
 LABELS = ("a", "b", "c")
@@ -203,3 +204,29 @@ def test_finish_frees_the_rows_of_each_box(rng):
         edit.rows_in(box)
     assert edit.finish() is edit
     assert all(ref() is None for ref in held), "finish kept a box's rows"
+
+
+@pytest.mark.parametrize("name", ["positions", "colors", "normals"])
+def test_an_edit_is_a_view_not_a_selection(rng, tmp_path, monkeypatch,
+                                           name):
+    """``Edit`` and ``Selection`` share only the lazy view: an edit's
+    arrays are its output's, what ``write_cloud`` writes, copied whole
+    from its batches only when one of them is read."""
+    assert not issubclass(Edit, Selection)
+    assert issubclass(Edit, _View) and issubclass(Selection, _View)
+    # several batches, each filling its own rows of the whole arrays
+    monkeypatch.setattr(pcedit.formats, "DEFAULT_CHUNK_POINTS", 700)
+    n = 3000
+    cloud = PointCloud(rng.uniform(0, 10, (n, 3)),
+                       rng.integers(0, 256, (n, 3), dtype=np.uint8),
+                       rng.normal(size=(n, 3)))
+    box = OrientedBox("a", (5, 5, 5), (4, 6, 8), (10, 20, 30))
+    edit = recolor_rgb_box_remap(cloud, box, RemapParams(
+        target=RgbAabb(min=(20, 60, 20), max=(110, 210, 110))))
+    assert isinstance(edit, Edit) and edit.recolored
+    path = tmp_path / "edit.ply"
+    write_cloud(edit, path, encoding="binary_little_endian")
+    assert "_whole" not in vars(edit)
+    want = getattr(read_cloud(path), name)
+    assert np.array_equal(getattr(edit, name), want)
+    assert "_whole" in vars(edit)

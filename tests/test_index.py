@@ -186,11 +186,12 @@ class TestGridIndex:
         assert _edit_rows(Edit(PointCloud(positions), [box]),
                           box).tolist() == [1, 2]
 
-    def test_a_row_subset_indexes_only_its_rows(self, rng):
+    def test_a_row_subset_indexes_only_its_rows(self, monkeypatch, rng):
         """An edit of some rows of a cloud claims, for a box finite or not,
-        the rows of that subset inside it; ``rows=`` indexes those rows
-        where they lie, and a query gives the nearest of its finite rows,
-        by row number."""
+        the rows of that subset inside it; ``rows`` indexes the subset's
+        finite rows where they lie, and a query gives the nearest of them,
+        by row number.  A row with a NaN or infinite coordinate is
+        rejected, not left out."""
         positions = rng.uniform(-1, 1, (400, 3))
         positions[::29] = [np.nan, 0.0, np.inf]
         subset = np.flatnonzero(rng.random(400) < 0.5)
@@ -209,24 +210,37 @@ class TestGridIndex:
                     else among[rows_of]
                 (_, rows), = edit.claim([box], free)
                 assert np.array_equal(rows_of[rows], want)
-        index = GridIndex(positions, rows=subset)
         finite = subset[np.isfinite(positions[subset]).all(axis=1)]
+        index = GridIndex(positions, finite)
         queries = rng.uniform(-1.5, 1.5, (50, 3))
         dist = np.linalg.norm(queries[:, None] - positions[finite], axis=2)
         assert np.array_equal(index.query(queries),
                               finite[dist.argmin(axis=1)])
+        assert finite.size < subset.size
+        with pytest.raises(ValueError, match="finite"):
+            GridIndex(positions, subset)
+        # bad rows past the first slice: Python's ``min`` drops a NaN only
+        # once the bound it folds into is finite
+        monkeypatch.setattr(GridIndex, "SLICE", 7)
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                    [0.0, 0.0, -np.inf]):
+            spoiled = positions.copy()
+            spoiled[finite[finite.size // 2]] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GridIndex(spoiled, finite)
 
     def test_the_point_cap_bounds_the_grid(self, rng):
         """About four cells a point, with 16-bit keys while the grid has at
         most ``MAX_CELLS`` cells; past ``MAX_POINTS`` points the grid stops
         growing."""
-        small = GridIndex(rng.uniform(0, 100, (5000, 3)))
+        small = GridIndex(rng.uniform(0, 100, (5000, 3)), np.arange(5000))
         assert small._starts.size - 1 <= GridIndex.MAX_CELLS
         capped, more = (small._cell_grid(m)[0].prod()
                         for m in (GridIndex.MAX_POINTS, 10**7))
         assert capped == more <= \
             2 * GridIndex.MAX_POINTS / GridIndex.POINTS_PER_CELL
-        sparse = GridIndex(rng.uniform(0, 100, (50_000, 3)))
+        sparse = GridIndex(rng.uniform(0, 100, (50_000, 3)),
+                           np.arange(50_000))
         assert sparse._starts.size - 1 > GridIndex.MAX_CELLS
         queries = rng.uniform(0, 100, (20, 3))
         want = [np.linalg.norm(sparse.positions - q, axis=1).argmin()
@@ -306,11 +320,15 @@ class TestNearestInlierSearch:
             inlier_rows[scipy_nearest(positions, inlier_rows, outlier_rows)])
 
     def test_rejects_nonfinite_queries_and_an_empty_index(self, rng):
-        index = GridIndex(rng.uniform(0, 1, (10, 3)))
+        """A non-finite query fails at the query; an index of no rows
+        fails when it is built."""
+        index = GridIndex(rng.uniform(0, 1, (10, 3)), np.arange(10))
         with pytest.raises(ValueError, match="finite"):
             index.query(np.array([[0.5, np.nan, 0.5]]))
         with pytest.raises(ValueError, match="empty"):
-            GridIndex(np.empty((0, 3))).query(np.zeros((1, 3)))
+            GridIndex(np.empty((0, 3)), np.arange(0))
+        with pytest.raises(ValueError, match="empty"):
+            GridIndex(rng.uniform(0, 1, (10, 3)), np.arange(0))
 
 
 #: every batch size of the engine: ``GridIndex.BATCH`` (query candidates
@@ -414,7 +432,7 @@ class TestBatchBoundaries:
         """Keys counted in slices of at least one key per cell."""
         positions = rng.uniform(0, 10, (300, 3))
         monkeypatch.setattr(GridIndex, "SLICE", size)
-        sparse = GridIndex(positions)
+        sparse = GridIndex(positions, np.arange(300))
         assert sparse._starts.size - 1 > size   # more cells than a slice
         queries = rng.uniform(0, 10, (20, 3))
         dist = np.linalg.norm(queries[:, None] - positions, axis=2)
@@ -424,7 +442,7 @@ class TestBatchBoundaries:
         assert np.all(np.diff(starts) >= 0)
 
     def test_index_arrays_are_narrow(self, rng):
-        index = GridIndex(rng.uniform(0, 10, (5000, 3)))
+        index = GridIndex(rng.uniform(0, 10, (5000, 3)), np.arange(5000))
         assert index._order.dtype == np.int32
         assert index._starts.dtype == np.int32
         assert index.query(rng.uniform(0, 10, (5, 3))).dtype == np.int64
@@ -435,7 +453,7 @@ class TestBatchBoundaries:
         in the int32 rows and win every minimum."""
         inliers = np.array([[2.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
                             [0, 0, 3.0]])
-        index = GridIndex(inliers)
+        index = GridIndex(inliers, np.arange(4))
         assert index._order.dtype == np.int32
         assert index.query(np.zeros((1, 3))).tolist() == [1]
         assert index.query(np.array([[1.0, 1.0, 0]])).tolist() == [1]
